@@ -176,6 +176,8 @@ class BroadcastSolution:
 
     ``user1_data`` and ``user2_data`` are unweighted bits; ``weighted_sum``
     is ``mu1 * user1_data + mu2 * user2_data``, the maximized objective.
+    ``rate`` is the weighted rate of total power that the string was solved
+    under: the composite rate, or one receiver's rate scaled by its weight.
     """
 
     total_schedule: PowerSchedule
@@ -186,6 +188,7 @@ class BroadcastSolution:
     weighted_sum: float
     split_rule: PowerSplitRule
     string: StringSolution
+    rate: RateFunction
 
 
 def _scaled_rate(base: RateFunction, weight: float) -> RateFunction:
@@ -245,4 +248,5 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
         weighted_sum=problem.mu1 * data1 + problem.mu2 * data2,
         split_rule=rule,
         string=string,
+        rate=effective,
     )

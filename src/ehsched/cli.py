@@ -7,7 +7,7 @@ A scenario is a JSON object::
       "rate": {"type": "awgn", "noise": 1.0},          # optional, this default
       "deadline": 18.0 | "unbounded",                   # "unbounded": leakage only
       "harvest": {"packets": [{"t": 0.0, "e": 4.0}, ...]}
-               | {"samples": [v0, v1, ...]}             # uniform rate samples
+               | {"samples": [v0, v1, ...]}             # rate at uniform times
                | {"named": "solar"},
       "battery": "none"                                 # optional, default none
                | {"constant": 5.0}
@@ -16,6 +16,11 @@ A scenario is a JSON object::
       "epsilon": 0.5,                                   # leakage mode only
       "broadcast": {"n1": 1.0, "n2": 3.0, "mu1": 1.0, "mu2": 2.0}
     }
+
+Every number must be a finite JSON number: booleans, NaN and Infinity are
+refused.  The ``samples`` and ``dying`` lists must not be empty.  ``samples``
+are harvest-rate values at uniform times from 0 to the deadline, linearly
+interpolated in between.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
 additionally runs the brute-force oracles and records the gap, and ``demo``
@@ -27,16 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .broadcast import (
-    BroadcastProblem,
-    _scaled_rate,
-    composite_rate,
-    power_threshold,
-    solve_broadcast,
-)
+import numpy as np
+
+from .broadcast import BroadcastProblem, solve_broadcast
 from .curves import (
     BatterySchedule,
     CumulativeCurve,
@@ -64,7 +67,7 @@ from .oracle import (
     random_feasible_schedule,
 )
 from .rate import RateFunction, awgn_rate, throughput
-from .string_solver import StringSolution, taut_string
+from .string_solver import taut_string
 
 __all__ = ["main", "DEMO_SCENARIOS", "REPORT_SCHEMA"]
 
@@ -207,6 +210,43 @@ REPORT_SCHEMA = {
 # scenario -> problem objects
 
 
+def _number(value, where: str) -> float:
+    """A scenario field that must be a finite JSON number (not a boolean)."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f'"{where}" must be a finite number, got {value!r}')
+
+
+def _numbers(values, where: str) -> list[float]:
+    """A scenario field that must be a non-empty list of finite numbers."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f'"{where}" must be a non-empty list of numbers')
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _records(items, where: str, *keys: str) -> list[tuple[float, ...]]:
+    """A list of objects whose ``keys`` fields are finite numbers."""
+    return [
+        tuple(_number(item[key], f"{where}[{i}].{key}") for key in keys)
+        for i, item in enumerate(items)
+    ]
+
+
+def _deadline(scenario: dict) -> float | None:
+    """The scenario's deadline, or ``None`` for "unbounded" (leakage only)."""
+    deadline = scenario.get("deadline")
+    if deadline != "unbounded":
+        return _number(deadline, "deadline")
+    if scenario["mode"] != "leakage":
+        raise ValueError('"unbounded" deadlines are only valid in leakage mode')
+    return None
+
+
 def _build_rate(spec: dict | None) -> RateFunction:
     if spec is None:
         return awgn_rate(1.0)
@@ -214,7 +254,7 @@ def _build_rate(spec: dict | None) -> RateFunction:
         raise ValueError('"rate" must be an object with a "type" field')
     if spec["type"] != "awgn":
         raise ValueError(f'unknown rate type {spec["type"]!r} (supported: "awgn")')
-    return awgn_rate(float(spec.get("noise", 1.0)))
+    return awgn_rate(_number(spec.get("noise", 1.0), "rate.noise"))
 
 
 def _build_harvest(
@@ -226,22 +266,21 @@ def _build_harvest(
             '{"samples": ...}, {"named": ...}'
         )
     if "packets" in spec:
-        packets = [(float(p["t"]), float(p["e"])) for p in spec["packets"]]
+        packets = _records(spec["packets"], "harvest.packets", "t", "e")
         return from_packet_arrivals(packets, deadline)
     if "samples" in spec:
-        samples = [float(v) for v in spec["samples"]]
+        samples = _numbers(spec["samples"], "harvest.samples")
         if len(samples) < 2:
             raise ValueError('"samples" needs at least two rate values')
         if any(v < 0.0 for v in samples):
             raise ValueError('"samples" rate values must be non-negative')
-        bps = [(0.0, 0.0, 0.0)]
-        total = 0.0
-        width = deadline / (len(samples) - 1)
-        for i in range(1, len(samples)):
-            total += 0.5 * (samples[i - 1] + samples[i]) * width
-            bps.append((i * width, total, total))
-        bps[-1] = (deadline, bps[-1][1], bps[-1][2])
-        return CumulativeCurve(tuple(bps), deadline)
+        # the very times integrate_rate samples at, so each cell is one
+        # trapezoid between two given values
+        cells = len(samples) - 1
+        grid = deadline * np.arange(len(samples)) / cells
+        return integrate_rate(
+            lambda t: np.interp(t, grid, samples), deadline, cells, 1
+        )
     if "named" in spec:
         if spec["named"] != "solar":
             raise ValueError(f'unknown named harvest {spec["named"]!r}')
@@ -260,13 +299,13 @@ def _build_minimum(
             '{"schedule": ...}, {"dying": ...}'
         )
     if "constant" in spec:
-        cap = float(spec["constant"])
+        cap = _number(spec["constant"], "battery.constant")
         return min_energy_from_battery(
             harvested, BatterySchedule.constant(cap, deadline)
         )
     if "schedule" in spec:
-        knots = tuple((float(k["t"]), float(k["capacity"])) for k in spec["schedule"])
-        profile = BatterySchedule(knots)
+        knots = _records(spec["schedule"], "battery.schedule", "t", "capacity")
+        profile = BatterySchedule(tuple(knots))
         if profile.horizon != deadline:
             raise ValueError(
                 f"battery schedule must end at the deadline {deadline}, "
@@ -274,38 +313,28 @@ def _build_minimum(
             )
         return min_energy_from_battery(harvested, profile)
     if "dying" in spec:
-        amounts = [float(v) for v in spec["dying"]["b"]]
-        times = [float(v) for v in spec["dying"]["t"]]
+        amounts = _numbers(spec["dying"]["b"], "battery.dying.b")
+        times = _numbers(spec["dying"]["t"], "battery.dying.t")
         if len(amounts) != len(times):
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
-        if times and times[-1] > deadline:
+        if times[-1] > deadline:
             raise ValueError("battery death times must not exceed the deadline")
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
     raise ValueError(f'unrecognized battery spec {sorted(spec)!r}')
-
-
-def _numeric_deadline(scenario: dict) -> float:
-    deadline = scenario.get("deadline")
-    if deadline == "unbounded":
-        raise ValueError('"unbounded" deadlines are only valid in leakage mode')
-    if not isinstance(deadline, (int, float)):
-        raise ValueError('"deadline" must be a number')
-    return float(deadline)
 
 
 # --------------------------------------------------------------------------
 # solving
 
 
+@dataclass(frozen=True)
 class _Solved:
-    """Report dict plus the live objects the emitters and verifier need."""
+    """A report, the curves it plots, and what the verifier re-solves: the
+    corridor ``(H, M, rate)`` of a taut string, or a leakage problem."""
 
-    def __init__(self, report, curves, schedule, contacts=None, departure=None):
-        self.report = report
-        self.curves = curves  # name -> PiecewiseCurve, drawn in this order
-        self.schedule = schedule
-        self.contacts = contacts or ()
-        self.departure = departure
+    report: dict
+    curves: dict[str, PiecewiseCurve]  # name -> curve, drawn in this order
+    problem: tuple[CumulativeCurve, CumulativeCurve, RateFunction] | LeakageProblem
 
 
 def _schedule_json(schedule: PowerSchedule) -> dict:
@@ -328,125 +357,92 @@ def _curve_json(curve: PiecewiseCurve) -> dict:
     }
 
 
-def _contacts_json(string: StringSolution) -> tuple[list[dict], float | None]:
-    contacts = [
-        {"time": c.time, "value": c.value, "kind": c.kind} for c in string.contacts
-    ]
-    uppers = [c.time for c in string.contacts if c.kind == "upper"]
-    return contacts, (max(uppers) if uppers else None)
+def _report(
+    scenario: dict,
+    schedule: PowerSchedule,
+    total_data: float,
+    curves: dict[str, PiecewiseCurve],
+    harvested: float,
+    transmitted: float,
+    leaked: float = 0.0,
+    **fields,
+) -> dict:
+    """The JSON report: the fields every mode shares, plus ``fields``."""
+    return {
+        "mode": scenario["mode"],
+        "scenario": scenario,
+        "schedule": _schedule_json(schedule),
+        "total_data": total_data,
+        "energy": {
+            "harvested": harvested,
+            "transmitted": transmitted,
+            "leaked": leaked,
+            "residual": harvested - transmitted - leaked,
+        },
+        "curves": {name: _curve_json(curve) for name, curve in curves.items()},
+        **fields,
+    }
 
 
-def _solve_p2p(scenario: dict, resolution: int) -> _Solved:
-    rate = _build_rate(scenario.get("rate"))
-    deadline = _numeric_deadline(scenario)
+def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
+    """Point-to-point and broadcast: the taut string in the harvest/floor
+    corridor, under the composite rate for broadcast."""
+    deadline = _deadline(scenario)
     harvested = _build_harvest(scenario["harvest"], deadline, resolution)
     minimum = _build_minimum(scenario.get("battery"), harvested, deadline)
-    string = taut_string(harvested, minimum, rate=rate)
-    contacts, departure = _contacts_json(string)
-    arrived = harvested.eval(deadline)
-    spent = string.schedule.total_energy
-    report = {
-        "mode": "p2p",
-        "scenario": scenario,
-        "schedule": _schedule_json(string.schedule),
-        "total_data": string.total_data,
-        "contacts": contacts,
-        "departure_time": departure,
-        "energy": {
-            "harvested": arrived,
-            "transmitted": spent,
-            "leaked": 0.0,
-            "residual": arrived - spent,
-        },
-        "curves": {
-            "harvested": _curve_json(harvested),
-            "minimum": _curve_json(minimum),
-            "spent": _curve_json(string.schedule.energy_curve(deadline)),
-        },
+    if scenario["mode"] == "broadcast":
+        spec = scenario.get("broadcast")
+        if not isinstance(spec, dict):
+            raise ValueError('broadcast mode needs a "broadcast" object')
+        solution = solve_broadcast(
+            BroadcastProblem(
+                noise1=_number(spec["n1"], "broadcast.n1"),
+                noise2=_number(spec["n2"], "broadcast.n2"),
+                mu1=_number(spec["mu1"], "broadcast.mu1"),
+                mu2=_number(spec["mu2"], "broadcast.mu2"),
+                harvested=harvested,
+                minimum=minimum,
+            )
+        )
+        string, rate, total_data = solution.string, solution.rate, solution.weighted_sum
+        fields = {
+            "user1_schedule": _schedule_json(solution.user1_schedule),
+            "user2_schedule": _schedule_json(solution.user2_schedule),
+            "user1_data": solution.user1_data,
+            "user2_data": solution.user2_data,
+            "weighted_sum": solution.weighted_sum,
+        }
+    else:
+        rate = _build_rate(scenario.get("rate"))
+        string = taut_string(harvested, minimum, rate=rate)
+        total_data, fields = string.total_data, {}
+    uppers = [c.time for c in string.contacts if c.kind == "upper"]
+    departure = max(uppers) if uppers else None
+    schedule = string.schedule
+    curves = {
+        "harvested": harvested,
+        "minimum": minimum,
+        "spent": schedule.energy_curve(deadline),
     }
-    solved = _Solved(
-        report,
-        {"harvested": harvested, "minimum": minimum,
-         "spent": string.schedule.energy_curve(deadline)},
-        string.schedule,
-        contacts=string.contacts,
-        departure=departure,
+    report = _report(
+        scenario,
+        schedule,
+        total_data,
+        curves,
+        harvested.eval(deadline),
+        schedule.total_energy,
+        contacts=[
+            {"time": c.time, "value": c.value, "kind": c.kind}
+            for c in string.contacts
+        ],
+        departure_time=departure,
+        **fields,
     )
-    solved.rate = rate
-    solved.harvested = harvested
-    solved.minimum = minimum
-    return solved
-
-
-def _effective_broadcast_rate(problem: BroadcastProblem) -> RateFunction:
-    rule = power_threshold(problem.mu1, problem.mu2, problem.noise1, problem.noise2)
-    if rule.kind == "user1_only":
-        return _scaled_rate(awgn_rate(problem.noise1), problem.mu1)
-    if rule.kind == "user2_only":
-        return _scaled_rate(awgn_rate(problem.noise2), problem.mu2)
-    return composite_rate(problem.mu1, problem.mu2, problem.noise1, problem.noise2)
-
-
-def _solve_broadcast(scenario: dict) -> _Solved:
-    spec = scenario.get("broadcast")
-    if not isinstance(spec, dict):
-        raise ValueError('broadcast mode needs a "broadcast" object')
-    deadline = _numeric_deadline(scenario)
-    harvested = _build_harvest(scenario["harvest"], deadline, resolution=1024)
-    minimum = _build_minimum(scenario.get("battery"), harvested, deadline)
-    problem = BroadcastProblem(
-        noise1=float(spec["n1"]),
-        noise2=float(spec["n2"]),
-        mu1=float(spec["mu1"]),
-        mu2=float(spec["mu2"]),
-        harvested=harvested,
-        minimum=minimum,
-    )
-    solution = solve_broadcast(problem)
-    contacts, departure = _contacts_json(solution.string)
-    arrived = harvested.eval(deadline)
-    spent = solution.total_schedule.total_energy
-    report = {
-        "mode": "broadcast",
-        "scenario": scenario,
-        "schedule": _schedule_json(solution.total_schedule),
-        "user1_schedule": _schedule_json(solution.user1_schedule),
-        "user2_schedule": _schedule_json(solution.user2_schedule),
-        "total_data": solution.weighted_sum,
-        "user1_data": solution.user1_data,
-        "user2_data": solution.user2_data,
-        "weighted_sum": solution.weighted_sum,
-        "contacts": contacts,
-        "departure_time": departure,
-        "energy": {
-            "harvested": arrived,
-            "transmitted": spent,
-            "leaked": 0.0,
-            "residual": arrived - spent,
-        },
-        "curves": {
-            "harvested": _curve_json(harvested),
-            "minimum": _curve_json(minimum),
-            "spent": _curve_json(solution.total_schedule.energy_curve(deadline)),
-        },
-    }
-    solved = _Solved(
-        report,
-        {"harvested": harvested, "minimum": minimum,
-         "spent": solution.total_schedule.energy_curve(deadline)},
-        solution.total_schedule,
-        contacts=solution.string.contacts,
-        departure=departure,
-    )
-    solved.rate = _effective_broadcast_rate(problem)
-    solved.harvested = harvested
-    solved.minimum = minimum
-    solved.broadcast_solution = solution
-    return solved
+    return _Solved(report, curves, (harvested, minimum, rate))
 
 
 def _solve_leakage(scenario: dict) -> _Solved:
-    rate = _build_rate(scenario.get("rate"))
+    """The leaky battery: block decomposition, replayed by ``simulate``."""
     harvest = scenario.get("harvest")
     if not (isinstance(harvest, dict) and "packets" in harvest):
         raise ValueError('leakage mode needs {"harvest": {"packets": ...}}')
@@ -454,78 +450,51 @@ def _solve_leakage(scenario: dict) -> _Solved:
         raise ValueError("leakage mode does not support battery constraints")
     if "epsilon" not in scenario:
         raise ValueError('leakage mode needs an "epsilon" field')
-    deadline = scenario.get("deadline")
-    if deadline == "unbounded":
-        deadline = None
-    elif isinstance(deadline, (int, float)):
-        deadline = float(deadline)
-    else:
-        raise ValueError('"deadline" must be a number or "unbounded"')
-    packets = tuple(
-        (float(p["t"]), float(p["e"])) for p in harvest["packets"]
-    )
     problem = LeakageProblem(
-        packets=packets,
-        epsilon=float(scenario["epsilon"]),
-        deadline=deadline,
-        rate=rate,
+        packets=_records(harvest["packets"], "harvest.packets", "t", "e"),
+        epsilon=_number(scenario["epsilon"], "epsilon"),
+        deadline=_deadline(scenario),
+        rate=_build_rate(scenario.get("rate")),
     )
     solution = solve_n_packet(problem)
     trace = simulate(solution.schedule, problem)
-    total = problem.total_energy
-    report = {
-        "mode": "leakage",
-        "scenario": scenario,
-        "schedule": _schedule_json(solution.schedule),
-        "total_data": solution.total_data,
+    curves = {
+        "harvested": from_packet_arrivals(problem.packets, trace.usable.horizon),
+        "usable": trace.usable,
+        "spent": trace.transmitted,
+        "leaked": trace.leaked,
+    }
+    fields = {
         "block_powers": list(solution.block_powers),
         "block_boundaries": list(solution.block_boundaries),
-        "energy": {
-            "harvested": total,
-            "transmitted": solution.transmit_energy,
-            "leaked": solution.leaked_energy,
-            "residual": total - solution.transmit_energy - solution.leaked_energy,
-        },
         "infeasible_at": trace.infeasible_at,
-        "curves": {
-            "harvested": _curve_json(
-                from_packet_arrivals(problem.packets, trace.usable.horizon)
-            ),
-            "usable": _curve_json(trace.usable),
-            "leaked": _curve_json(trace.leaked),
-            "spent": _curve_json(trace.transmitted),
-        },
     }
-    if deadline is not None:
+    if problem.deadline is not None:
         comparison = compare_ST_NT(problem)
-        report["comparison"] = {
+        fields["comparison"] = {
             "d_nt": comparison.d_nt,
             "d_st": comparison.d_st,
             "sufficient_condition": sufficient_condition_holds(problem),
         }
-    solved = _Solved(
-        report,
-        {
-            "harvested": from_packet_arrivals(problem.packets, trace.usable.horizon),
-            "usable": trace.usable,
-            "spent": trace.transmitted,
-            "leaked": trace.leaked,
-        },
+    report = _report(
+        scenario,
         solution.schedule,
+        solution.total_data,
+        curves,
+        problem.total_energy,
+        solution.transmit_energy,
+        solution.leaked_energy,
+        **fields,
     )
-    solved.rate = rate
-    solved.problem = problem
-    return solved
+    return _Solved(report, curves, problem)
 
 
 def _solve_scenario(scenario: dict, resolution: int) -> _Solved:
     if not isinstance(scenario, dict):
         raise ValueError("a scenario must be a JSON object")
     mode = scenario.get("mode")
-    if mode == "p2p":
-        return _solve_p2p(scenario, resolution)
-    if mode == "broadcast":
-        return _solve_broadcast(scenario)
+    if mode in ("p2p", "broadcast"):
+        return _solve_corridor(scenario, resolution)
     if mode == "leakage":
         return _solve_leakage(scenario)
     raise ValueError(
@@ -539,52 +508,45 @@ def _solve_scenario(scenario: dict, resolution: int) -> _Solved:
 
 def _verify(solved: _Solved, grid_arg: str, seed: int) -> dict:
     time_slots, energy_levels = _parse_grid(grid_arg)
-    max_power = max(p for _, _, p in solved.schedule.segments)
+    max_power = max(s["power"] for s in solved.report["schedule"]["segments"])
     cap = 4.0 * max(max_power, 0.25) + 1.0
     grid = GridSpec(time_slots, energy_levels, cap)
-    mode = solved.report["mode"]
     solver_data = solved.report["total_data"]
-    result: dict = {
-        "grid": {
-            "time_slots": time_slots,
-            "energy_levels": energy_levels,
-            "power_cap": cap,
-        },
-        "solver_data": solver_data,
-    }
-    tiny = 1e-9 * max(1.0, abs(solver_data))
-    if mode == "leakage":
+    excess, dominance = 0.0, {}
+    if isinstance(solved.problem, LeakageProblem):
         if solved.problem.deadline is None:
             raise ValueError("verify needs a bounded deadline in leakage mode")
         oracle = dp_leakage_throughput(solved.problem, grid)
         tolerance = LEAKAGE_GAP_TOLERANCE
         # the leak quantization can land the DP slightly above the true
         # optimum, so the gap check is two-sided
-        gap = (solver_data - oracle) / max(abs(solver_data), 1e-12)
-        ok = abs(gap) <= tolerance
+        lowest = -tolerance
     else:
-        oracle = dp_throughput(solved.harvested, solved.minimum, solved.rate, grid)
+        harvested, minimum, rate = solved.problem
+        oracle = dp_throughput(harvested, minimum, rate, grid)
         tolerance = P2P_GAP_TOLERANCE
-        excess = 0.0
         for k in range(DOMINANCE_SWEEPS):
-            sched = random_feasible_schedule(
-                solved.harvested, solved.minimum, seed=seed + k
-            )
-            excess = max(excess, throughput(sched, solved.rate) - solver_data)
-        result["dominance"] = {"schedules": DOMINANCE_SWEEPS, "max_excess": excess}
+            sched = random_feasible_schedule(harvested, minimum, seed=seed + k)
+            excess = max(excess, throughput(sched, rate) - solver_data)
+        dominance = {"dominance": {"schedules": DOMINANCE_SWEEPS, "max_excess": excess}}
         # this DP is a lower bound: it may only undershoot, and at most by the
         # quantization tolerance
-        gap = (solver_data - oracle) / max(abs(solver_data), 1e-12)
-        ok = excess <= tiny and -1e-9 <= gap <= tolerance
-    result.update(
-        {
-            "oracle_data": oracle,
-            "relative_gap": gap,
-            "tolerance": tolerance,
-            "ok": bool(ok),
-        }
-    )
-    return result
+        lowest = -1e-9
+    gap = (solver_data - oracle) / max(abs(solver_data), 1e-12)
+    ok = excess <= 1e-9 * max(1.0, abs(solver_data)) and lowest <= gap <= tolerance
+    return {
+        "grid": {
+            "time_slots": time_slots,
+            "energy_levels": energy_levels,
+            "power_cap": cap,
+        },
+        "solver_data": solver_data,
+        "oracle_data": oracle,
+        "relative_gap": gap,
+        "tolerance": tolerance,
+        "ok": bool(ok),
+        **dominance,
+    }
 
 
 def _parse_grid(arg: str) -> tuple[int, int]:
@@ -600,26 +562,21 @@ def _parse_grid(arg: str) -> tuple[int, int]:
 
 
 def _write_json(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(solved: _Solved, path: Path) -> None:
-    lines = []
-    if "user1_schedule" in solved.report:
-        lines.append("t_start,t_end,power,power_user1,power_user2")
-        u1 = solved.report["user1_schedule"]["segments"]
-        u2 = solved.report["user2_schedule"]["segments"]
-        for seg, s1, s2 in zip(solved.report["schedule"]["segments"], u1, u2):
-            lines.append(
-                f"{seg['t_start']:.12g},{seg['t_end']:.12g},{seg['power']:.12g},"
-                f"{s1['power']:.12g},{s2['power']:.12g}"
-            )
-    else:
-        lines.append("t_start,t_end,power")
-        for seg in solved.report["schedule"]["segments"]:
-            lines.append(
-                f"{seg['t_start']:.12g},{seg['t_end']:.12g},{seg['power']:.12g}"
-            )
+    schedules = [
+        solved.report[key]["segments"]
+        for key in ("schedule", "user1_schedule", "user2_schedule")
+        if key in solved.report
+    ]
+    header = ("t_start", "t_end", "power", "power_user1", "power_user2")
+    lines = [",".join(header[: 2 + len(schedules)])]
+    for row in zip(*schedules):
+        values = (row[0]["t_start"], row[0]["t_end"], *(s["power"] for s in row))
+        lines.append(",".join(f"{v:.12g}" for v in values))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -673,13 +630,14 @@ def _write_svg(solved: _Solved, path: Path) -> None:
         parts.append(
             f'<polyline class="curve-{name}" points="{_svg_path(curve, to_xy)}"/>'
         )
-    for c in solved.contacts:
-        if c.kind in ("upper", "lower"):
-            x, y = to_xy(c.time, c.value)
+    for c in solved.report.get("contacts", ()):
+        if c["kind"] in ("upper", "lower"):
+            x, y = to_xy(c["time"], c["value"])
             parts.append(f'<circle class="contact" cx="{x:.2f}" cy="{y:.2f}" r="2"/>')
-    if solved.departure is not None:
-        v = curves["harvested"].eval_left(solved.departure)
-        x, y = to_xy(solved.departure, v)
+    departure = solved.report.get("departure_time")
+    if departure is not None:
+        v = curves["harvested"].eval_left(departure)
+        x, y = to_xy(departure, v)
         parts.append(
             f'<circle class="departure" cx="{x:.2f}" cy="{y:.2f}" r="6"/>'
         )
@@ -797,7 +755,9 @@ def main(argv: list[str] | None = None) -> int:
         verification = None
         if args.command == "verify":
             verification = _verify(solved, args.grid, args.seed)
-            solved.report["verification"] = verification
+            solved = replace(
+                solved, report={**solved.report, "verification": verification}
+            )
         written = _emit(solved, stem, Path(args.out), formats)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -292,8 +292,8 @@ def integrate_rate(
     to O((horizon/(resolution*subsamples))^2).
     """
     horizon = float(horizon)
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     if subsamples < 1:
         raise ValueError("subsamples must be at least 1")
     bps = [(0.0, 0.0, 0.0)]
@@ -308,8 +308,9 @@ def integrate_rate(
             cell += 0.5 * (prev_v + v) * width
             prev_v = v
         total += cell
-        edge = horizon * (i + 1) / resolution
-        bps.append((edge, total, total))
+        bps.append((horizon * (i + 1) / resolution, total, total))
+    # horizon * resolution / resolution can round away from the horizon
+    bps[-1] = (horizon, total, total)
     return CumulativeCurve(tuple(bps), horizon)
 
 

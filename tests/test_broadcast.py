@@ -19,6 +19,7 @@ from ehsched import (
     solve_broadcast,
     split_power,
     taut_string,
+    throughput,
 )
 
 
@@ -211,3 +212,15 @@ def test_total_schedule_ignores_weights_in_shared_regime():
         )
         solution = solve_broadcast(problem)
         assert solution.string.vertices == base.vertices
+
+
+@pytest.mark.parametrize("mu2", [0.5, 2.0, 5.0])  # user 1 only, shared, user 2 only
+def test_solution_rate_gives_weighted_sum(mu2):
+    harvested = from_packet_arrivals([(0.0, 1.5), (1.0, 2.0), (3.0, 1.0)], 5.0)
+    problem = BroadcastProblem(
+        noise1=1.0, noise2=3.0, mu1=1.0, mu2=mu2, harvested=harvested
+    )
+    solution = solve_broadcast(problem)
+    assert throughput(solution.total_schedule, solution.rate) == pytest.approx(
+        solution.weighted_sum, rel=1e-12
+    )

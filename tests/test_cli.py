@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import jsonschema
 import pytest
@@ -160,6 +161,33 @@ def test_unbounded_leakage_scenario(tmp_path):
     assert report["schedule"]["end_time"] == pytest.approx(5.0 / 2.718281828, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "samples,deadline,expected",
+    [
+        ([1.0, 3.0], 2.0, [(0.0, 0.0), (2.0, 4.0)]),
+        ([0.0, 1.0, 3.0, 2.0], 6.0, [(0.0, 0.0), (2.0, 1.0), (4.0, 5.0), (6.0, 10.0)]),
+    ],
+)
+def test_samples_harvest_is_trapezoidal(tmp_path, samples, deadline, expected):
+    scenario = {"mode": "p2p", "deadline": deadline, "harvest": {"samples": samples}}
+    assert run(tmp_path, "solve", write_scenario(tmp_path, scenario)) == 0
+    curve = load_report(tmp_path, "scenario")["curves"]["harvested"]
+    assert [(b["t"], b["v_right"]) for b in curve["breakpoints"]] == expected
+
+
+def test_broadcast_honours_resolution(tmp_path):
+    scenario = {
+        "mode": "broadcast",
+        "deadline": 18.0,
+        "harvest": {"named": "solar"},
+        "broadcast": DEMO_SCENARIOS["broadcast"]["broadcast"],
+    }
+    path = write_scenario(tmp_path, scenario)
+    assert run(tmp_path, "solve", path, "--resolution", "256") == 0
+    curve = load_report(tmp_path, "scenario")["curves"]["harvested"]
+    assert len(curve["breakpoints"]) == 257
+
+
 def test_infeasible_scenario_exits_2(tmp_path):
     scenario = {
         "mode": "p2p",
@@ -170,25 +198,42 @@ def test_infeasible_scenario_exits_2(tmp_path):
     assert run(tmp_path, "solve", write_scenario(tmp_path, scenario)) == 2
 
 
-def test_validation_failures_exit_1(tmp_path):
+def test_validation_failures_exit_1(tmp_path, capsys):
+    packet = {"packets": [{"t": 0.0, "e": 1.0}]}
+    p2p = {"mode": "p2p", "deadline": 4.0}
+    # each payload, and a fragment of the message that names the bad field
     bad = [
-        {"mode": "p2p", "deadline": 4.0},  # no harvest
-        {"mode": "mystery", "deadline": 4.0, "harvest": {"packets": []}},
-        {"mode": "p2p", "deadline": "unbounded", "harvest": {"packets": []}},
-        {
-            "mode": "p2p",
-            "deadline": 4.0,
-            "harvest": {"packets": [{"t": 0.0, "e": 1.0}]},
-            "rate": {"type": "exotic"},
-        },
-        {
-            "mode": "leakage",
-            "deadline": 4.0,
-            "harvest": {"packets": [{"t": 0.0, "e": 1.0}]},
-        },  # epsilon missing
+        (p2p, "harvest"),  # no harvest
+        ({"mode": "mystery", "deadline": 4.0, "harvest": {"packets": []}}, "mode"),
+        ({**p2p, "deadline": "unbounded", "harvest": {"packets": []}}, "deadline"),
+        ({**p2p, "harvest": packet, "rate": {"type": "exotic"}}, "rate"),
+        ({"mode": "leakage", "deadline": 4.0, "harvest": packet}, "epsilon"),
+        (
+            {**p2p, "harvest": {"samples": [1.0, math.nan, 2.0]}},
+            "harvest.samples[1]",
+        ),
+        (
+            {**p2p, "harvest": {"packets": [{"t": 0.0, "e": math.inf}]}},
+            "harvest.packets[0].e",
+        ),
+        (
+            {**p2p, "harvest": packet, "rate": {"type": "awgn", "noise": math.nan}},
+            "rate.noise",
+        ),
+        ({**p2p, "deadline": math.inf, "harvest": packet}, "deadline"),
+        ({**p2p, "deadline": True, "harvest": packet}, "deadline"),
+        (
+            {"mode": "leakage", "deadline": 4.0, "harvest": packet, "epsilon": True},
+            "epsilon",
+        ),
+        (
+            {**p2p, "harvest": packet, "battery": {"dying": {"b": [], "t": []}}},
+            "battery.dying.b",
+        ),
     ]
-    for payload in bad:
-        assert run(tmp_path, "solve", write_scenario(tmp_path, payload)) == 1
+    for payload, field in bad:
+        assert run(tmp_path, "solve", write_scenario(tmp_path, payload)) == 1, payload
+        assert field in capsys.readouterr().err, payload
 
 
 def test_bad_arguments_exit_1(tmp_path):

@@ -136,9 +136,22 @@ def test_integrate_rate_convergence():
     assert err_fine <= err_coarse + 1e-12
 
 
+def test_integrate_rate_last_edge_is_the_horizon():
+    # 19.343151820042713 * 861 / 861 rounds to a different float
+    horizon = 19.343151820042713
+    curve = integrate_rate(solar_harvest_rate, horizon, resolution=861)
+    assert curve.breakpoints[-1][0] == horizon
+    assert curve.eval(horizon) == pytest.approx(40.0, abs=1e-6)
+
+
+def test_integrate_rate_single_cell():
+    curve = integrate_rate(lambda t: 2.0, 3.0, resolution=1, subsamples=1)
+    assert curve.breakpoints == ((0.0, 0.0, 0.0), (3.0, 6.0, 6.0))
+
+
 def test_integrate_rate_errors():
     with pytest.raises(ValueError):
-        integrate_rate(lambda t: 1.0, 4.0, resolution=1)
+        integrate_rate(lambda t: 1.0, 4.0, resolution=0)
     with pytest.raises(ValueError):
         integrate_rate(lambda t: -1.0, 4.0, resolution=16)
 
