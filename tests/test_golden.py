@@ -1,17 +1,38 @@
-"""Golden outputs: the CLI must write the same bytes for the built-in demos.
+"""Golden outputs: the CLI must write the same bytes for the built-in demos
+and for a few scenario files.
 
 The digests were taken from the files the CLI wrote before its scenario
-parsing and report assembly were restructured; any change to a report, CSV
-or SVG byte shows up here.
+parsing and report assembly were restructured, and (for the leakage
+scenario files) before the leakage replay was rewritten; any change to a
+report, CSV or SVG byte shows up here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from ehsched.cli import main
+
+#: scenario files the test writes before solving them; the unbounded one
+#: reaches the replay's drain-after-the-last-arrival tail, the bounded one
+#: its idle stretches with an empty battery
+SCENARIOS = {
+    "leakage-unbounded": {
+        "mode": "leakage",
+        "deadline": "unbounded",
+        "harvest": {"packets": [{"t": 0, "e": 3}, {"t": 2, "e": 1}, {"t": 4, "e": 6}]},
+        "epsilon": 0.7,
+    },
+    "leakage-idle": {
+        "mode": "leakage",
+        "deadline": 20.0,
+        "harvest": {"packets": [{"t": 0, "e": 1}, {"t": 5, "e": 1}, {"t": 10, "e": 2}]},
+        "epsilon": 0.9,
+    },
+}
 
 GOLDEN = {
     ("demo", "broadcast"): (
@@ -34,6 +55,16 @@ GOLDEN = {
         "6e371816a733639835fb5af1042ed2213c4cf1f9ae85b7d7ea3b217fbfd864f3",
         "a68812367dc6598e4f4d8ba05e6d179f8b812d8ebc6466980758fddc050734f7",
     ),
+    ("solve", "leakage-idle"): (
+        "563bb351269da5a65669c8fcca1da8741c41b8523a3f295a414860af24a51a78",
+        "5d5778b5fa1dbcbf421b978b8821cf94f31b5c5843a7d9d952940d69bfe4f870",
+        "1e6caf8d511ba13b521e3a352bf79f051efa0f167e9da8d6f5fbc2274ff9bce4",
+    ),
+    ("solve", "leakage-unbounded"): (
+        "75804b7b69bb50c29196f677fb67428461b7c2d370325db93bca6fccced9a40a",
+        "6bae90e07098e27a0fed197dc6900e0e7b0a5a6d60370f1eb45d85fe827e2db6",
+        "33232c44e13b28557db6398403a6435777bb01061ffb6ca0bd58d56b6da71540",
+    ),
     ("verify", "broadcast"): (
         "c59aec087b6126a8804f364637bb3f24c21bade771699715e0a1d381beddd5fb",
         "7e63da2f95eee7b68ab9f51ac7f2bcbcdf2befa79823c56a3ea278500ff1a895",
@@ -55,7 +86,11 @@ GOLDEN = {
 @pytest.mark.parametrize("command,name", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, command, name):
     grid = ["--grid", "400x400"] if command == "verify" else []
-    assert main([command, name, *grid, "--out", str(tmp_path)]) == 0
+    scenario = name
+    if name in SCENARIOS:
+        scenario = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(SCENARIOS[name]))
+    assert main([command, scenario, *grid, "--out", str(tmp_path)]) == 0
     digests = tuple(
         hashlib.sha256((tmp_path / f"{name}.{suffix}").read_bytes()).hexdigest()
         for suffix in ("report.json", "schedule.csv", "plot.svg")
