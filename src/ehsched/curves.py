@@ -33,6 +33,7 @@ __all__ = [
     "min_energy_from_battery",
     "dying_battery_scenario",
     "merge_times",
+    "corridor_gates",
     "check_feasible",
     "solar_harvest_rate",
     "solar_harvested_energy",
@@ -83,35 +84,25 @@ class PiecewiseCurve:
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _, _ in self.breakpoints)
 
-    def _locate(self, t: float) -> float:
-        tol = DEFAULT_TOL * max(1.0, abs(self.horizon))
-        if t < -tol or t > self.horizon + tol:
-            raise ValueError(f"t={t} outside the curve domain [0, {self.horizon}]")
-        return min(max(t, 0.0), self.horizon)
-
     def eval(self, t: float) -> float:
         """Value at ``t`` (the right limit at a jump)."""
-        t = self._locate(t)
-        i = bisect_right(self.times, t) - 1
-        t0, _, v0 = self.breakpoints[i]
-        if t == t0 or i == len(self.breakpoints) - 1:
-            return v0
-        t1, v1, _ = self.breakpoints[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return self._value(t, left=False)
 
     def eval_left(self, t: float) -> float:
         """Left limit at ``t`` (equals ``eval`` away from jumps)."""
-        t = self._locate(t)
+        return self._value(t, left=True)
+
+    def _value(self, t: float, left: bool) -> float:
+        tol = DEFAULT_TOL * max(1.0, abs(self.horizon))
+        if t < -tol or t > self.horizon + tol:
+            raise ValueError(f"t={t} outside the curve domain [0, {self.horizon}]")
+        t = min(max(t, 0.0), self.horizon)
         i = bisect_right(self.times, t) - 1
         t0, vl0, v0 = self.breakpoints[i]
         if t == t0:
-            return vl0
+            return vl0 if left else v0
         t1, v1, _ = self.breakpoints[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def jumps(self) -> tuple[tuple[float, float, float], ...]:
-        """Breakpoints where the left and right values differ."""
-        return tuple(bp for bp in self.breakpoints if bp[1] != bp[2])
 
 
 class CumulativeCurve(PiecewiseCurve):
@@ -131,51 +122,22 @@ class CumulativeCurve(PiecewiseCurve):
                 raise ValueError(f"cumulative curve decreases on [{t0}, {t1}]")
 
 
-@dataclass(frozen=True)
-class BatterySchedule:
-    """Piecewise-linear, continuous battery capacity profile on [0, horizon]."""
+class BatterySchedule(PiecewiseCurve):
+    """Continuous battery capacity profile on [0, horizon], given by its
+    ``(t, capacity)`` knots and linear between them."""
 
-    knots: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        knots = tuple((float(t), float(c)) for t, c in self.knots)
-        object.__setattr__(self, "knots", knots)
-        if len(knots) < 2:
+    def __init__(self, knots: Sequence[tuple[float, float]]) -> None:
+        knots = tuple(knots)
+        if not knots:
             raise ValueError("a battery profile needs knots at 0 and at the horizon")
-        if knots[0][0] != 0.0:
-            raise ValueError("battery profile must start at t=0")
-        for (t0, _), (t1, _) in zip(knots, knots[1:]):
-            if not t1 > t0:
-                raise ValueError(f"battery knot times must strictly increase at t={t1}")
-        for t, c in knots:
+        super().__init__(tuple((t, c, c) for t, c in knots), knots[-1][0])
+        for t, c, _ in self.breakpoints:
             if c < 0:
                 raise ValueError(f"battery capacity is negative at t={t}")
 
     @classmethod
     def constant(cls, capacity: float, horizon: float) -> "BatterySchedule":
         return cls(((0.0, capacity), (float(horizon), capacity)))
-
-    @property
-    def horizon(self) -> float:
-        return self.knots[-1][0]
-
-    @cached_property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.knots)
-
-    def eval(self, t: float) -> float:
-        tol = DEFAULT_TOL * max(1.0, abs(self.horizon))
-        if t < -tol or t > self.horizon + tol:
-            raise ValueError(f"t={t} outside the battery domain [0, {self.horizon}]")
-        t = min(max(t, 0.0), self.horizon)
-        i = bisect_right(self.times, t) - 1
-        if i == len(self.knots) - 1:
-            return self.knots[-1][1]
-        t0, c0 = self.knots[i]
-        t1, c1 = self.knots[i + 1]
-        if t == t0:
-            return c0
-        return c0 + (c1 - c0) * (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -214,22 +176,6 @@ class PowerSchedule:
     @property
     def total_energy(self) -> float:
         return sum((t1 - t0) * p for t0, t1, p in self.segments)
-
-    def energy_at(self, t: float) -> float:
-        """Cumulative energy spent by time ``t``."""
-        total = 0.0
-        for t0, t1, p in self.segments:
-            if t <= t0:
-                break
-            total += (min(t, t1) - t0) * p
-        return total
-
-    def power_at(self, t: float) -> float:
-        """Power in effect at time ``t`` (right-continuous; 0 past the end)."""
-        for t0, t1, p in self.segments:
-            if t0 <= t < t1:
-                return p
-        return self.segments[-1][2] if t == self.end_time else 0.0
 
     def energy_curve(self, horizon: float | None = None) -> CumulativeCurve:
         """The continuous cumulative-energy curve induced by the schedule."""
@@ -340,37 +286,25 @@ def min_energy_from_battery(
         h = harvested.eval_left(t) if left else harvested.eval(t)
         return h - battery.eval(t)
 
-    times = sorted({*harvested.times, *battery.times})
-    # Insert zero crossings of the unclamped deficit so each piece is linear
-    # even after clamping at zero.
-    refined = [times[0]]
+    # the running maximum starts at >= 0, so comparing it with the unclamped
+    # deficit is the same as comparing it with the clamped one
+    cur = max(deficit(0.0, True), 0.0)
+    bps = [(0.0, cur, max(cur, deficit(0.0, False)))]
+    cur = bps[0][2]
+    times = merge_times(harvested, battery)
     for a, c in zip(times, times[1:]):
-        da, dc = deficit(a, False), deficit(c, True)
-        if (da > 0.0) != (dc > 0.0) and da != dc:
-            tc = a + (c - a) * (0.0 - da) / (dc - da)
-            if a < tc < c:
-                refined.append(tc)
-        refined.append(c)
-
-    d0_left = max(deficit(0.0, True), 0.0)
-    cur = max(d0_left, max(deficit(0.0, False), 0.0))
-    bps = [(0.0, d0_left, cur)]
-    for a, c in zip(refined, refined[1:]):
-        da = max(deficit(a, False), 0.0)
-        dc = max(deficit(c, True), 0.0)
-        if dc > cur:
-            if da < cur:
+        ua, uc = deficit(a, False), deficit(c, True)
+        if uc > cur:
+            if ua < cur:
                 # the deficit overtakes the running max inside the piece
-                ua, uc = deficit(a, False), deficit(c, True)
                 tc = a + (c - a) * (cur - ua) / (uc - ua)
                 if a < tc < c:
                     bps.append((tc, cur, cur))
-            left = dc
+            left = uc
         else:
             left = cur
-        new = max(left, max(deficit(c, False), 0.0))
-        bps.append((c, left, new))
-        cur = new
+        cur = max(left, deficit(c, False))
+        bps.append((c, left, cur))
     return CumulativeCurve(tuple(bps), harvested.horizon)
 
 
@@ -402,12 +336,58 @@ def dying_battery_scenario(
     return harvested, minimum
 
 
-def merge_times(*curves: PiecewiseCurve | BatterySchedule) -> tuple[float, ...]:
+def merge_times(*curves: PiecewiseCurve) -> tuple[float, ...]:
     """Sorted union of breakpoint times of several curves."""
     merged: set[float] = set()
     for c in curves:
         merged.update(c.times)
     return tuple(sorted(merged))
+
+
+def corridor_gates(
+    harvested: CumulativeCurve, minimum: CumulativeCurve, tol: float = DEFAULT_TOL
+) -> tuple[list[tuple[float, float, float]], float]:
+    """The corridor a continuous spending curve must pass through, as
+    ``(t, floor, ceiling)`` gates at the merged breakpoints, and ``H(T^-)``.
+
+    At a jump time ``t`` the effective ceiling is ``H(t^-)`` (a continuous
+    curve cannot use energy the instant it arrives) and the effective floor
+    is ``M(t)`` (forced spending must be complete when the jump occurs);
+    between breakpoints both envelopes are linear, so the gates bound the
+    whole corridor.  Raises :class:`InfeasibleError` when the corridor
+    pinches shut.  The list excludes t=0 (a path is pinned at the origin)
+    and ends with the pinned endpoint gate ``(T, H(T^-), H(T^-))``.
+    """
+    T = harvested.horizon
+    if minimum.horizon != T:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    end_value = harvested.eval_left(T)
+
+    if minimum.eval(0.0) > tol:
+        raise InfeasibleError(
+            f"the floor forces {minimum.eval(0.0):g} energy to be spent "
+            "instantaneously at t=0"
+        )
+    gates: list[tuple[float, float, float]] = []
+    for t in merge_times(harvested, minimum):
+        if t == 0.0:
+            continue
+        hi = harvested.eval_left(t)
+        lo = minimum.eval(t)
+        if minimum.eval_left(t) > harvested.eval_left(t) + tol:
+            raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
+        if minimum.eval(t) > harvested.eval(t) + tol:
+            raise InfeasibleError(f"floor exceeds ceiling at t={t}")
+        if lo > hi + tol:
+            raise InfeasibleError(
+                f"floor {lo:g} at t={t} exceeds the energy {hi:g} available "
+                "before the jump there"
+            )
+        if t == T:
+            continue
+        gates.append((t, min(lo, hi, end_value), hi))
+    gates.append((T, end_value, end_value))
+    return gates, end_value
 
 
 # --------------------------------------------------------------------------

@@ -361,8 +361,9 @@ def _advance(emit, cur, until, charge, power, drain, tol):
 def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     """Replay a schedule against the leakage dynamics, exactly.
 
-    Event-driven: between packet arrivals and schedule breakpoints the
-    battery drains linearly, so empty-crossings are solved in closed form.
+    Event-driven: between consecutive packet arrivals and schedule
+    breakpoints the power is constant, so the battery drains linearly,
+    crosses empty at most once (solved in closed form) and then idles.
     Arrivals are credited before the empty-battery check at the same instant,
     and leakage runs exactly while the battery holds charge.  Demand from an
     empty battery is recorded (first time only) and ignored rather than
@@ -373,6 +374,7 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     total = problem.total_energy
     tol = 1e-15 * max(1.0, total)
 
+    segments = schedule.segments
     end = schedule.end_time
     if problem.deadline is not None:
         horizon = max(problem.deadline, end)
@@ -380,66 +382,50 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
         # cover every arrival; extended below if charge remains after that
         horizon = max(end, problem.packets[-1][0])
     times = sorted(
-        {0.0, horizon}
-        | set(arrivals)
-        | {t for seg in schedule.segments for t in (seg[0], seg[1])}
+        {0.0, horizon} | set(arrivals) | {t for seg in segments for t in seg[:2]}
     )
-    times = [t for t in times if t <= horizon]
 
-    tx_pts = [(0.0, 0.0)]
-    lk_pts = [(0.0, 0.0)]
+    points = [(0.0, 0.0, 0.0)]  # (t, transmitted, leaked)
     tx = 0.0
     lk = 0.0
-    charge = 0.0
     infeasible_at: float | None = None
 
     def record(t: float) -> None:
-        if t > tx_pts[-1][0]:
-            tx_pts.append((t, tx))
-            lk_pts.append((t, lk))
+        if t > points[-1][0]:
+            points.append((t, tx, lk))
 
     cur = 0.0
-    charge += arrivals.get(0.0, 0.0)
-    for nxt in times:
-        if not nxt > cur:
-            continue
-        while cur < nxt:
-            power = schedule.power_at(cur) if cur < end else 0.0
-            if charge > tol:
-                rate_out = power + eps
-                t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
-                stop = min(t_empty, nxt)
-                dt = stop - cur
-                tx += power * dt
-                lk += eps * dt
-                charge = 0.0 if stop == t_empty else charge - rate_out * dt
-                cur = stop
-                record(cur)
-            else:
-                if (
-                    power > 1e-9
-                    and nxt - cur > 1e-9
-                    and infeasible_at is None
-                ):
-                    infeasible_at = cur
-                charge = 0.0
-                cur = nxt
-                record(cur)
+    charge = arrivals[0.0]
+    k = 0  # the segment in effect at ``cur``
+    for nxt in times[1:]:
+        while k < len(segments) and segments[k][1] <= cur:
+            k += 1
+        power = segments[k][2] if cur < end else 0.0
+        if charge > tol:
+            rate_out = power + eps
+            t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
+            stop = min(t_empty, nxt)
+            dt = stop - cur
+            tx += power * dt
+            lk += eps * dt
+            charge = 0.0 if stop == t_empty else charge - rate_out * dt
+            cur = stop
+            record(cur)
+        if cur < nxt:
+            if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
+                infeasible_at = cur
+            charge = 0.0
+            cur = nxt
+            record(cur)
         charge += arrivals.get(nxt, 0.0)
     if problem.deadline is None and charge > tol and eps > 0.0:
-        t_drain = cur + charge / eps
+        # no deadline: the charge left after the last event leaks away
+        horizon = cur + charge / eps
         lk += charge
-        charge = 0.0
-        horizon = t_drain
-        record(t_drain)
+        record(horizon)
 
-    if tx_pts[-1][0] < horizon:
-        tx_pts.append((horizon, tx))
-        lk_pts.append((horizon, lk))
-    transmitted = CumulativeCurve(
-        tuple((t, v, v) for t, v in tx_pts), horizon
-    )
-    leaked = CumulativeCurve(tuple((t, v, v) for t, v in lk_pts), horizon)
+    transmitted = CumulativeCurve(tuple((t, v, v) for t, v, _ in points), horizon)
+    leaked = CumulativeCurve(tuple((t, v, v) for t, _, v in points), horizon)
     harvested = from_packet_arrivals(problem.packets, horizon)
     merged = merge_times(harvested, leaked)
     usable = PiecewiseCurve(

@@ -19,16 +19,14 @@ import numpy as np
 from .curves import (
     DEFAULT_TOL,
     CumulativeCurve,
-    InfeasibleError,
     PowerSchedule,
-    merge_times,
+    corridor_gates,
     solar_harvest_rate,
     solar_harvested_energy,
     zero_curve,
 )
 from .leakage import LeakageProblem
 from .rate import RateFunction
-from .string_solver import _gates
 
 __all__ = [
     "GridSpec",
@@ -77,40 +75,59 @@ def dp_throughput(
 ) -> float:
     """Best data of any quantized spending path inside the corridor.
 
-    Slot boundaries are the merged breakpoints of both envelopes: inside each
-    piece the corridor is linear, so averaging a feasible spending curve over
-    the piece keeps it feasible and (by concavity of the rate) never loses
-    data — per-piece constant power is without loss of optimality, and finer
-    time slicing would only add quantization noise.  ``time_slots`` therefore
-    acts as a capacity guard for the number of corridor pieces.
+    Slot boundaries are the corridor's gates (the merged breakpoints of both
+    envelopes): inside each piece the corridor is linear, so averaging a
+    feasible spending curve over the piece keeps it feasible and (by
+    concavity of the rate) never loses data — per-piece constant power is
+    without loss of optimality, and finer time slicing would only add
+    quantization noise.  ``time_slots`` therefore acts as a capacity guard
+    for the number of corridor pieces.
+
+    Every path passes through each gate where the floor meets the ceiling
+    (the endpoint is one), so the DP runs on each stretch between such
+    pinches with its own ``energy_levels`` grid, whose top level is the
+    pinch value, and sums the stretches' data.
     """
-    times = merge_times(harvested, minimum)
-    if len(times) - 1 > grid.time_slots:
+    gates, _ = corridor_gates(harvested, minimum, DEFAULT_TOL)
+    if len(gates) > grid.time_slots:
         raise GridInfeasibleError(
-            f"instance has {len(times) - 1} corridor pieces, more than the "
+            f"instance has {len(gates)} corridor pieces, more than the "
             f"{grid.time_slots} allowed time slots"
         )
-    horizon = harvested.horizon
-    end_value = harvested.eval_left(horizon)
-    if minimum.eval(0.0) > DEFAULT_TOL:
-        raise InfeasibleError("the floor is positive at t=0")
-    if end_value <= DEFAULT_TOL:
-        return 0.0
+    total, start, stretch = 0.0, (0.0, 0.0), []
+    for gate in gates:
+        stretch.append(gate)
+        t, lo, hi = gate
+        if hi - lo <= DEFAULT_TOL:
+            total += _dp_stretch(start, stretch, rate, grid)
+            start, stretch = (t, hi), []
+    return total
 
+
+def _dp_stretch(
+    start: tuple[float, float],
+    gates: list[tuple[float, float, float]],
+    rate: RateFunction,
+    grid: GridSpec,
+) -> float:
+    """Best data of a quantized path from ``start`` through ``gates`` to the
+    last gate's ceiling, on levels spaced evenly from start to end value."""
+    t0, base = start
+    top = gates[-1][2] - base
+    if top <= DEFAULT_TOL:
+        return 0.0
     levels = grid.energy_levels
-    de = end_value / (levels - 1)
+    de = top / (levels - 1)
     value = np.full(levels, -np.inf)
     value[0] = 0.0
 
-    for t0, t1 in zip(times, times[1:]):
+    for t1, lo, hi in gates:
         dt = t1 - t0
-        if t1 == horizon:
+        if t1 == gates[-1][0]:
             lo_l = hi_l = levels - 1
         else:
-            hi = harvested.eval_left(t1)
-            lo = min(minimum.eval(t1), end_value)
-            hi_l = min(int(math.floor(hi / de + 1e-9)), levels - 1)
-            lo_l = max(int(math.ceil(lo / de - 1e-9)), 0)
+            hi_l = min(int(math.floor((hi - base) / de + 1e-9)), levels - 1)
+            lo_l = max(int(math.ceil((lo - base) / de - 1e-9)), 0)
             if lo_l > hi_l:
                 raise GridInfeasibleError(
                     f"quantized corridor is empty at t={t1:g} "
@@ -126,6 +143,7 @@ def dp_throughput(
         new[: hi_l + 1] = np.max(windows + gains[::-1], axis=1)
         new[:lo_l] = -np.inf
         value = new
+        t0 = t1
 
     best = value[levels - 1]
     if not np.isfinite(best):
@@ -267,12 +285,12 @@ def random_feasible_schedule(
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
-    _gates(harvested, minimum, DEFAULT_TOL)  # raises InfeasibleError if unusable
+    # raises InfeasibleError if the corridor is unusable
+    gates, end_value = corridor_gates(harvested, minimum, DEFAULT_TOL)
     rng = random.Random(seed)
     horizon = harvested.horizon
-    end_value = harvested.eval_left(horizon)
     knots = sorted(
-        set(merge_times(harvested, minimum))
+        {t for t, _, _ in gates}
         | {rng.uniform(0.0, horizon) for _ in range(interior_points)}
     )
     points = [(0.0, 0.0)]

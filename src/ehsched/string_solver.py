@@ -7,12 +7,9 @@ Its geometry is independent of the (strictly concave) rate law, so the solver
 works purely on the corridor and evaluates throughput afterwards.
 
 Because the spending curve is continuous while the envelopes may jump, the
-binding constraints live at the merged breakpoints: at a jump time ``t`` the
-effective ceiling is ``H(t^-)`` (a continuous curve cannot use energy the
-instant it arrives) and the effective floor is ``M(t)`` (forced spending must
-be complete when the jump occurs).  Between breakpoints both envelopes are
-linear, so endpoint constraints imply the whole piece.  The solver sweeps
-these gate constraints left to right with a funnel of two convex chains.
+binding constraints are the gates of :func:`~ehsched.curves.corridor_gates`
+at the merged breakpoints.  The solver sweeps them left to right with a
+funnel of two convex chains.
 """
 
 from __future__ import annotations
@@ -23,10 +20,9 @@ from dataclasses import dataclass
 from .curves import (
     DEFAULT_TOL,
     CumulativeCurve,
-    InfeasibleError,
     PowerSchedule,
+    corridor_gates,
     integrate_rate,
-    merge_times,
     solar_harvest_rate,
     zero_curve,
 )
@@ -59,47 +55,6 @@ class StringSolution:
     total_data: float | None
 
 
-def _gates(
-    harvested: CumulativeCurve, minimum: CumulativeCurve, tol: float
-) -> tuple[list[tuple[float, float, float]], float]:
-    """Effective (t, floor, ceiling) constraints at merged breakpoints.
-
-    Raises :class:`InfeasibleError` when the corridor pinches shut.  The
-    returned list excludes t=0 (the path is pinned at the origin) and ends
-    with the pinned endpoint gate (T, end, end).
-    """
-    T = harvested.horizon
-    if minimum.horizon != T:
-        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
-    end_value = harvested.eval_left(T)
-
-    if minimum.eval(0.0) > tol:
-        raise InfeasibleError(
-            f"the floor forces {minimum.eval(0.0):g} energy to be spent "
-            "instantaneously at t=0"
-        )
-    gates: list[tuple[float, float, float]] = []
-    for t in merge_times(harvested, minimum):
-        if t == 0.0:
-            continue
-        hi = harvested.eval_left(t)
-        lo = minimum.eval(t)
-        if minimum.eval_left(t) > harvested.eval_left(t) + tol:
-            raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
-        if minimum.eval(t) > harvested.eval(t) + tol:
-            raise InfeasibleError(f"floor exceeds ceiling at t={t}")
-        if lo > hi + tol:
-            raise InfeasibleError(
-                f"floor {lo:g} at t={t} exceeds the energy {hi:g} available "
-                "before the jump there"
-            )
-        if t == T:
-            continue
-        gates.append((t, min(lo, hi, end_value), hi))
-    gates.append((T, end_value, end_value))
-    return gates, end_value
-
-
 def _cross(o, a, b) -> float:
     """Positive iff slope(o, b) exceeds slope(o, a) (for a.x, b.x > o.x)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -118,7 +73,7 @@ def taut_string(
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
-    gates, end_value = _gates(harvested, minimum, tol)
+    gates, end_value = corridor_gates(harvested, minimum, tol)
 
     apex = (0.0, 0.0)
     contacts: list[Contact] = [Contact(0.0, 0.0, "start")]
@@ -226,7 +181,7 @@ def optimality_certificate(
     (vertices^2 x breakpoints).
     """
     failures: list[str] = []
-    gates, end_value = _gates(harvested, minimum, tol)
+    gates, end_value = corridor_gates(harvested, minimum, tol)
     verts = solution.vertices
 
     # (b) every bend sits on the right envelope

@@ -255,6 +255,27 @@ def test_argparse_errors_exit_1(argv):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("grid", ["200x200", "400x400", "800x800"])
+@pytest.mark.parametrize("mode", ["p2p", "broadcast"])
+def test_verify_pinched_corridor(tmp_path, mode, grid):
+    # the 5-unit battery overflows exactly when the second packet lands, so
+    # floor and ceiling both equal 3 at t=2, and 3 is on no level of a grid
+    # over [0, 8] with 199, 399 or 799 level steps
+    scenario = {
+        "mode": mode,
+        "deadline": 4.0,
+        "harvest": {"packets": [{"t": 0, "e": 3}, {"t": 2, "e": 5}]},
+        "battery": {"constant": 5},
+    }
+    if mode == "broadcast":
+        scenario["broadcast"] = {"n1": 1.0, "n2": 3.0, "mu1": 1.0, "mu2": 2.0}
+    path = write_scenario(tmp_path, scenario)
+    assert run(tmp_path, "verify", path, "--grid", grid) == 0
+    verification = load_report(tmp_path, "scenario")["verification"]
+    assert verification["ok"] is True
+    assert -1e-9 <= verification["relative_gap"] <= 0.005
+
+
 def test_verify_demo_pair_parses(tmp_path):
     # "verify demo <name>" and "verify <name>" are both accepted
     assert run(tmp_path, "verify", "dying-battery", "--grid", "300x300") == 0

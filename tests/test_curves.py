@@ -9,11 +9,13 @@ import pytest
 from ehsched import (
     BatterySchedule,
     CumulativeCurve,
+    PiecewiseCurve,
     PowerSchedule,
     check_feasible,
     dying_battery_scenario,
     from_packet_arrivals,
     integrate_rate,
+    merge_times,
     min_energy_from_battery,
     solar_harvest_rate,
     solar_harvested_energy,
@@ -160,6 +162,19 @@ def test_integrate_rate_errors():
 # min_energy_from_battery
 
 
+def test_battery_schedule_is_a_continuous_curve():
+    battery = BatterySchedule(((0.0, 3.0), (2.0, 1.0), (4.0, 2.0)))
+    assert isinstance(battery, PiecewiseCurve)
+    assert battery.horizon == 4.0
+    assert battery.eval(1.0) == 2.0
+    assert battery.eval_left(2.0) == battery.eval(2.0) == 1.0
+    assert BatterySchedule.constant(1.5, 4.0).eval(3.0) == 1.5
+    bad = ((), ((0.0, 1.0),), ((1.0, 1.0), (4.0, 1.0)), ((0.0, 1.0), (4.0, -0.1)))
+    for knots in bad:
+        with pytest.raises(ValueError):
+            BatterySchedule(knots)
+
+
 def test_huge_battery_never_overflows():
     harvested = from_packet_arrivals([(0.0, 2.0), (2.0, 2.0)], 4.0)
     minimum = min_energy_from_battery(harvested, BatterySchedule.constant(100.0, 4.0))
@@ -204,6 +219,9 @@ def test_min_energy_mismatched_horizons():
 
 
 def test_min_energy_randomized_bounds():
+    # M is the running maximum of max(H - b, 0); H - b is linear between the
+    # breakpoints of merge_times(H, b), so its maximum before t is taken over
+    # both limits at those breakpoints and the left limit at t, exactly
     rng = random.Random(3)
     for _ in range(25):
         n = rng.randint(1, 5)
@@ -213,15 +231,24 @@ def test_min_energy_randomized_bounds():
             t += rng.uniform(0.4, 1.5)
         horizon = t + 0.5
         harvested = from_packet_arrivals(packets, horizon)
-        knots = ((0.0, rng.uniform(2.0, 6.0)), (horizon, rng.uniform(0.2, 6.0)))
-        minimum = min_energy_from_battery(harvested, BatterySchedule(knots))
-        prev = 0.0
-        for i in range(101):
-            tt = horizon * i / 100
-            m = minimum.eval(tt)
-            assert m <= harvested.eval(tt) + 1e-9
-            assert m >= prev - 1e-12
-            prev = m
+        inner = {rng.uniform(0.05, horizon - 0.05) for _ in range(rng.randint(0, 4))}
+        knots = (0.0, *sorted(inner), horizon)
+        battery = BatterySchedule(tuple((tk, rng.uniform(0.2, 6.0)) for tk in knots))
+        minimum = min_energy_from_battery(harvested, battery)
+        scale = max(1.0, harvested.eval(horizon))
+
+        def overflow(tt, left):
+            h = harvested.eval_left(tt) if left else harvested.eval(tt)
+            return max(h - battery.eval(tt), 0.0)
+
+        merged = merge_times(harvested, battery)
+        grid = {horizon * i / 100 for i in range(101)}
+        for tt in sorted(grid | set(merged)):
+            before = [max(overflow(s, True), overflow(s, False)) for s in merged if s < tt]
+            exact_left = max([0.0, *before, overflow(tt, True)])
+            exact = max(exact_left, overflow(tt, False))
+            assert minimum.eval_left(tt) == pytest.approx(exact_left, abs=1e-12 * scale)
+            assert minimum.eval(tt) == pytest.approx(exact, abs=1e-12 * scale)
 
 
 # --------------------------------------------------------------------------
@@ -280,12 +307,9 @@ def test_schedule_validation():
 def test_schedule_energy_accounting():
     sched = PowerSchedule(((0.0, 2.0, 0.5), (2.0, 4.0, 1.5)))
     assert sched.total_energy == pytest.approx(4.0, abs=1e-12)
-    assert sched.energy_at(2.0) == pytest.approx(1.0, abs=1e-12)
-    assert sched.energy_at(3.0) == pytest.approx(2.5, abs=1e-12)
-    assert sched.power_at(2.0) == 1.5  # right-continuous
-    assert sched.power_at(4.0) == 1.5  # closing endpoint
-    assert sched.power_at(5.0) == 0.0
     curve = sched.energy_curve(5.0)
+    assert curve.eval(2.0) == pytest.approx(1.0, abs=1e-12)
+    assert curve.eval(3.0) == pytest.approx(2.5, abs=1e-12)
     assert curve.eval(4.0) == pytest.approx(4.0, abs=1e-12)
     assert curve.eval(5.0) == pytest.approx(4.0, abs=1e-12)
 

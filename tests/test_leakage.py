@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RATE1,
@@ -20,6 +22,7 @@ from ehsched import (
     PowerSchedule,
     compare_ST_NT,
     from_packet_arrivals,
+    merge_times,
     grid_argmax_f,
     p_star,
     simulate,
@@ -252,6 +255,64 @@ def test_simulate_usable_is_harvest_minus_leak():
         assert trace.usable.eval(t) == pytest.approx(
             harvested - trace.leaked.eval(t), abs=1e-9
         )
+
+
+@st.composite
+def replays(draw):
+    """An arbitrary schedule (it may overdraw, stop early or run past the
+    deadline) against a random bounded or unbounded leakage problem."""
+    n = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.floats(0.1, 3.0), min_size=n - 1, max_size=n - 1))
+    times = [0.0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    energies = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
+    epsilon = draw(st.floats(0.0, 1.5))
+    unbounded = epsilon > 0.0 and draw(st.booleans())
+    deadline = None if unbounded else times[-1] + draw(st.floats(0.1, 5.0))
+    m = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m))
+    powers = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 4.0)), min_size=m, max_size=m)
+    )
+    edges = [0.0]
+    for width in widths:
+        edges.append(edges[-1] + width)
+    schedule = PowerSchedule(tuple(zip(edges, edges[1:], powers)))
+    problem = LeakageProblem(tuple(zip(times, energies)), epsilon, deadline, RATE1)
+    return schedule, problem
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(replays())
+def test_simulate_replay_invariants(case):
+    schedule, problem = case
+    trace = simulate(schedule, problem)
+    horizon = trace.transmitted.horizon
+    asked = schedule.energy_curve(horizon)
+    total = problem.total_energy + asked.eval(horizon)
+    slack = 1e-12 * max(1.0, total)
+
+    # the transmitter never sends more than the schedule asks, on any piece
+    sent = trace.transmitted
+    times = merge_times(sent, asked)
+    for a, b in zip(times, times[1:]):
+        assert sent.eval(b) - sent.eval(a) <= asked.eval(b) - asked.eval(a) + slack
+    # the battery never goes negative
+    for t in merge_times(trace.usable, sent):
+        assert battery_content(trace, t, left=True) >= -slack
+        assert battery_content(trace, t, left=False) >= -slack
+    # leakage runs at rate epsilon while charged, and not at all otherwise
+    leaked = trace.leaked.breakpoints
+    for (t0, _, v0), (t1, v1, _) in zip(leaked, leaked[1:]):
+        assert -slack <= v1 - v0 <= problem.epsilon * (t1 - t0) + slack
+    # a schedule the battery can follow is delivered in full, up to the
+    # demand below the replay's 1e-9 power (or 1e-9 duration) threshold
+    if trace.infeasible_at is None:
+        max_power = max(p for _, _, p in schedule.segments)
+        events = len(schedule.segments) + len(problem.packets) + 2
+        threshold = 1e-9 * (horizon + max_power * events)
+        assert sent.eval(horizon) >= asked.eval(horizon) - threshold - slack
 
 
 def test_simulate_solver_outputs_clean():

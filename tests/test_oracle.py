@@ -61,11 +61,14 @@ def test_dp_dying_battery():
     assert (exact - value) / exact <= 0.005
 
 
-def test_dp_forced_spend_exact():
+@pytest.mark.parametrize("levels", [199, 200])
+def test_dp_forced_spend_exact(levels):
     # floor equal to a continuous ceiling leaves no freedom at all; 199
-    # levels put the interior pinch value 2 (of 3 total) exactly on a level
+    # levels put the interior pinch value 2 (of 3 total) on a level of one
+    # grid over [0, 3], 200 do not, and the DP must solve both, because each
+    # stretch between pinches gets its own grid
     curve = CumulativeCurve(((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (4.0, 3.0, 3.0)), 4.0)
-    value = dp_throughput(curve, curve, RATE1, GridSpec(200, 199, 16.0))
+    value = dp_throughput(curve, curve, RATE1, GridSpec(200, levels, 16.0))
     exact = 2.0 * RATE1(1.0) + 2.0 * RATE1(0.5)
     assert value == pytest.approx(exact, abs=1e-12)
 
