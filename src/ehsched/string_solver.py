@@ -21,6 +21,7 @@ from .curves import (
     DEFAULT_TOL,
     CumulativeCurve,
     PowerSchedule,
+    check_feasible,
     corridor_gates,
     integrate_rate,
     solar_harvest_rate,
@@ -162,8 +163,16 @@ def solve_solar(
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """Verdict of :func:`optimality_certificate` and its dual evidence.
+
+    ``bends`` holds one ``(t, kind, power_before, power_after)`` per vertex
+    where the power changes: ``kind`` is ``"upper"`` where it rises (the
+    battery is empty) and ``"lower"`` where it falls (the battery is full).
+    """
+
     ok: bool
     failures: tuple[str, ...]
+    bends: tuple[tuple[float, str, float, float], ...] = ()
 
 
 def optimality_certificate(
@@ -172,22 +181,86 @@ def optimality_certificate(
     harvested: CumulativeCurve,
     tol: float = DEFAULT_TOL,
 ) -> CertificateReport:
-    """Geometric proof-check of a solution, independent of the sweep.
+    """Check the KKT conditions of directional water-filling on a solution.
 
-    Verifies that (a) no two points of the path can be joined by a distinct
-    feasible straight chord — otherwise the path wasn't taut — and (b) every
-    slope increase happens on the ceiling and every slope decrease on the
-    floor.  Intended for desk-scale instances: cost grows with
-    (vertices^2 x breakpoints).
+    The rate law is strictly concave, so a path is optimal exactly when
+    (1) its vertices start at (0, 0) and trace the schedule's segments,
+    (2) it is feasible (one exact :func:`~ehsched.curves.check_feasible`),
+    (3) it ends pinned at ``(T, H(T^-))``, and (4) its power rises only on
+    the ceiling ``H(t^-)`` and falls only on the floor ``M(t)``.  Energies
+    agree to within ``tol * max(1, H(T^-))``.  The cost is that of one
+    ``check_feasible`` call plus one pass over the path: O(V + G) curve
+    evaluations for V vertices and G breakpoints.
     """
-    failures: list[str] = []
-    gates, end_value = corridor_gates(harvested, minimum, tol)
+    T = harvested.horizon
+    if minimum.horizon != T:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    end_value = harvested.eval_left(T)
+    slack = tol * max(1.0, end_value)
     verts = solution.vertices
+    schedule = solution.schedule
+    if len(verts) < 2:
+        return CertificateReport(False, ("the path needs at least two vertices",))
+    failures: list[str] = []
 
-    # (b) every bend sits on the right envelope
+    # (1) the vertices are the schedule's cumulative energy
+    if verts[0] != (0.0, 0.0):
+        failures.append(f"the path starts at {verts[0]}, not at (0, 0)")
+    if len(schedule.segments) != len(verts) - 1:
+        failures.append(
+            f"the path has {len(verts)} vertices for "
+            f"{len(schedule.segments)} schedule segments"
+        )
+    for (t0, t1, p), (ta, va), (tb, vb) in zip(schedule.segments, verts, verts[1:]):
+        if (t0, t1) != (ta, tb):
+            failures.append(
+                f"segment [{t0:g}, {t1:g}] does not join the vertices at "
+                f"t={ta:g} and t={tb:g}"
+            )
+        elif abs(p * (t1 - t0) - (vb - va)) > slack:
+            failures.append(
+                f"segment [{t0:g}, {t1:g}] spends {p * (t1 - t0):g} but the "
+                f"path rises {vb - va:g}"
+            )
+
+    # (2) the schedule stays inside the corridor
+    if schedule.end_time > T:
+        failures.append(
+            f"the schedule runs to t={schedule.end_time:g}, past the horizon {T:g}"
+        )
+    else:
+        report = check_feasible(schedule, minimum, harvested, slack)
+        if report.max_overdraw > slack:
+            t = report.overdraw_time
+            ceiling = harvested.eval_left(t)
+            failures.append(
+                f"the path overdraws the harvest at t={t:g}: it has spent "
+                f"{ceiling + report.max_overdraw:g} of H(t^-) = {ceiling:g}"
+            )
+        if report.max_shortfall > slack:
+            t = report.shortfall_time
+            floor = minimum.eval(t)
+            failures.append(
+                f"the path falls short of the floor at t={t:g}: it has spent "
+                f"{floor - report.max_shortfall:g} of M(t) = {floor:g}"
+            )
+
+    # (3) all the energy is spent by the deadline
+    t_end, v_end = verts[-1]
+    if t_end != T or abs(v_end - end_value) > slack:
+        failures.append(
+            f"the path ends at ({t_end:g}, {v_end:g}), not at "
+            f"(T, H(T^-)) = ({T:g}, {end_value:g})"
+        )
+
+    # (4) every bend sits on the right envelope
+    bends: list[tuple[float, str, float, float]] = []
     for (t0, v0), (t1, v1), (t2, v2) in zip(verts, verts[1:], verts[2:]):
-        ds = (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
+        before = (v1 - v0) / (t1 - t0)
+        after = (v2 - v1) / (t2 - t1)
+        ds = after - before
         if ds > tol:
+            bends.append((t1, "upper", before, after))
             ceiling = harvested.eval_left(t1)
             if abs(v1 - ceiling) > tol * max(1.0, abs(ceiling)):
                 failures.append(
@@ -195,36 +268,11 @@ def optimality_certificate(
                     f"off the ceiling {ceiling:g}"
                 )
         elif ds < -tol:
+            bends.append((t1, "lower", before, after))
             floor = minimum.eval(t1)
             if abs(v1 - floor) > tol * max(1.0, abs(floor)):
                 failures.append(
                     f"slope decreases at t={t1:g} but the path is at {v1:g}, "
                     f"off the floor {floor:g}"
                 )
-
-    # (a) no feasible straight chord shortcuts the path
-    scale = max(1.0, end_value)
-    for i in range(len(verts)):
-        for j in range(i + 2, len(verts)):
-            (ta, va), (tb, vb) = verts[i], verts[j]
-            slope = (vb - va) / (tb - ta)
-
-            def chord(t: float) -> float:
-                return va + slope * (t - ta)
-
-            deviates = any(
-                abs(chord(t) - v) > tol * scale for t, v in verts[i + 1 : j]
-            )
-            if not deviates:
-                continue
-            feasible = all(
-                lo - tol * scale <= chord(t) <= hi + tol * scale
-                for t, lo, hi in gates
-                if ta < t < tb
-            )
-            if feasible:
-                failures.append(
-                    f"the chord from t={ta:g} to t={tb:g} is feasible and "
-                    "shorter than the path between them"
-                )
-    return CertificateReport(ok=not failures, failures=tuple(failures))
+    return CertificateReport(not failures, tuple(failures), tuple(bends))

@@ -11,9 +11,12 @@ import random
 import numpy as np
 
 from ehsched import (
+    DEFAULT_TOL,
     BatterySchedule,
+    CertificateReport,
     CumulativeCurve,
     LeakageProblem,
+    StringSolution,
     awgn_rate,
     dying_battery_scenario,
     from_packet_arrivals,
@@ -21,6 +24,7 @@ from ehsched import (
     p_star,
     zero_curve,
 )
+from ehsched.curves import corridor_gates
 
 RATE1 = awgn_rate(1.0)
 
@@ -64,6 +68,49 @@ def random_corridor(seed: int) -> tuple[CumulativeCurve, CumulativeCurve]:
     else:
         minimum = zero_curve(horizon)
     return harvested, minimum
+
+
+def chord_certificate(
+    solution: StringSolution,
+    minimum: CumulativeCurve,
+    harvested: CumulativeCurve,
+) -> CertificateReport:
+    """Independent geometric cross-check of a path's optimality.
+
+    Joins every pair of vertices by a straight chord and fails the path if a
+    chord that deviates from it stays inside every gate between its ends:
+    the path could then be shortened, so it was not taut.  Costs
+    O(vertices^2 x gates), so it suits small instances only.
+    """
+    failures: list[str] = []
+    tol = DEFAULT_TOL
+    gates, end_value = corridor_gates(harvested, minimum, tol)
+    verts = solution.vertices
+    scale = max(1.0, end_value)
+    for i in range(len(verts)):
+        for j in range(i + 2, len(verts)):
+            (ta, va), (tb, vb) = verts[i], verts[j]
+            slope = (vb - va) / (tb - ta)
+
+            def chord(t: float) -> float:
+                return va + slope * (t - ta)
+
+            deviates = any(
+                abs(chord(t) - v) > tol * scale for t, v in verts[i + 1 : j]
+            )
+            if not deviates:
+                continue
+            feasible = all(
+                lo - tol * scale <= chord(t) <= hi + tol * scale
+                for t, lo, hi in gates
+                if ta < t < tb
+            )
+            if feasible:
+                failures.append(
+                    f"the chord from t={ta:g} to t={tb:g} is feasible and "
+                    "shorter than the path between them"
+                )
+    return CertificateReport(ok=not failures, failures=tuple(failures))
 
 
 def random_packets(seed: int, max_packets: int = 5) -> tuple[tuple[float, float], ...]:

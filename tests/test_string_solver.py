@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from conftest import random_corridor
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import chord_certificate, random_corridor
 
 from ehsched import (
+    BatterySchedule,
     InfeasibleError,
     PowerSchedule,
     StringSolution,
@@ -14,7 +20,9 @@ from ehsched import (
     check_feasible,
     dying_battery_scenario,
     from_packet_arrivals,
+    min_energy_from_battery,
     optimality_certificate,
+    random_feasible_schedule,
     solve_solar,
     tangent_root,
     taut_string,
@@ -186,3 +194,194 @@ def test_certificate_rejects_hand_built_suboptimal():
     report = optimality_certificate(bad, zero_curve(4.0), harvested)
     assert not report.ok
     assert report.failures
+
+
+def _path(schedule: PowerSchedule) -> StringSolution:
+    """The vertex path a schedule traces, as a solution to certify."""
+    vertices, total = [(0.0, 0.0)], 0.0
+    for t0, t1, p in schedule.segments:
+        total += p * (t1 - t0)
+        vertices.append((t1, total))
+    return StringSolution(schedule, tuple(vertices), (), None)
+
+
+def _moved_vertex(
+    sol: StringSolution, shift: float, rng: random.Random
+) -> StringSolution | None:
+    """The solution with one interior vertex moved up or down by ``shift``,
+    or None when that leaves a negative power."""
+    verts = list(sol.vertices)
+    k = rng.randrange(1, len(verts) - 1)
+    t, v = verts[k]
+    verts[k] = (t, v + shift)
+    segments = tuple(
+        (t0, t1, (v1 - v0) / (t1 - t0))
+        for (t0, v0), (t1, v1) in zip(verts, verts[1:])
+    )
+    try:
+        schedule = PowerSchedule(segments)
+    except ValueError:
+        return None
+    return StringSolution(schedule, tuple(verts), (), None)
+
+
+def test_certificate_agrees_with_chord_check():
+    """On optima, random feasible rivals and optima with a vertex moved, the
+    certificate never accepts a path the chord check rejects, and every path
+    it accepts sends the optimum's data."""
+    passed = rejected = 0
+    for seed in range(300):
+        harvested, minimum = random_corridor(seed)
+        sol = taut_string(harvested, minimum, rate=RATE)
+        assert optimality_certificate(sol, minimum, harvested).ok, seed
+        assert chord_certificate(sol, minimum, harvested).ok, seed
+        rng = random.Random(seed)
+        paths = [
+            _path(random_feasible_schedule(harvested, minimum, seed=3 * seed + k))
+            for k in range(3)
+        ]
+        if len(sol.vertices) > 2:
+            scale = max(1.0, harvested.eval_left(harvested.horizon))
+            paths.append(_moved_vertex(sol, rng.uniform(-0.05, 0.05) * scale, rng))
+        for path in filter(None, paths):
+            kkt = optimality_certificate(path, minimum, harvested)
+            chord = chord_certificate(path, minimum, harvested)
+            assert chord.ok or not kkt.ok, (seed, path.vertices, chord.failures)
+            if kkt.ok:
+                data = throughput(path.schedule, RATE)
+                assert data == pytest.approx(sol.total_data, rel=1e-9), seed
+            passed += kkt.ok
+            rejected += not kkt.ok
+    assert passed > 0 and rejected > 0, (passed, rejected)
+
+
+GAP_HARVEST = from_packet_arrivals([(0.0, 1.0), (2.0, 3.0)], 3.0)
+
+
+def test_certificate_rejects_overdraw():
+    # constant 4/3 spends 8/3 by t=2, where only the first unit has arrived
+    path = _path(PowerSchedule.constant(4.0 / 3.0, 3.0))
+    report = optimality_certificate(path, zero_curve(3.0), GAP_HARVEST)
+    assert not report.ok
+    assert report.failures == (
+        "the path overdraws the harvest at t=2: it has spent 2.66667 of "
+        "H(t^-) = 1",
+    )
+
+
+def test_certificate_rejects_unspent_energy():
+    path = _path(PowerSchedule.constant(0.25, 3.0))
+    report = optimality_certificate(path, zero_curve(3.0), GAP_HARVEST)
+    assert not report.ok
+    assert report.failures == (
+        "the path ends at (3, 0.75), not at (T, H(T^-)) = (3, 4)",
+    )
+
+
+def test_certificate_rejects_bend_below_the_ceiling():
+    # the power rises at t=2 with the battery half full; no chord between
+    # vertices is feasible, so the chord check misses it
+    harvested = from_packet_arrivals([(0.5, 1.0), (2.0, 2.5)], 3.0)
+    path = _path(PowerSchedule(((0.0, 0.5, 0.0), (0.5, 2.0, 1 / 3), (2.0, 3.0, 3.0))))
+    assert chord_certificate(path, zero_curve(3.0), harvested).ok
+    report = optimality_certificate(path, zero_curve(3.0), harvested)
+    assert report.failures == (
+        "slope increases at t=2 but the path is at 0.5, off the ceiling 1",
+    )
+
+
+def test_certificate_rejects_path_off_its_schedule():
+    harvested = from_packet_arrivals([(0.0, 4.0)], 4.0)
+    sol = taut_string(harvested)
+    bad = StringSolution(sol.schedule, ((0.0, 0.0), (4.0, 3.0)), (), None)
+    report = optimality_certificate(bad, zero_curve(4.0), harvested)
+    assert not report.ok
+    assert report.failures[0] == "segment [0, 4] spends 4 but the path rises 3"
+
+
+def test_certificate_bends_are_the_contacts():
+    harvested, minimum = dying_battery_scenario([3.0, 1.5, 1.0], [1.0, 2.0, 4.0])
+    sol = taut_string(harvested, minimum)
+    report = optimality_certificate(sol, minimum, harvested)
+    assert report.ok, report.failures
+    assert [(t, kind) for t, kind, _, _ in report.bends] == [
+        (c.time, c.kind) for c in sol.contacts if c.kind in ("upper", "lower")
+    ] == [(1.0, "lower"), (2.0, "lower")]
+    powers = [p for _, _, p in sol.schedule.segments]
+    assert [(a, b) for _, _, a, b in report.bends] == list(zip(powers, powers[1:]))
+    # a rise between packets sits on the ceiling
+    harvested = from_packet_arrivals([(0.0, 1.0), (2.0, 3.0)], 4.0)
+    report = optimality_certificate(taut_string(harvested), zero_curve(4.0), harvested)
+    assert report.bends == ((2.0, "upper", 0.5, 1.5),)
+
+
+# --------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def corridors(draw):
+    """Small packet trains, half of them with a finite battery, as
+    ``(packets, horizon, capacity or None)``."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.3, 1.5)))
+    packets = []
+    for _ in range(n):
+        packets.append((t, draw(st.floats(0.3, 3.0))))
+        t += draw(st.floats(0.3, 2.0))
+    horizon = packets[-1][0] + draw(st.floats(0.5, 2.0))
+    capacity = None
+    if draw(st.booleans()):
+        total = sum(e for _, e in packets)
+        largest = max(e for _, e in packets)
+        capacity = max(draw(st.floats(0.4, 0.9)) * total, largest + 0.1)
+    return tuple(packets), horizon, capacity
+
+
+def _corridor(packets, horizon, capacity, a=1.0, b=1.0):
+    harvested = from_packet_arrivals([(a * t, b * e) for t, e in packets], a * horizon)
+    if capacity is None:
+        return harvested, zero_curve(a * horizon)
+    battery = BatterySchedule.constant(b * capacity, a * horizon)
+    return harvested, min_energy_from_battery(harvested, battery)
+
+
+def _on_path(vertices, t: float) -> float:
+    times, values = zip(*vertices)
+    return float(np.interp(t, times, values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corridors(), st.floats(1e-2, 1e2), st.floats(1e-2, 1e2))
+def test_scaling_time_and_energy(case, a, b):
+    """Scaling time by ``a`` and energy by ``b`` maps the string onto
+    ``(a*t, b*v)``.  Gate points that lie on a straight stretch of the path
+    may or may not be reported as vertices, depending on rounding, so each
+    path is checked at the other's vertices as well as its own."""
+    harvested, minimum = _corridor(*case)
+    sol = taut_string(harvested, minimum)
+    scaled_h, scaled_m = _corridor(*case, a=a, b=b)
+    scaled = taut_string(scaled_h, scaled_m)
+    span, end = harvested.horizon, harvested.eval_left(harvested.horizon)
+    assert scaled.vertices[-1] == (a * span, scaled_h.eval_left(a * span))
+    for t, v in sol.vertices:
+        assert abs(_on_path(scaled.vertices, a * t) - b * v) <= 1e-9 * b * end, t
+    for t, v in scaled.vertices:
+        assert abs(b * _on_path(sol.vertices, t / a) - v) <= 1e-9 * b * end, t
+    report = optimality_certificate(scaled, scaled_m, scaled_h)
+    assert report.ok, report.failures
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corridors(), st.data())
+def test_more_energy_never_lowers_data(case, data):
+    packets, horizon, capacity = case
+    k = data.draw(st.integers(0, len(packets) - 1))
+    t, e = packets[k]
+    # a packet larger than the battery would overflow at once
+    room = 2.0 if capacity is None else capacity - e
+    extra = data.draw(st.floats(0.0, 1.0)) * room
+    richer = packets[:k] + ((t, e + extra),) + packets[k + 1 :]
+    before = taut_string(*_corridor(packets, horizon, capacity), rate=RATE).total_data
+    after = taut_string(*_corridor(richer, horizon, capacity), rate=RATE).total_data
+    assert after >= before - 1e-12 * max(1.0, before), (extra, before, after)
