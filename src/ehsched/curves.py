@@ -15,6 +15,7 @@ Curves are right-continuous: ``eval(t)`` returns the post-jump value and
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,7 +95,7 @@ class PiecewiseCurve:
 
     def _value(self, t: float, left: bool) -> float:
         tol = DEFAULT_TOL * max(1.0, abs(self.horizon))
-        if t < -tol or t > self.horizon + tol:
+        if not -tol <= t <= self.horizon + tol:
             raise ValueError(f"t={t} outside the curve domain [0, {self.horizon}]")
         t = min(max(t, 0.0), self.horizon)
         i = bisect_right(self.times, t) - 1
@@ -103,6 +104,48 @@ class PiecewiseCurve:
             return vl0 if left else v0
         t1, v1, _ = self.breakpoints[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+    def sample(self, times: Iterable[float]) -> tuple[list[float], list[float]]:
+        """``eval_left`` and ``eval`` at non-decreasing ``times``, as two lists.
+
+        One cursor walk over the breakpoints instead of a bisection per
+        point: O(len(times) + pieces).  The domain check, the clamp and the
+        interpolation are those of the scalar methods, so every value is
+        bit-identical to theirs.
+        """
+        horizon = self.horizon
+        tol = DEFAULT_TOL * max(1.0, abs(horizon))
+        bps = self.breakpoints
+        last = len(bps) - 1
+        i = 0
+        t0, vl0, v0 = bps[0]
+        t1, v1, _ = bps[1]
+        top = horizon + tol
+        prev = -math.inf
+        left: list[float] = []
+        right: list[float] = []
+        for t in times:
+            if not -tol <= t <= top:
+                raise ValueError(f"t={t} outside the curve domain [0, {horizon}]")
+            if t < prev:
+                raise ValueError(f"sample times decrease: {t} after {prev}")
+            prev = t
+            if t < 0.0:
+                t = 0.0
+            elif t > horizon:
+                t = horizon
+            while t >= t1 and i < last:
+                i += 1
+                t0, vl0, v0 = bps[i]
+                t1, v1, _ = bps[i + 1] if i < last else bps[i]
+            if t == t0:
+                left.append(vl0)
+                right.append(v0)
+            else:
+                v = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+                left.append(v)
+                right.append(v)
+        return left, right
 
 
 class CumulativeCurve(PiecewiseCurve):
@@ -242,29 +285,27 @@ def integrate_rate(
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     if subsamples < 1:
         raise ValueError("subsamples must be at least 1")
+    n = resolution * subsamples
+    width = horizon / n
     bps = [(0.0, 0.0, 0.0)]
-    total = 0.0
-    width = horizon / (resolution * subsamples)
-    prev_v = _checked_rate(rate_fn, 0.0)
-    for i in range(resolution):
-        cell = 0.0
-        for j in range(subsamples):
-            t = horizon * (i * subsamples + j + 1) / (resolution * subsamples)
-            v = _checked_rate(rate_fn, t)
+    total = cell = prev_v = 0.0
+    for k in range(n + 1):
+        t = horizon * k / n if k else 0.0
+        v = float(rate_fn(t))
+        if v < -1e-12:
+            raise ValueError(f"harvest rate is negative at t={t}: {v}")
+        if v < 0.0:
+            v = 0.0
+        if k:
             cell += 0.5 * (prev_v + v) * width
-            prev_v = v
-        total += cell
-        bps.append((horizon * (i + 1) / resolution, total, total))
+            if k % subsamples == 0:
+                total += cell
+                cell = 0.0
+                bps.append((horizon * (k // subsamples) / resolution, total, total))
+        prev_v = v
     # horizon * resolution / resolution can round away from the horizon
     bps[-1] = (horizon, total, total)
     return CumulativeCurve(tuple(bps), horizon)
-
-
-def _checked_rate(rate_fn: Callable[[float], float], t: float) -> float:
-    v = float(rate_fn(t))
-    if v < -1e-12:
-        raise ValueError(f"harvest rate is negative at t={t}: {v}")
-    return max(v, 0.0)
 
 
 def min_energy_from_battery(
@@ -282,18 +323,20 @@ def min_energy_from_battery(
             f"battery horizon {battery.horizon} != curve horizon {harvested.horizon}"
         )
 
-    def deficit(t: float, left: bool) -> float:
-        h = harvested.eval_left(t) if left else harvested.eval(t)
-        return h - battery.eval(t)
+    times = merge_times(harvested, battery)
+    h_left, h_right = harvested.sample(times)
+    capacity = battery.sample(times)[1]
+    d_left = [h - b for h, b in zip(h_left, capacity)]
+    d_right = [h - b for h, b in zip(h_right, capacity)]
 
     # the running maximum starts at >= 0, so comparing it with the unclamped
     # deficit is the same as comparing it with the clamped one
-    cur = max(deficit(0.0, True), 0.0)
-    bps = [(0.0, cur, max(cur, deficit(0.0, False)))]
+    cur = max(d_left[0], 0.0)
+    bps = [(0.0, cur, max(cur, d_right[0]))]
     cur = bps[0][2]
-    times = merge_times(harvested, battery)
-    for a, c in zip(times, times[1:]):
-        ua, uc = deficit(a, False), deficit(c, True)
+    for a, c, ua, uc, uc_right in zip(
+        times, times[1:], d_right, d_left[1:], d_right[1:]
+    ):
         if uc > cur:
             if ua < cur:
                 # the deficit overtakes the running max inside the piece
@@ -303,7 +346,7 @@ def min_energy_from_battery(
             left = uc
         else:
             left = cur
-        cur = max(left, deficit(c, False))
+        cur = max(left, uc_right)
         bps.append((c, left, cur))
     return CumulativeCurve(tuple(bps), harvested.horizon)
 
@@ -361,22 +404,24 @@ def corridor_gates(
     T = harvested.horizon
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
-    end_value = harvested.eval_left(T)
+    times = merge_times(harvested, minimum)
+    h_left, h_right = harvested.sample(times)
+    m_left, m_right = minimum.sample(times)
+    end_value = h_left[-1]
 
-    if minimum.eval(0.0) > tol:
+    if m_right[0] > tol:
         raise InfeasibleError(
-            f"the floor forces {minimum.eval(0.0):g} energy to be spent "
+            f"the floor forces {m_right[0]:g} energy to be spent "
             "instantaneously at t=0"
         )
     gates: list[tuple[float, float, float]] = []
-    for t in merge_times(harvested, minimum):
-        if t == 0.0:
-            continue
-        hi = harvested.eval_left(t)
-        lo = minimum.eval(t)
-        if minimum.eval_left(t) > harvested.eval_left(t) + tol:
+    # times[0] is t=0, where the path is pinned
+    for t, hi, h_post, m_pre, lo in zip(
+        times[1:], h_left[1:], h_right[1:], m_left[1:], m_right[1:]
+    ):
+        if m_pre > hi + tol:
             raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
-        if minimum.eval(t) > harvested.eval(t) + tol:
+        if lo > h_post + tol:
             raise InfeasibleError(f"floor exceeds ceiling at t={t}")
         if lo > hi + tol:
             raise InfeasibleError(
@@ -414,20 +459,31 @@ def check_feasible(
     """Check ``minimum <= spent <= harvested`` over the whole horizon.
 
     All three objects are piecewise linear, so comparing left and right
-    limits at the merged breakpoints is exact.
+    limits at the merged breakpoints is exact.  The floor and the harvest
+    must share one horizon.
     """
-    spent = schedule.energy_curve(harvested.horizon)
+    T = harvested.horizon
+    if minimum.horizon != T:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    spent = schedule.energy_curve(T)
+    times = merge_times(spent, minimum, harvested)
+    e_left, e_right = spent.sample(times)
+    h_left, h_right = harvested.sample(times)
+    m_left, m_right = minimum.sample(times)
     over, over_t = 0.0, None
     short, short_t = 0.0, None
-    for t in merge_times(spent, minimum, harvested):
-        for side in (True, False):
-            e = spent.eval_left(t) if side else spent.eval(t)
-            h = harvested.eval_left(t) if side else harvested.eval(t)
-            m = minimum.eval_left(t) if side else minimum.eval(t)
-            if e - h > over:
-                over, over_t = e - h, t
-            if m - e > short:
-                short, short_t = m - e, t
+    for t, el, er, hl, hr, ml, mr in zip(
+        times, e_left, e_right, h_left, h_right, m_left, m_right
+    ):
+        # the left limit first, so the first time a maximum is reached wins
+        if el - hl > over:
+            over, over_t = el - hl, t
+        if ml - el > short:
+            short, short_t = ml - el, t
+        if er - hr > over:
+            over, over_t = er - hr, t
+        if mr - er > short:
+            short, short_t = mr - er, t
     return FeasibilityReport(
         feasible=(over <= tol and short <= tol),
         max_overdraw=over,

@@ -428,14 +428,15 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     leaked = CumulativeCurve(tuple((t, v, v) for t, _, v in points), horizon)
     harvested = from_packet_arrivals(problem.packets, horizon)
     merged = merge_times(harvested, leaked)
+    h_left, h_right = harvested.sample(merged)
+    k_left, k_right = leaked.sample(merged)
     usable = PiecewiseCurve(
         tuple(
-            (
-                t,
-                harvested.eval_left(t) - leaked.eval_left(t),
-                harvested.eval(t) - leaked.eval(t),
+            zip(
+                merged,
+                [h - k for h, k in zip(h_left, k_left)],
+                [h - k for h, k in zip(h_right, k_right)],
             )
-            for t in merged
         ),
         horizon,
     )

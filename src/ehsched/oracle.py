@@ -293,13 +293,15 @@ def random_feasible_schedule(
         {t for t, _, _ in gates}
         | {rng.uniform(0.0, horizon) for _ in range(interior_points)}
     )
+    floors = minimum.sample(knots)[1]
+    ceilings = harvested.sample(knots)[0]
     points = [(0.0, 0.0)]
     prev = 0.0
-    for t in knots:
+    for t, floor, ceiling in zip(knots, floors, ceilings):
         if t in (0.0, horizon):
             continue
-        lo = max(min(minimum.eval(t), end_value), prev)
-        hi = max(min(harvested.eval_left(t), end_value), lo)
+        lo = max(min(floor, end_value), prev)
+        hi = max(min(ceiling, end_value), lo)
         prev = rng.uniform(lo, hi)
         points.append((t, prev))
     points.append((horizon, end_value))

@@ -15,11 +15,15 @@ from ehsched import (
     BatterySchedule,
     CertificateReport,
     CumulativeCurve,
+    FeasibilityReport,
+    InfeasibleError,
     LeakageProblem,
+    PowerSchedule,
     StringSolution,
     awgn_rate,
     dying_battery_scenario,
     from_packet_arrivals,
+    merge_times,
     min_energy_from_battery,
     p_star,
     zero_curve,
@@ -111,6 +115,114 @@ def chord_certificate(
                     "shorter than the path between them"
                 )
     return CertificateReport(ok=not failures, failures=tuple(failures))
+
+
+# --------------------------------------------------------------------------
+# point-by-point references for the corridor helpers
+#
+# The library reads curves through one PiecewiseCurve.sample walk; these are
+# the earlier versions, which evaluate every curve one point at a time.  They
+# must agree with the library exactly.
+
+
+def pointwise_min_energy_from_battery(
+    harvested: CumulativeCurve, battery: BatterySchedule
+) -> CumulativeCurve:
+    """Running maximum of ``max(H - b, 0)``, one ``eval`` per point."""
+    if battery.horizon != harvested.horizon:
+        raise ValueError(
+            f"battery horizon {battery.horizon} != curve horizon {harvested.horizon}"
+        )
+
+    def deficit(t: float, left: bool) -> float:
+        h = harvested.eval_left(t) if left else harvested.eval(t)
+        return h - battery.eval(t)
+
+    # the running maximum starts at >= 0, so comparing it with the unclamped
+    # deficit is the same as comparing it with the clamped one
+    cur = max(deficit(0.0, True), 0.0)
+    bps = [(0.0, cur, max(cur, deficit(0.0, False)))]
+    cur = bps[0][2]
+    times = merge_times(harvested, battery)
+    for a, c in zip(times, times[1:]):
+        ua, uc = deficit(a, False), deficit(c, True)
+        if uc > cur:
+            if ua < cur:
+                # the deficit overtakes the running max inside the piece
+                tc = a + (c - a) * (cur - ua) / (uc - ua)
+                if a < tc < c:
+                    bps.append((tc, cur, cur))
+            left = uc
+        else:
+            left = cur
+        cur = max(left, deficit(c, False))
+        bps.append((c, left, cur))
+    return CumulativeCurve(tuple(bps), harvested.horizon)
+
+
+def pointwise_corridor_gates(
+    harvested: CumulativeCurve, minimum: CumulativeCurve, tol: float = DEFAULT_TOL
+) -> tuple[list[tuple[float, float, float]], float]:
+    """The corridor's gates and ``H(T^-)``, six ``eval`` calls per time."""
+    T = harvested.horizon
+    if minimum.horizon != T:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    end_value = harvested.eval_left(T)
+
+    if minimum.eval(0.0) > tol:
+        raise InfeasibleError(
+            f"the floor forces {minimum.eval(0.0):g} energy to be spent "
+            "instantaneously at t=0"
+        )
+    gates: list[tuple[float, float, float]] = []
+    for t in merge_times(harvested, minimum):
+        if t == 0.0:
+            continue
+        hi = harvested.eval_left(t)
+        lo = minimum.eval(t)
+        if minimum.eval_left(t) > harvested.eval_left(t) + tol:
+            raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
+        if minimum.eval(t) > harvested.eval(t) + tol:
+            raise InfeasibleError(f"floor exceeds ceiling at t={t}")
+        if lo > hi + tol:
+            raise InfeasibleError(
+                f"floor {lo:g} at t={t} exceeds the energy {hi:g} available "
+                "before the jump there"
+            )
+        if t == T:
+            continue
+        gates.append((t, min(lo, hi, end_value), hi))
+    gates.append((T, end_value, end_value))
+    return gates, end_value
+
+
+def pointwise_check_feasible(
+    schedule: PowerSchedule,
+    minimum: CumulativeCurve,
+    harvested: CumulativeCurve,
+    tol: float = DEFAULT_TOL,
+) -> FeasibilityReport:
+    """``minimum <= spent <= harvested`` at the merged breakpoints, six
+    ``eval`` calls per time."""
+    spent = schedule.energy_curve(harvested.horizon)
+    over, over_t = 0.0, None
+    short, short_t = 0.0, None
+    for t in merge_times(spent, minimum, harvested):
+        for side in (True, False):
+            e = spent.eval_left(t) if side else spent.eval(t)
+            h = harvested.eval_left(t) if side else harvested.eval(t)
+            m = minimum.eval_left(t) if side else minimum.eval(t)
+            if e - h > over:
+                over, over_t = e - h, t
+            if m - e > short:
+                short, short_t = m - e, t
+    return FeasibilityReport(
+        feasible=(over <= tol and short <= tol),
+        max_overdraw=over,
+        overdraw_time=over_t,
+        max_shortfall=short,
+        shortfall_time=short_t,
+    )
 
 
 def random_packets(seed: int, max_packets: int = 5) -> tuple[tuple[float, float], ...]:

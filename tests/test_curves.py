@@ -5,10 +5,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    pointwise_check_feasible,
+    pointwise_corridor_gates,
+    pointwise_min_energy_from_battery,
+    random_corridor,
+)
 from ehsched import (
+    DEFAULT_TOL,
     BatterySchedule,
     CumulativeCurve,
+    InfeasibleError,
     PiecewiseCurve,
     PowerSchedule,
     check_feasible,
@@ -17,10 +27,13 @@ from ehsched import (
     integrate_rate,
     merge_times,
     min_energy_from_battery,
+    random_feasible_schedule,
     solar_harvest_rate,
     solar_harvested_energy,
+    taut_string,
     zero_curve,
 )
+from ehsched.curves import corridor_gates
 
 
 # --------------------------------------------------------------------------
@@ -69,6 +82,75 @@ def test_eval_outside_domain_raises():
         z.eval(5.5)
     with pytest.raises(ValueError):
         z.eval(-0.5)
+
+
+# --------------------------------------------------------------------------
+# PiecewiseCurve.sample
+
+
+@st.composite
+def jump_curves(draw):
+    """Cumulative curves with ramps, flats and upward jumps."""
+    n = draw(st.integers(1, 8))
+    t, v = 0.0, 0.0
+    bps = []
+    for _ in range(n + 1):
+        left = v
+        v += draw(st.sampled_from((0.0, 0.5, 2.0))) * draw(st.floats(0.0, 3.0))
+        bps.append((t, left, v))
+        t += draw(st.floats(0.01, 3.0))
+        v += draw(st.floats(0.0, 3.0))
+    return CumulativeCurve(tuple(bps), bps[-1][0])
+
+
+@st.composite
+def battery_schedules(draw):
+    """Continuous capacity profiles with 2-6 knots."""
+    n = draw(st.integers(2, 6))
+    t, knots = 0.0, []
+    for _ in range(n):
+        knots.append((t, draw(st.floats(0.0, 5.0))))
+        t += draw(st.floats(0.01, 3.0))
+    return BatterySchedule(knots)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(jump_curves(), battery_schedules()), st.data())
+def test_sample_matches_scalar_eval(curve, data):
+    T = curve.horizon
+    tol = DEFAULT_TOL * max(1.0, T)
+    candidates = [0.0, T, -0.5 * tol, T + 0.5 * tol]
+    candidates += curve.times
+    candidates += [0.5 * (a + b) for a, b in zip(curve.times, curve.times[1:])]
+    candidates += data.draw(st.lists(st.floats(0.0, T), max_size=5))
+    times = sorted(data.draw(st.lists(st.sampled_from(candidates), max_size=30)))
+    left, right = curve.sample(times)
+    assert left == [curve.eval_left(t) for t in times]
+    assert right == [curve.eval(t) for t in times]
+
+    outside = data.draw(st.sampled_from((-10.0 * tol, T + 10.0 * tol)))
+    with pytest.raises(ValueError, match="outside the curve domain"):
+        curve.eval(outside)
+    with pytest.raises(ValueError, match="outside the curve domain"):
+        curve.sample(sorted([*times, outside]))
+
+
+def test_sample_rejects_decreasing_times():
+    stairs = from_packet_arrivals([(0.0, 2.0), (2.0, 2.0)], 4.0)
+    assert stairs.sample([0.0, 2.0, 2.0, 3.0]) == (
+        [0.0, 2.0, 2.0, 4.0],
+        [2.0, 4.0, 4.0, 4.0],
+    )
+    with pytest.raises(ValueError, match="sample times decrease"):
+        stairs.sample([1.0, 0.5])
+
+
+def test_nan_time_is_outside_the_domain():
+    stairs = from_packet_arrivals([(0.0, 2.0), (2.0, 2.0)], 4.0)
+    with pytest.raises(ValueError, match="outside the curve domain"):
+        stairs.eval(float("nan"))
+    with pytest.raises(ValueError, match="outside the curve domain"):
+        stairs.sample([1.0, float("nan")])
 
 
 # --------------------------------------------------------------------------
@@ -350,3 +432,117 @@ def test_shortfall_detected():
     assert not report.feasible
     assert report.max_shortfall == pytest.approx(1.0, abs=1e-9)
     assert report.shortfall_time == pytest.approx(1.0, abs=1e-12)
+
+
+def test_check_feasible_mismatched_horizons():
+    harvested = from_packet_arrivals([(0.0, 1.0), (2.0, 2.0)], 3.0)
+    schedule = PowerSchedule.constant(1.0, 3.0)
+    for floor_horizon in (2.0, 4.0):
+        with pytest.raises(ValueError, match="horizon mismatch"):
+            check_feasible(schedule, zero_curve(floor_horizon), harvested)
+
+
+# --------------------------------------------------------------------------
+# the sampled helpers against their point-by-point references
+
+
+def _outcome(fn, *args):
+    """A helper's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_corridor_matches(harvested, minimum, schedules=()):
+    assert _outcome(corridor_gates, harvested, minimum) == _outcome(
+        pointwise_corridor_gates, harvested, minimum
+    )
+    for schedule in schedules:
+        assert check_feasible(schedule, minimum, harvested) == (
+            pointwise_check_feasible(schedule, minimum, harvested)
+        )
+
+
+def _random_battery(rng: random.Random, horizon: float, scale: float):
+    inner = sorted({rng.uniform(0.0, horizon) for _ in range(rng.randint(0, 4))})
+    knots = (0.0, *(t for t in inner if 0.0 < t < horizon), horizon)
+    return BatterySchedule(tuple((t, rng.uniform(0.3, 1.0) * scale) for t in knots))
+
+
+def test_sampled_helpers_match_references_on_random_corridors():
+    for seed in range(300):
+        harvested, minimum = random_corridor(seed)
+        T = harvested.horizon
+        end = harvested.eval_left(T)
+        schedules = [
+            taut_string(harvested, minimum).schedule,
+            random_feasible_schedule(harvested, minimum, seed=seed),
+            # straight lines that overdraw or fall short somewhere
+            PowerSchedule.constant(end / T, T),
+            PowerSchedule.constant(2.0 * end / T, 0.5 * T),
+            PowerSchedule.constant(0.0, T),
+        ]
+        _assert_corridor_matches(harvested, minimum, schedules)
+
+
+def test_sampled_helpers_match_references_on_capped_trains():
+    rng = random.Random(5)
+    for _ in range(300):
+        t, packets = rng.choice((0.0, rng.uniform(0.1, 1.0))), []
+        for _ in range(rng.randint(1, 8)):
+            packets.append((t, rng.uniform(0.2, 3.0)))
+            t += rng.uniform(0.05, 2.0)
+        horizon = t
+        harvested = from_packet_arrivals(packets, horizon)
+        battery = _random_battery(rng, horizon, 2.0 * max(e for _, e in packets))
+        minimum = min_energy_from_battery(harvested, battery)
+        assert minimum.breakpoints == (
+            pointwise_min_energy_from_battery(harvested, battery).breakpoints
+        )
+        schedules = [
+            PowerSchedule.constant(harvested.eval(horizon) / horizon, horizon)
+        ]
+        try:
+            schedules.append(random_feasible_schedule(harvested, minimum, seed=1))
+        except InfeasibleError:
+            pass  # a packet larger than the battery overflows at once
+        _assert_corridor_matches(harvested, minimum, schedules)
+
+
+def _random_stairs_and_ramps(rng: random.Random, times, scale: float, at_zero: float):
+    """A cumulative curve on ``times`` (0 to the horizon) with random ramps
+    and jumps; it jumps at t=0 with probability ``at_zero``."""
+    v = rng.uniform(0.0, scale) if rng.random() < at_zero else 0.0
+    bps = [(0.0, 0.0, v)]
+    for t in times[1:]:
+        left = v + rng.choice((0.0, rng.uniform(0.0, scale)))
+        v = left + rng.choice((0.0, rng.uniform(0.0, scale)))
+        bps.append((t, left, v))
+    return CumulativeCurve(tuple(bps), times[-1])
+
+
+def test_sampled_helpers_match_references_on_infeasible_corridors():
+    rng = random.Random(8)
+    kinds = {
+        "instantaneously": 0,
+        "just before": 0,
+        "exceeds ceiling at": 0,
+        "available before the jump": 0,
+    }
+    for _ in range(300):
+        horizon = rng.uniform(1.0, 6.0)
+        shared = {rng.uniform(0.0, horizon) for _ in range(rng.randint(0, 3))}
+        harvest_times, floor_times = (
+            [0.0, *sorted(shared | {rng.uniform(0.0, horizon)}), horizon]
+            for _ in range(2)
+        )
+        harvested = _random_stairs_and_ramps(rng, harvest_times, 3.0, 0.5)
+        minimum = _random_stairs_and_ramps(rng, floor_times, 2.0, 0.1)
+        schedules = [PowerSchedule.constant(rng.uniform(0.0, 2.0), horizon)]
+        _assert_corridor_matches(harvested, minimum, schedules)
+        outcome = _outcome(corridor_gates, harvested, minimum)
+        if outcome[0] is InfeasibleError:
+            kinds[next(k for k in kinds if k in outcome[1])] += 1
+    # every kind of pinch is covered: at t=0, before, at and across a jump
+    assert all(kinds.values()), kinds
