@@ -3,8 +3,9 @@ and for a few scenario files.
 
 The digests were taken from the files the CLI wrote before its scenario
 parsing and report assembly were restructured, and (for the leakage
-scenario files) before the leakage replay was rewritten; any change to a
-report, CSV or SVG byte shows up here.
+scenario files) before the leakage replay was rewritten, and (for the two
+300-packet trains) before the JSON report writer was replaced; any change to
+a report, CSV or SVG byte shows up here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,38 @@ import pytest
 
 from ehsched.cli import main
 
+def _train(n: int, trend: float = 0.0) -> tuple[list[dict], float]:
+    """``n`` packets from a fixed formula: gaps 0.3-2.0 and energies
+    0.3-3.0 that cycle with coprime periods, energies drifting up by
+    ``trend``; returns the packets and a deadline one unit after the last."""
+    t, packets = 0.0, []
+    for i in range(n):
+        e = (0.3 + 2.7 * (i * 53 % 29) / 28) * (1.0 + trend * i / n)
+        packets.append({"t": t, "e": e})
+        t += 0.3 + 1.7 * (i * 37 % 17) / 16
+    return packets, packets[-1]["t"] + 1.0
+
+
+_CAPPED, _CAPPED_DEADLINE = _train(300)
+_LEAKY, _LEAKY_DEADLINE = _train(300, trend=0.5)
+
 #: scenario files the test writes before solving them; the unbounded one
 #: reaches the replay's drain-after-the-last-arrival tail, the bounded one
-#: its idle stretches with an empty battery
+#: its idle stretches with an empty battery; the two 300-packet trains give
+#: reports of thousands of numbers, most of them repeated across curves
 SCENARIOS = {
+    "capped-train": {
+        "mode": "p2p",
+        "deadline": _CAPPED_DEADLINE,
+        "harvest": {"packets": _CAPPED},
+        "battery": {"constant": 3.5},
+    },
+    "leakage-train": {
+        "mode": "leakage",
+        "deadline": _LEAKY_DEADLINE,
+        "harvest": {"packets": _LEAKY},
+        "epsilon": 0.95,
+    },
     "leakage-unbounded": {
         "mode": "leakage",
         "deadline": "unbounded",
@@ -55,10 +84,20 @@ GOLDEN = {
         "6e371816a733639835fb5af1042ed2213c4cf1f9ae85b7d7ea3b217fbfd864f3",
         "a68812367dc6598e4f4d8ba05e6d179f8b812d8ebc6466980758fddc050734f7",
     ),
+    ("solve", "capped-train"): (
+        "dd91c91886f1043175f8ec6a70c4d6c85af84918d36a1e3e2bcd7aef918e9c76",
+        "cf87997b5299aa4fa7796f30d9c3f54b2ca2f2316d185adc829387ee3ee318c8",
+        "011d7feb8c0860791bad6e5929dd7ed66903feeae9e9d1407f37debb6647a54d",
+    ),
     ("solve", "leakage-idle"): (
         "563bb351269da5a65669c8fcca1da8741c41b8523a3f295a414860af24a51a78",
         "5d5778b5fa1dbcbf421b978b8821cf94f31b5c5843a7d9d952940d69bfe4f870",
         "1e6caf8d511ba13b521e3a352bf79f051efa0f167e9da8d6f5fbc2274ff9bce4",
+    ),
+    ("solve", "leakage-train"): (
+        "8a1db03a10ee83067ed8a58145c5e65414ca3c6f2554a7a86122702ebe2fa1df",
+        "6855642040c0f15a5c70b0682992e289d19a937c0ed03154235cc5456930000c",
+        "d85df5d8bca06dd707763e53bef6848be0daaf762b953af79668aa6af14033a3",
     ),
     ("solve", "leakage-unbounded"): (
         "75804b7b69bb50c29196f677fb67428461b7c2d370325db93bca6fccced9a40a",
