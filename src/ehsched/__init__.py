@@ -33,7 +33,6 @@ from .curves import (
     merge_times,
     min_energy_from_battery,
     solar_harvest_rate,
-    solar_harvested_energy,
     zero_curve,
 )
 from .leakage import (
@@ -54,9 +53,7 @@ from .oracle import (
     GridSpec,
     dp_leakage_throughput,
     dp_throughput,
-    grid_argmax_f,
     random_feasible_schedule,
-    tangent_root,
 )
 from .rate import RateFunction, awgn_rate, throughput
 from .string_solver import (
@@ -87,7 +84,6 @@ __all__ = [
     "merge_times",
     "min_energy_from_battery",
     "solar_harvest_rate",
-    "solar_harvested_energy",
     "zero_curve",
     # rate
     "RateFunction",
@@ -125,7 +121,5 @@ __all__ = [
     "GridSpec",
     "dp_leakage_throughput",
     "dp_throughput",
-    "grid_argmax_f",
     "random_feasible_schedule",
-    "tangent_root",
 ]

@@ -35,6 +35,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -561,9 +564,97 @@ def _parse_grid(arg: str) -> tuple[int, int]:
 # emission
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {value!r}"
+        )
+    return float.__repr__(value)
+
+
+class _FloatTexts(dict):
+    """float -> its JSON text, filled on first use.  Zeros are never stored:
+    ``-0.0 == 0.0``, so the two would share one entry."""
+
+    def __missing__(self, value: float) -> str:
+        text = _float_text(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _record_rows(items, indent: str, floats: _FloatTexts) -> str | None:
+    """The rows of a list of dicts that share one set of str keys and hold
+    only floats (curve breakpoints, schedule segments), filled into one row
+    template; ``None`` for any other list."""
+    first = items[0]
+    if {*map(type, items)} != {dict} or not first or {*map(type, first)} != {str}:
+        return None
+    if not all(map(first.keys().__eq__, map(dict.keys, items))):
+        return None
+    keys = sorted(first)
+    rows = map(itemgetter(*keys), items)
+    values = tuple(rows if len(keys) == 1 else chain.from_iterable(rows))
+    if {*map(type, values)} != {float}:
+        return None
+    inner = indent + "  "
+    members = ",\n".join(
+        inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    )
+    row = "{\n" + members + "\n" + indent + "}"
+    template = (",\n" + indent).join([row] * len(items))
+    return template % tuple(map(floats.__getitem__, values))
+
+
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    for an acyclic ``obj`` whose keys are all str (any other key raises
+    ``TypeError``), made fast for reports: each distinct float is rendered
+    once (curves share their breakpoint times, and continuous ones have
+    ``v_left == v_right``), and a uniform list of float records is filled
+    into one row template."""
+    floats = _FloatTexts()
+
+    def text(o, indent: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return floats[o] if type(o) is float else _float_text(o)
+        inner = indent + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            body = _record_rows(o, inner, floats)
+            if body is None:
+                body = (",\n" + inner).join([text(item, inner) for item in o])
+            return f"[\n{inner}{body}\n{indent}]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            body = (",\n" + inner).join(
+                [
+                    f"{encode_basestring_ascii(k)}: {text(v, inner)}"
+                    for k, v in sorted(o.items())
+                ]
+            )
+            return f"{{\n{inner}{body}\n{indent}}}"
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable"
+        )
+
+    return text(obj, "")
+
+
 def _write_json(report: dict, path: Path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(_json_text(report) + "\n")
 
 
 def _write_csv(solved: _Solved, path: Path) -> None:
@@ -745,7 +836,8 @@ def main(argv: list[str] | None = None) -> int:
             scenario, stem = DEMO_SCENARIOS[args.name], args.name
         else:
             scenario, stem = _load_scenario(args.scenario)
-        formats = [f.strip() for f in args.format.split(",") if f.strip()]
+        # a repeated format is written and reported once
+        formats = [f for f in dict.fromkeys(map(str.strip, args.format.split(","))) if f]
         for fmt in formats:
             if fmt not in _EMITTERS:
                 raise ValueError(

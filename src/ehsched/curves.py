@@ -37,7 +37,6 @@ __all__ = [
     "corridor_gates",
     "check_feasible",
     "solar_harvest_rate",
-    "solar_harvested_energy",
 ]
 
 #: Absolute tolerance (energy units) for feasibility / contact comparisons.
@@ -502,11 +501,3 @@ def solar_harvest_rate(t: float) -> float:
     if t < 6.0 or t > 18.0:
         return 0.0
     return 5.0 - (5.0 / 36.0) * (t - 12.0) ** 2
-
-
-def solar_harvested_energy(t: float) -> float:
-    """Closed-form integral of :func:`solar_harvest_rate` from 0 to ``t``."""
-    if t <= 6.0:
-        return 0.0
-    t = min(t, 18.0)
-    return 5.0 * (t - 6.0) - (5.0 / 108.0) * ((t - 12.0) ** 3 + 216.0)

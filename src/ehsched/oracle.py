@@ -21,8 +21,6 @@ from .curves import (
     CumulativeCurve,
     PowerSchedule,
     corridor_gates,
-    solar_harvest_rate,
-    solar_harvested_energy,
     zero_curve,
 )
 from .leakage import LeakageProblem
@@ -33,8 +31,6 @@ __all__ = [
     "GridInfeasibleError",
     "dp_throughput",
     "dp_leakage_throughput",
-    "grid_argmax_f",
-    "tangent_root",
     "random_feasible_schedule",
 ]
 
@@ -222,54 +218,6 @@ def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
         value = new
 
     return float(value.max())
-
-
-def grid_argmax_f(
-    rate: RateFunction,
-    epsilon: float,
-    p_max: float = 100.0,
-    samples: int = 4096,
-) -> float:
-    """Grid maximizer of the energy efficiency f(p) = r(p) / (p + epsilon)."""
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
-    powers = np.geomspace(p_max * 1e-9, p_max, samples)
-    f = np.asarray(rate(powers), dtype=float) / (powers + epsilon)
-    return float(powers[int(np.argmax(f))])
-
-
-def tangent_root(deadline: float) -> float:
-    """Departure point of the solar optimum: where the remaining-time chord
-    slope equals the harvest rate, ``h(a) * (T - a) = H(T) - H(a)``.
-
-    The root is meaningful only for deadlines past the harvest peak (the
-    curve is convex before it, so the optimum never leaves the ceiling
-    early); the chord function changes sign exactly once, between sunrise
-    and the peak.
-    """
-    if not 6.0 < deadline <= 18.0:
-        raise ValueError(f"deadline must lie in (6, 18], got {deadline}")
-
-    h_end = solar_harvested_energy(deadline)
-
-    def g(a: float) -> float:
-        return solar_harvest_rate(a) * (deadline - a) - (
-            h_end - solar_harvested_energy(a)
-        )
-
-    lo, hi = 6.0 + 1e-9, min(12.0, deadline)
-    if not (g(lo) < 0.0 < g(hi)):
-        raise ValueError(
-            f"no sign change on ({lo:g}, {hi:g}): the optimum follows the "
-            "harvest curve to the deadline, there is no departure point"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def random_feasible_schedule(

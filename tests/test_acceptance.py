@@ -19,9 +19,12 @@ from conftest import (
     binding_leakage_problem,
     broadcast_inner_max,
     chord_slopes,
+    grid_argmax_f,
     random_corridor,
     random_leakage_problem,
     random_packets,
+    solar_harvested_energy,
+    tangent_root,
 )
 
 from ehsched import (
@@ -32,7 +35,6 @@ from ehsched import (
     dp_leakage_throughput,
     dp_throughput,
     from_packet_arrivals,
-    grid_argmax_f,
     integrate_rate,
     optimality_certificate,
     p_star,
@@ -40,13 +42,11 @@ from ehsched import (
     random_feasible_schedule,
     simulate,
     solar_harvest_rate,
-    solar_harvested_energy,
     solve_broadcast,
     solve_n_packet,
     solve_single_packet,
     solve_solar,
     sufficient_condition_holds,
-    tangent_root,
     taut_string,
     throughput,
     zero_curve,

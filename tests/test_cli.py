@@ -7,14 +7,25 @@ import math
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import tangent_root
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from ehsched import (
     PowerSchedule,
     check_feasible,
     dying_battery_scenario,
-    tangent_root,
 )
-from ehsched.cli import DEMO_SCENARIOS, REPORT_SCHEMA, main
+from ehsched import cli
+from ehsched.cli import (
+    DEMO_SCENARIOS,
+    REPORT_SCHEMA,
+    _json_text,
+    _solve_scenario,
+    main,
+)
 
 DEMOS = sorted(DEMO_SCENARIOS)
 
@@ -285,3 +296,121 @@ def test_format_selection(tmp_path):
     assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 0
     assert (tmp_path / "broadcast.schedule.csv").exists()
     assert not (tmp_path / "broadcast.report.json").exists()
+
+
+def test_repeated_format_is_written_once(tmp_path, capsys, monkeypatch):
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(
+        cli, "_write_json", lambda report, path: (written.append(path), write_json(report, path))
+    )
+    assert run(tmp_path, "demo", "dying-battery", "--format", "json, csv,json,csv") == 0
+    report, csv = (tmp_path / f"dying-battery.{s}" for s in ("report.json", "schedule.csv"))
+    assert written == [report]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("wrote")] == [f"wrote {report}", f"wrote {csv}"]
+
+
+# --------------------------------------------------------------------------
+# the report writer: exactly json.dumps(indent=2, sort_keys=True), faster
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+#: floats that reports are full of, beside arbitrary finite ones: both zeros,
+#: integral values, the extremes of the range and repeated values
+FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+#: keys and strings that need escaping, or are not ASCII
+TEXT = st.sampled_from(
+    ["", "t", "v_left", '"', "\\", "\n", "%s", "%", "é", "\u2028", "\U0001f600", "\x00"]
+) | st.text(max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | FLOATS | TEXT
+
+
+@st.composite
+def record_lists(draw):
+    """A list of dicts with one key set and float values (the writer's row
+    template), sometimes broken by one odd value, key set or container."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    row_of = st.fixed_dictionaries({k: FLOATS for k in keys})
+    rows = draw(st.lists(row_of, min_size=1, max_size=6))
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    twist = draw(st.sampled_from(["none", "value", "missing", "extra", "tuple", "nested"]))
+    if twist == "value":
+        row[key] = draw(st.sampled_from([0, 1, True, False, None, "1.0", [1.0], {}]))
+    elif twist == "missing":
+        del row[key]
+    elif twist == "extra":
+        row[draw(TEXT)] = draw(FLOATS)
+    elif twist == "tuple":
+        return tuple(rows)
+    elif twist == "nested":
+        return [rows, {key: rows}]
+    return rows
+
+
+TREES = st.recursive(
+    SCALARS | record_lists(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TREES)
+@example([{"t": -0.0, "v": 0.0}, {"t": 0.0, "v": -0.0}, {"t": -0.0, "v": -0.0}])
+@example([1, 1.0, True, {"a": 1}, {"a": 1.0}, {"a": True}])
+@example([{"a": 1.0}, {"a": 1}])
+@example({"": [], "e": {}, "l": [[], {}], "t": ()})
+@example({"%s\u00e9\n": [{"%s": 0.5, "\u2028": 2.5}, {"%s": 0.5, "\u2028": -0.0}]})
+@example([{"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0}])
+def test_json_text_is_json_dumps(obj):
+    assert _json_text(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda v: v,
+        lambda v: [1.0, v],
+        lambda v: {"a": {"b": v}},
+        lambda v: [{"t": 1.0, "v": 2.0}, {"t": v, "v": 1.0}],
+        lambda v: [{"t": 1.0, "v": v}, {"t": math.nan, "v": 1.0}],
+    ],
+)
+def test_json_text_refuses_non_finite(bad, wrap):
+    obj = wrap(bad)
+    with pytest.raises(ValueError) as expected:
+        reference_json(obj)
+    with pytest.raises(ValueError) as raised:
+        _json_text(obj)
+    assert str(raised.value) == str(expected.value)
+    assert "not JSON compliant" in str(raised.value)
+
+
+def test_json_text_refuses_unknown_types():
+    for obj in ({"a": object()}, [{"t": 1.0}, {"t": {1.0}}], {(1, 2): 1.0}):
+        with pytest.raises(TypeError):
+            reference_json(obj)
+        with pytest.raises(TypeError):
+            _json_text(obj)
+    # json.dumps writes non-str keys as strings; reports never have them
+    with pytest.raises(TypeError):
+        _json_text({1: 1.0})
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*DEMOS, "capped-train", "leakage-train", "leakage-unbounded", "leakage-idle"],
+)
+def test_json_text_on_reports(name):
+    scenario = DEMO_SCENARIOS.get(name) or GOLDEN_SCENARIOS[name]
+    report = _solve_scenario(scenario, 1024).report
+    assert _json_text(report) == reference_json(report)

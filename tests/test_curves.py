@@ -13,6 +13,7 @@ from conftest import (
     pointwise_corridor_gates,
     pointwise_min_energy_from_battery,
     random_corridor,
+    solar_harvested_energy,
 )
 from ehsched import (
     DEFAULT_TOL,
@@ -29,7 +30,6 @@ from ehsched import (
     min_energy_from_battery,
     random_feasible_schedule,
     solar_harvest_rate,
-    solar_harvested_energy,
     taut_string,
     zero_curve,
 )

@@ -17,6 +17,7 @@ import pytest
 
 from ehsched.cli import main
 
+
 def _train(n: int, trend: float = 0.0) -> tuple[list[dict], float]:
     """``n`` packets from a fixed formula: gaps 0.3-2.0 and energies
     0.3-3.0 that cycle with coprime periods, energies drifting up by

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     RATE1,
     battery_content,
+    grid_argmax_f,
     random_leakage_problem,
     random_packets,
 )
@@ -23,7 +24,6 @@ from ehsched import (
     compare_ST_NT,
     from_packet_arrivals,
     merge_times,
-    grid_argmax_f,
     p_star,
     simulate,
     solve_n_packet,
@@ -358,3 +358,28 @@ def test_comparison_needs_deadline():
     problem = LeakageProblem(((0.0, 6.0),), 0.8, UNBOUNDED, RATE1)
     with pytest.raises(ValueError):
         compare_ST_NT(problem)
+
+
+@st.composite
+def comparisons(draw):
+    """1-6 packets from t=0, no leak or epsilon in [0.01, 2], and a deadline
+    past the last arrival."""
+    n = draw(st.integers(1, 6))
+    times = [0.0]
+    for gap in draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + gap)
+    energies = draw(st.lists(st.floats(0.05, 6.0), min_size=n, max_size=n))
+    epsilon = draw(st.just(0.0) | st.floats(0.01, 2.0))
+    deadline = times[-1] + draw(st.floats(0.05, 3.0))
+    return LeakageProblem(tuple(zip(times, energies)), epsilon, deadline, RATE1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(comparisons())
+def test_upfront_energy_never_sends_less(problem):
+    """``d_st >= d_nt``, with equality when every prefix of arrivals is at
+    least as energy-dense as the whole instance (both to 1e-9 relative)."""
+    cmp = compare_ST_NT(problem)
+    assert cmp.d_st >= cmp.d_nt - 1e-9 * cmp.d_st
+    if sufficient_condition_holds(problem):
+        assert cmp.d_nt == pytest.approx(cmp.d_st, rel=1e-9)

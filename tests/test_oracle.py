@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import RATE1
+from conftest import (
+    RATE1,
+    grid_argmax_f,
+    solar_harvested_energy,
+    tangent_root,
+)
 
 from ehsched import (
     CumulativeCurve,
@@ -19,11 +24,8 @@ from ehsched import (
     dp_throughput,
     dying_battery_scenario,
     from_packet_arrivals,
-    grid_argmax_f,
     random_feasible_schedule,
     solar_harvest_rate,
-    solar_harvested_energy,
-    tangent_root,
     taut_string,
     throughput,
     zero_curve,

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chord_certificate, random_corridor
+from conftest import (
+    chord_certificate,
+    random_corridor,
+    solar_harvested_energy,
+    tangent_root,
+)
 
 from ehsched import (
     BatterySchedule,
@@ -24,7 +29,6 @@ from ehsched import (
     optimality_certificate,
     random_feasible_schedule,
     solve_solar,
-    tangent_root,
     taut_string,
     throughput,
     zero_curve,
@@ -139,8 +143,6 @@ def test_solar_final_slope_matches_tangent():
     root = tangent_root(18.0)
     final_power = sol.schedule.segments[-1][2]
     # chord slope from the tangency point to the endpoint
-    from ehsched import solar_harvested_energy
-
     expected = (solar_harvested_energy(18.0) - solar_harvested_energy(root)) / (
         18.0 - root
     )
