@@ -12,7 +12,6 @@ power).  Brute-force dynamic programs in :mod:`ehsched.oracle` verify it all.
 from .broadcast import (
     BroadcastProblem,
     BroadcastSolution,
-    PowerSplitRule,
     composite_rate,
     power_threshold,
     solve_broadcast,
@@ -45,7 +44,6 @@ from .leakage import (
     p_star,
     simulate,
     solve_n_packet,
-    solve_single_packet,
     sufficient_condition_holds,
 )
 from .oracle import (
@@ -99,7 +97,6 @@ __all__ = [
     # broadcast
     "BroadcastProblem",
     "BroadcastSolution",
-    "PowerSplitRule",
     "composite_rate",
     "power_threshold",
     "solve_broadcast",
@@ -114,7 +111,6 @@ __all__ = [
     "p_star",
     "simulate",
     "solve_n_packet",
-    "solve_single_packet",
     "sufficient_condition_holds",
     # oracle
     "GridInfeasibleError",

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CumulativeCurve, PowerSchedule
-from .rate import _LN2, RateFunction, awgn_rate
+from .rate import _LN2, RateFunction
 from .string_solver import StringSolution, taut_string
 
 __all__ = [
-    "PowerSplitRule",
     "BroadcastProblem",
     "BroadcastSolution",
     "power_threshold",
@@ -36,28 +35,6 @@ __all__ = [
     "split_power",
     "solve_broadcast",
 ]
-
-_KINDS = ("user1_only", "user2_only", "threshold")
-
-
-@dataclass(frozen=True)
-class PowerSplitRule:
-    """How total power is divided between the receivers.
-
-    ``user1_only`` / ``user2_only`` give everything to one receiver;
-    ``threshold`` gives user 1 the first ``threshold`` units of power and
-    user 2 the rest.
-    """
-
-    kind: str
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "threshold", float(self.threshold))
-        if self.kind == "threshold" and not self.threshold >= 0.0:
-            raise ValueError("threshold must be non-negative")
 
 
 def _check_weights(mu1: float, mu2: float, noise1: float, noise2: float) -> None:
@@ -70,46 +47,36 @@ def _check_weights(mu1: float, mu2: float, noise1: float, noise2: float) -> None
         raise ValueError("weights must be non-negative and not both zero")
 
 
-def power_threshold(
-    mu1: float, mu2: float, noise1: float, noise2: float
-) -> PowerSplitRule:
-    """Optimal power-split rule for the weighted two-receiver objective.
+def power_threshold(mu1: float, mu2: float, noise1: float, noise2: float) -> float:
+    """Optimal power-split threshold ``p_th`` for the weighted objective.
 
-    With the weight ratio ``mu2 / mu1``: at or below 1 the cleaner receiver
-    is worth more per unit power at every level, so it gets everything; above
-    ``noise2 / noise1`` the noisier receiver always wins; in between, the
-    cleaner receiver is preferred up to the crossover power
-    ``(noise2 - ratio * noise1) / (ratio - 1)`` and the remainder goes to the
-    noisier one.
+    User 1 (the cleaner receiver) takes the first ``p_th`` units of power and
+    user 2 the rest.  With the weight ratio ``mu2 / mu1``: at or below 1 the
+    cleaner receiver is worth more per unit power at every level, so
+    ``p_th = inf``; above ``noise2 / noise1`` the noisier receiver always
+    wins, so ``p_th = 0``; in between, ``p_th`` is the crossover power
+    ``(noise2 - ratio * noise1) / (ratio - 1)``.
     """
     _check_weights(mu1, mu2, noise1, noise2)
     if mu2 == 0.0 or (mu1 > 0.0 and mu2 / mu1 <= 1.0):
-        return PowerSplitRule("user1_only")
+        return math.inf
     if mu1 == 0.0 or mu2 / mu1 > noise2 / noise1:
-        return PowerSplitRule("user2_only")
+        return 0.0
     ratio = mu2 / mu1
-    return PowerSplitRule("threshold", (noise2 - ratio * noise1) / (ratio - 1.0))
+    return (noise2 - ratio * noise1) / (ratio - 1.0)
 
 
 def composite_rate(
     mu1: float, mu2: float, noise1: float, noise2: float
 ) -> RateFunction:
     """Weighted data per unit time as a function of total power, with the
-    power split optimally between the receivers.
+    power split optimally between the receivers at ``power_threshold``.
 
-    Only defined in the genuinely shared regime ``1 < mu2/mu1 <= noise2/noise1``
-    (outside it one receiver gets all power and the plain single-user rate,
-    scaled by its weight, should be used instead).  The result is strictly
-    concave and differentiable, including at the crossover power.
+    Where one receiver takes all the power (``p_th`` is 0 or inf) this is that
+    receiver's rate scaled by its weight.  The result is strictly concave and
+    differentiable, including at the crossover power.
     """
-    _check_weights(mu1, mu2, noise1, noise2)
-    if mu1 == 0.0 or not 1.0 < mu2 / mu1 <= noise2 / noise1:
-        raise ValueError(
-            "composite_rate needs 1 < mu2/mu1 <= noise2/noise1; outside that "
-            "range all power goes to a single receiver"
-        )
-    ratio = mu2 / mu1
-    p_th = (noise2 - ratio * noise1) / (ratio - 1.0)
+    p_th = power_threshold(mu1, mu2, noise1, noise2)
 
     def value(power):
         p = np.asarray(power, dtype=float)
@@ -123,35 +90,21 @@ def composite_rate(
     def deriv(power):
         p = np.asarray(power, dtype=float)
         out = np.where(
-            p <= p_th,
+            p < p_th,
             mu1 / (2.0 * _LN2 * (noise1 + p)),
             mu2 / (2.0 * _LN2 * (noise2 + p)),
         )
         return float(out) if np.ndim(power) == 0 else out
 
-    return RateFunction(
-        value=value,
-        deriv_fn=deriv,
-        descriptor={
-            "type": "broadcast_composite",
-            "mu1": float(mu1),
-            "mu2": float(mu2),
-            "noise1": float(noise1),
-            "noise2": float(noise2),
-            "threshold": p_th,
-        },
-    )
+    return RateFunction(value=value, deriv_fn=deriv)
 
 
-def split_power(power: float, rule: PowerSplitRule) -> tuple[float, float]:
-    """Divide a total power between the receivers according to the rule."""
+def split_power(power: float, threshold: float) -> tuple[float, float]:
+    """Give user 1 the first ``threshold`` units of a total power and user 2
+    the rest."""
     if power < 0.0:
         raise ValueError(f"power must be non-negative, got {power!r}")
-    if rule.kind == "user1_only":
-        return power, 0.0
-    if rule.kind == "user2_only":
-        return 0.0, power
-    p1 = min(power, rule.threshold)
+    p1 = min(power, threshold)
     return p1, power - p1
 
 
@@ -176,8 +129,8 @@ class BroadcastSolution:
 
     ``user1_data`` and ``user2_data`` are unweighted bits; ``weighted_sum``
     is ``mu1 * user1_data + mu2 * user2_data``, the maximized objective.
-    ``rate`` is the weighted rate of total power that the string was solved
-    under: the composite rate, or one receiver's rate scaled by its weight.
+    ``threshold`` is the ``power_threshold`` the powers were split at, and
+    ``rate`` the composite rate of total power the string was solved under.
     """
 
     total_schedule: PowerSchedule
@@ -186,23 +139,9 @@ class BroadcastSolution:
     user1_data: float
     user2_data: float
     weighted_sum: float
-    split_rule: PowerSplitRule
+    threshold: float
     string: StringSolution
     rate: RateFunction
-
-
-def _scaled_rate(base: RateFunction, weight: float) -> RateFunction:
-    """Weight-scaled copy of a rate (scaling preserves strict concavity)."""
-
-    def value(power):
-        return weight * base.value(power)
-
-    def deriv(power):
-        return weight * base.deriv_fn(power)
-
-    descriptor = dict(base.descriptor)
-    descriptor["scaled_by"] = float(weight)
-    return RateFunction(value=value, deriv_fn=deriv, descriptor=descriptor)
 
 
 def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
@@ -213,19 +152,9 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
     total schedule; each segment's power is then split by the threshold rule
     and the per-user data follow from the single-user rate formulas.
     """
-    rule = power_threshold(
-        problem.mu1, problem.mu2, problem.noise1, problem.noise2
-    )
-    if rule.kind == "user1_only":
-        base = awgn_rate(problem.noise1)
-        effective = _scaled_rate(base, problem.mu1)
-    elif rule.kind == "user2_only":
-        base = awgn_rate(problem.noise2)
-        effective = _scaled_rate(base, problem.mu2)
-    else:
-        effective = composite_rate(
-            problem.mu1, problem.mu2, problem.noise1, problem.noise2
-        )
+    weights = (problem.mu1, problem.mu2, problem.noise1, problem.noise2)
+    threshold = power_threshold(*weights)
+    effective = composite_rate(*weights)
     string = taut_string(problem.harvested, problem.minimum, rate=effective)
 
     user1_segments = []
@@ -233,7 +162,7 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
     data1 = 0.0
     data2 = 0.0
     for t0, t1, power in string.schedule.segments:
-        p1, p2 = split_power(power, rule)
+        p1, p2 = split_power(power, threshold)
         user1_segments.append((t0, t1, p1))
         user2_segments.append((t0, t1, p2))
         dt = t1 - t0
@@ -246,7 +175,7 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
         user1_data=data1,
         user2_data=data2,
         weighted_sum=problem.mu1 * data1 + problem.mu2 * data2,
-        split_rule=rule,
+        threshold=threshold,
         string=string,
         rate=effective,
     )

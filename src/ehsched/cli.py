@@ -838,6 +838,8 @@ def main(argv: list[str] | None = None) -> int:
             scenario, stem = _load_scenario(args.scenario)
         # a repeated format is written and reported once
         formats = [f for f in dict.fromkeys(map(str.strip, args.format.split(","))) if f]
+        if not formats:
+            raise ValueError("--format names no format (choose from json, csv, svg)")
         for fmt in formats:
             if fmt not in _EMITTERS:
                 raise ValueError(

@@ -387,7 +387,7 @@ def merge_times(*curves: PiecewiseCurve) -> tuple[float, ...]:
 
 
 def corridor_gates(
-    harvested: CumulativeCurve, minimum: CumulativeCurve, tol: float = DEFAULT_TOL
+    harvested: CumulativeCurve, minimum: CumulativeCurve
 ) -> tuple[list[tuple[float, float, float]], float]:
     """The corridor a continuous spending curve must pass through, as
     ``(t, floor, ceiling)`` gates at the merged breakpoints, and ``H(T^-)``.
@@ -407,6 +407,7 @@ def corridor_gates(
     h_left, h_right = harvested.sample(times)
     m_left, m_right = minimum.sample(times)
     end_value = h_left[-1]
+    tol = DEFAULT_TOL
 
     if m_right[0] > tol:
         raise InfeasibleError(
@@ -453,7 +454,6 @@ def check_feasible(
     schedule: PowerSchedule,
     minimum: CumulativeCurve,
     harvested: CumulativeCurve,
-    tol: float = DEFAULT_TOL,
 ) -> FeasibilityReport:
     """Check ``minimum <= spent <= harvested`` over the whole horizon.
 
@@ -484,7 +484,7 @@ def check_feasible(
         if mr - er > short:
             short, short_t = mr - er, t
     return FeasibilityReport(
-        feasible=(over <= tol and short <= tol),
+        feasible=(over <= DEFAULT_TOL and short <= DEFAULT_TOL),
         max_overdraw=over,
         overdraw_time=over_t,
         max_shortfall=short,

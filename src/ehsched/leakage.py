@@ -12,13 +12,14 @@ decomposition: repeatedly take the longest prefix of remaining packets whose
 running energy-per-time average is minimal, transmit throughout that block at
 the constant power that just empties it by its end (or at ``p_star`` if that
 is higher, going silent once the battery empties), and recurse.  The battery
-is empty at every block boundary.
+is empty at every block boundary.  A single packet ``E`` with deadline ``D``
+is the one-block case: power ``max(p_star, E/D - epsilon)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .curves import (
     CumulativeCurve,
@@ -36,7 +37,6 @@ __all__ = [
     "LeakageTrace",
     "ThroughputComparison",
     "p_star",
-    "solve_single_packet",
     "sufficient_condition_holds",
     "solve_n_packet",
     "simulate",
@@ -177,59 +177,6 @@ def p_star(rate: RateFunction, epsilon: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def solve_single_packet(
-    energy: float,
-    deadline: float | None,
-    rate: RateFunction,
-    epsilon: float,
-) -> LeakageSolution:
-    """Optimal schedule for one packet available at t=0.
-
-    The battery drains at ``p + epsilon`` while transmitting at ``p``, so
-    power ``p`` yields ``energy * r(p) / (p + epsilon)`` data; unconstrained,
-    the best power is ``p_star``.  A deadline forces at least the constant
-    power that just empties the battery in time, ``energy/deadline - epsilon``;
-    the optimum transmits at the larger of the two and is silent afterwards.
-    """
-    if not energy > 0.0:
-        raise ValueError(f"energy must be positive, got {energy!r}")
-    p_opt = p_star(rate, epsilon)
-    if deadline is None:
-        if epsilon == 0.0:
-            raise ValueError(
-                "an unbounded deadline with zero leakage has no optimal "
-                "schedule (slower is always better); use a bounded deadline"
-            )
-        power = p_opt
-        duration = energy / (power + epsilon)
-        segments: tuple[tuple[float, float, float], ...] = ((0.0, duration, power),)
-        boundaries = (0.0, duration)
-    else:
-        if not deadline > 0.0:
-            raise ValueError(f"deadline must be positive, got {deadline!r}")
-        slope = energy / deadline - epsilon
-        if p_opt >= slope:
-            power = p_opt
-            duration = min(energy / (power + epsilon), deadline)
-        else:
-            power = slope
-            duration = deadline
-        if duration >= deadline * (1.0 - 1e-12):
-            duration = deadline
-            segments = ((0.0, deadline, power),)
-        else:
-            segments = ((0.0, duration, power), (duration, deadline, 0.0))
-        boundaries = (0.0, deadline)
-    return LeakageSolution(
-        schedule=PowerSchedule(segments),
-        block_powers=(power,),
-        block_boundaries=boundaries,
-        total_data=duration * float(rate(power)),
-        transmit_energy=duration * power,
-        leaked_energy=duration * epsilon,
-    )
 
 
 def sufficient_condition_holds(problem: LeakageProblem) -> bool:
@@ -454,7 +401,6 @@ def compare_ST_NT(problem: LeakageProblem) -> ThroughputComparison:
     if problem.deadline is None:
         raise ValueError("the comparison is defined for bounded deadlines")
     d_nt = solve_n_packet(problem).total_data
-    d_st = solve_single_packet(
-        problem.total_energy, problem.deadline, problem.rate, problem.epsilon
-    ).total_data
+    upfront = replace(problem, packets=((0.0, problem.total_energy),))
+    d_st = solve_n_packet(upfront).total_data
     return ThroughputComparison(d_nt=d_nt, d_st=d_st)

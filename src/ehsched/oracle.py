@@ -84,7 +84,7 @@ def dp_throughput(
     pinches with its own ``energy_levels`` grid, whose top level is the
     pinch value, and sums the stretches' data.
     """
-    gates, _ = corridor_gates(harvested, minimum, DEFAULT_TOL)
+    gates, _ = corridor_gates(harvested, minimum)
     if len(gates) > grid.time_slots:
         raise GridInfeasibleError(
             f"instance has {len(gates)} corridor pieces, more than the "
@@ -224,7 +224,6 @@ def random_feasible_schedule(
     harvested: CumulativeCurve,
     minimum: CumulativeCurve | None = None,
     seed: int = 0,
-    interior_points: int = 3,
 ) -> PowerSchedule:
     """Seeded random feasible schedule spending everything by the horizon.
 
@@ -234,12 +233,12 @@ def random_feasible_schedule(
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
     # raises InfeasibleError if the corridor is unusable
-    gates, end_value = corridor_gates(harvested, minimum, DEFAULT_TOL)
+    gates, end_value = corridor_gates(harvested, minimum)
     rng = random.Random(seed)
     horizon = harvested.horizon
     knots = sorted(
         {t for t, _, _ in gates}
-        | {rng.uniform(0.0, horizon) for _ in range(interior_points)}
+        | {rng.uniform(0.0, horizon) for _ in range(3)}
     )
     floors = minimum.sample(knots)[1]
     ceilings = harvested.sample(knots)[0]

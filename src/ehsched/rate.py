@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -20,13 +20,11 @@ class RateFunction:
     """A strictly concave, strictly increasing rate law with r(0) = 0.
 
     ``value`` and ``deriv_fn`` accept scalars or numpy arrays of non-negative
-    powers.  ``descriptor`` is a JSON-serializable description used in
-    reports and scenario files.
+    powers.
     """
 
     value: Callable[[Any], Any]
     deriv_fn: Callable[[Any], Any]
-    descriptor: dict[str, Any] = field(default_factory=dict)
 
     def __call__(self, power):
         return self.value(power)
@@ -49,7 +47,7 @@ def awgn_rate(noise: float = 1.0) -> RateFunction:
         out = 1.0 / (2.0 * _LN2 * (noise + np.asarray(p, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 
-    return RateFunction(value, deriv, {"type": "awgn", "noise": noise})
+    return RateFunction(value, deriv)
 
 
 def throughput(schedule: PowerSchedule, rate: RateFunction) -> float:

@@ -65,7 +65,6 @@ def taut_string(
     harvested: CumulativeCurve,
     minimum: CumulativeCurve | None = None,
     rate: RateFunction | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> StringSolution:
     """Shortest feasible spending curve from (0, 0) to (T, H(T^-)).
 
@@ -74,7 +73,7 @@ def taut_string(
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
-    gates, end_value = corridor_gates(harvested, minimum, tol)
+    gates, end_value = corridor_gates(harvested, minimum)
 
     apex = (0.0, 0.0)
     contacts: list[Contact] = [Contact(0.0, 0.0, "start")]
@@ -179,7 +178,6 @@ def optimality_certificate(
     solution: StringSolution,
     minimum: CumulativeCurve,
     harvested: CumulativeCurve,
-    tol: float = DEFAULT_TOL,
 ) -> CertificateReport:
     """Check the KKT conditions of directional water-filling on a solution.
 
@@ -188,7 +186,7 @@ def optimality_certificate(
     (2) it is feasible (one exact :func:`~ehsched.curves.check_feasible`),
     (3) it ends pinned at ``(T, H(T^-))``, and (4) its power rises only on
     the ceiling ``H(t^-)`` and falls only on the floor ``M(t)``.  Energies
-    agree to within ``tol * max(1, H(T^-))``.  The cost is that of one
+    agree to within ``DEFAULT_TOL * max(1, H(T^-))``.  The cost is that of one
     ``check_feasible`` call plus one pass over the path: O(V + G) curve
     evaluations for V vertices and G breakpoints.
     """
@@ -196,7 +194,7 @@ def optimality_certificate(
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
     end_value = harvested.eval_left(T)
-    slack = tol * max(1.0, end_value)
+    slack = DEFAULT_TOL * max(1.0, end_value)
     verts = solution.vertices
     schedule = solution.schedule
     if len(verts) < 2:
@@ -229,7 +227,7 @@ def optimality_certificate(
             f"the schedule runs to t={schedule.end_time:g}, past the horizon {T:g}"
         )
     else:
-        report = check_feasible(schedule, minimum, harvested, slack)
+        report = check_feasible(schedule, minimum, harvested)
         if report.max_overdraw > slack:
             t = report.overdraw_time
             ceiling = harvested.eval_left(t)
@@ -259,18 +257,18 @@ def optimality_certificate(
         before = (v1 - v0) / (t1 - t0)
         after = (v2 - v1) / (t2 - t1)
         ds = after - before
-        if ds > tol:
+        if ds > DEFAULT_TOL:
             bends.append((t1, "upper", before, after))
             ceiling = harvested.eval_left(t1)
-            if abs(v1 - ceiling) > tol * max(1.0, abs(ceiling)):
+            if abs(v1 - ceiling) > DEFAULT_TOL * max(1.0, abs(ceiling)):
                 failures.append(
                     f"slope increases at t={t1:g} but the path is at {v1:g}, "
                     f"off the ceiling {ceiling:g}"
                 )
-        elif ds < -tol:
+        elif ds < -DEFAULT_TOL:
             bends.append((t1, "lower", before, after))
             floor = minimum.eval(t1)
-            if abs(v1 - floor) > tol * max(1.0, abs(floor)):
+            if abs(v1 - floor) > DEFAULT_TOL * max(1.0, abs(floor)):
                 failures.append(
                     f"slope decreases at t={t1:g} but the path is at {v1:g}, "
                     f"off the floor {floor:g}"

@@ -90,7 +90,7 @@ def chord_certificate(
     """
     failures: list[str] = []
     tol = DEFAULT_TOL
-    gates, end_value = corridor_gates(harvested, minimum, tol)
+    gates, end_value = corridor_gates(harvested, minimum)
     verts = solution.vertices
     scale = max(1.0, end_value)
     for i in range(len(verts)):

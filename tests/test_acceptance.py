@@ -44,7 +44,6 @@ from ehsched import (
     solar_harvest_rate,
     solve_broadcast,
     solve_n_packet,
-    solve_single_packet,
     solve_solar,
     sufficient_condition_holds,
     taut_string,
@@ -191,11 +190,11 @@ def test_criterion_05_broadcast():
     bend = float(np.max(np.diff(slopes)))
     _check(failures, bend <= 1e-9, f"composite rate not concave: {bend}")
 
-    rule = power_threshold(1.0, 2.0, 1.0, 3.0)
+    threshold = power_threshold(1.0, 2.0, 1.0, 3.0)
     _check(
         failures,
-        rule.kind == "threshold" and rule.threshold == 1.0,
-        f"expected threshold exactly 1, got {rule}",
+        threshold == 1.0,
+        f"expected threshold exactly 1, got {threshold}",
     )
     _check(
         failures,
@@ -220,7 +219,7 @@ def test_criterion_05_broadcast():
     _criterion(
         "C05",
         failures,
-        f"inner-max error {worst:.2e}, threshold {rule.threshold}, "
+        f"inner-max error {worst:.2e}, threshold {threshold}, "
         f"rate(3) {float(rate(3.0)):.6f}",
     )
 
@@ -250,7 +249,7 @@ def test_criterion_06_p_star():
 
 def test_criterion_07_single_packet_closed_forms():
     failures: list[str] = []
-    tight = solve_single_packet(16.0, 4.0, RATE1, 1.0)
+    tight = solve_n_packet(LeakageProblem(((0.0, 16.0),), 1.0, 4.0, RATE1))
     _check(
         failures,
         tight.block_powers == (3.0,),
@@ -261,7 +260,7 @@ def test_criterion_07_single_packet_closed_forms():
         abs(tight.total_data - 4.0) <= 1e-9,
         f"deadline-limited data {tight.total_data} != 4",
     )
-    slack = solve_single_packet(10.0, 4.0, RATE1, 1.0)
+    slack = solve_n_packet(LeakageProblem(((0.0, 10.0),), 1.0, 4.0, RATE1))
     expected = 10.0 * float(RATE1(E - 1.0)) / E
     _check(
         failures,

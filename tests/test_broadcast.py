@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import broadcast_inner_max, chord_slopes
 
 from ehsched import (
     BroadcastProblem,
-    PowerSplitRule,
     awgn_rate,
     composite_rate,
     from_packet_arrivals,
@@ -28,26 +29,22 @@ from ehsched import (
 
 
 def test_threshold_value():
-    rule = power_threshold(1.0, 2.0, 1.0, 3.0)
-    assert rule.kind == "threshold"
-    assert rule.threshold == pytest.approx(1.0, abs=1e-15)
+    assert power_threshold(1.0, 2.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_equal_weights_serve_cleaner_user():
-    assert power_threshold(1.0, 1.0, 1.0, 3.0).kind == "user1_only"
-    assert power_threshold(2.0, 1.0, 1.0, 3.0).kind == "user1_only"
-    assert power_threshold(1.0, 0.0, 1.0, 3.0).kind == "user1_only"
+    assert power_threshold(1.0, 1.0, 1.0, 3.0) == math.inf
+    assert power_threshold(2.0, 1.0, 1.0, 3.0) == math.inf
+    assert power_threshold(1.0, 0.0, 1.0, 3.0) == math.inf
 
 
 def test_heavy_weight_serves_noisier_user():
-    assert power_threshold(1.0, 4.0, 1.0, 3.0).kind == "user2_only"
-    assert power_threshold(0.0, 1.0, 1.0, 3.0).kind == "user2_only"
+    assert power_threshold(1.0, 4.0, 1.0, 3.0) == 0.0
+    assert power_threshold(0.0, 1.0, 1.0, 3.0) == 0.0
 
 
 def test_weight_ratio_at_noise_ratio_degenerates_to_zero_threshold():
-    rule = power_threshold(1.0, 3.0, 1.0, 3.0)
-    assert rule.kind == "threshold"
-    assert rule.threshold == pytest.approx(0.0, abs=1e-15)
+    assert power_threshold(1.0, 3.0, 1.0, 3.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_threshold_validation():
@@ -79,7 +76,7 @@ def test_composite_value_above_knee():
 
 def test_composite_continuous_at_knee():
     rate = composite_rate(1.0, 2.0, 1.0, 3.0)
-    p_th = power_threshold(1.0, 2.0, 1.0, 3.0).threshold
+    p_th = power_threshold(1.0, 2.0, 1.0, 3.0)
     below = 0.5 * math.log2(1.0 + p_th / 1.0)
     assert rate(p_th) == pytest.approx(below, abs=1e-12)
     assert rate(p_th - 1e-9) == pytest.approx(rate(p_th + 1e-9), abs=1e-8)
@@ -107,13 +104,50 @@ def test_composite_concave():
     assert np.all(np.diff(slopes) <= 1e-9)
 
 
-def test_composite_domain_errors():
-    with pytest.raises(ValueError):
-        composite_rate(1.0, 1.0, 1.0, 3.0)  # ratio not above 1
-    with pytest.raises(ValueError):
-        composite_rate(1.0, 4.0, 1.0, 3.0)  # ratio above noise ratio
-    with pytest.raises(ValueError):
-        composite_rate(0.0, 1.0, 1.0, 3.0)
+DEGENERATE = [  # (mu1, mu2, the served user's noise and weight)
+    (1.0, 1.0, 1.0, 1.0),
+    (2.0, 1.0, 1.0, 2.0),
+    (1.0, 0.0, 1.0, 1.0),
+    (1.0, 4.0, 3.0, 4.0),
+    (0.0, 1.0, 3.0, 1.0),
+    (0.3, 7.0, 3.0, 7.0),
+]
+
+
+@pytest.mark.parametrize("mu1, mu2, noise, weight", DEGENERATE)
+def test_composite_degenerate_regimes_are_scaled_awgn(mu1, mu2, noise, weight):
+    rate = composite_rate(mu1, mu2, 1.0, 3.0)
+    single = awgn_rate(noise)
+    powers = [0.0, 1e-300, 1e-9, 0.37, 1.0, 3.0, 42.5, 1e12]
+    for p in powers:
+        assert rate(p) == weight * single(p), p
+        assert rate.deriv(p) == pytest.approx(weight * single.deriv(p), rel=1e-15), p
+    grid = np.asarray(powers)
+    assert np.array_equal(rate(grid), weight * single(grid))
+    np.testing.assert_allclose(
+        rate.deriv(grid), weight * single.deriv(grid), rtol=1e-15, atol=0.0
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mu1=st.floats(0.0, 4.0),
+    mu2=st.floats(0.0, 4.0),
+    noise1=st.floats(0.5, 4.0),
+    spread=st.floats(1.01, 10.0),
+    power=st.floats(0.0, 20.0),
+)
+def test_composite_matches_inner_maximization_everywhere(
+    mu1, mu2, noise1, spread, power
+):
+    # weights and noises cover all three regimes: p_th = inf, 0, and between
+    if mu1 == 0.0 and mu2 == 0.0:
+        mu2 = 1.0
+    noise2 = noise1 * spread
+    oracle = broadcast_inner_max(mu1, mu2, noise1, noise2, power)
+    assert composite_rate(mu1, mu2, noise1, noise2)(power) == pytest.approx(
+        oracle, abs=1e-6
+    )
 
 
 # --------------------------------------------------------------------------
@@ -121,24 +155,23 @@ def test_composite_domain_errors():
 
 
 def test_split_below_threshold():
-    rule = PowerSplitRule("threshold", 1.0)
-    assert split_power(0.5, rule) == (0.5, 0.0)
+    assert split_power(0.5, 1.0) == (0.5, 0.0)
+    assert split_power(3.0, math.inf) == (3.0, 0.0)
 
 
 def test_split_above_threshold():
-    rule = PowerSplitRule("threshold", 1.0)
-    p1, p2 = split_power(3.0, rule)
+    p1, p2 = split_power(3.0, 1.0)
     assert p1 == pytest.approx(1.0, abs=1e-15)
     assert p2 == pytest.approx(2.0, abs=1e-15)
 
 
 def test_split_degenerate_user2():
-    assert split_power(3.0, PowerSplitRule("user2_only")) == (0.0, 3.0)
+    assert split_power(3.0, 0.0) == (0.0, 3.0)
 
 
 def test_split_rejects_negative_power():
     with pytest.raises(ValueError):
-        split_power(-1.0, PowerSplitRule("user1_only"))
+        split_power(-1.0, math.inf)
 
 
 # --------------------------------------------------------------------------

@@ -311,6 +311,14 @@ def test_repeated_format_is_written_once(tmp_path, capsys, monkeypatch):
     assert [line for line in out if line.startswith("wrote")] == [f"wrote {report}", f"wrote {csv}"]
 
 
+@pytest.mark.parametrize("formats", ["", ","])
+def test_empty_format_list_exits_1(tmp_path, capsys, formats):
+    out = tmp_path / "d"
+    assert main(["demo", "dying-battery", "--format", formats, "--out", str(out)]) == 1
+    assert "names no format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # the report writer: exactly json.dumps(indent=2, sort_keys=True), faster
 

@@ -1,4 +1,4 @@
-"""Leakage model: p*, single/N-packet solvers, simulator, S_T vs N_T."""
+"""Leakage model: p*, the block solver (one packet and N), simulator, S_T vs N_T."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from ehsched import (
     p_star,
     simulate,
     solve_n_packet,
-    solve_single_packet,
     sufficient_condition_holds,
     taut_string,
 )
@@ -98,11 +97,15 @@ def test_efficiency_peaks_at_p_star():
 
 
 # --------------------------------------------------------------------------
-# single packet
+# single packet: the one-block case of solve_n_packet
+
+
+def one_packet(energy, deadline, epsilon=1.0):
+    return LeakageProblem(((0.0, energy),), epsilon, deadline, RATE1)
 
 
 def test_single_packet_deadline_binds():
-    sol = solve_single_packet(16.0, 4.0, RATE1, 1.0)
+    sol = solve_n_packet(one_packet(16.0, 4.0))
     assert sol.schedule.segments == ((0.0, 4.0, 3.0),)
     assert sol.total_data == pytest.approx(4.0, abs=1e-9)
     assert sol.transmit_energy == pytest.approx(12.0, abs=1e-12)
@@ -110,7 +113,7 @@ def test_single_packet_deadline_binds():
 
 
 def test_single_packet_slack_deadline_uses_p_star():
-    sol = solve_single_packet(10.0, 4.0, RATE1, 1.0)
+    sol = solve_n_packet(one_packet(10.0, 4.0))
     assert sol.block_powers[0] == pytest.approx(E - 1.0, abs=1e-9)
     duration = sol.schedule.segments[0][1]
     assert duration == pytest.approx(10.0 / E, abs=1e-9)
@@ -119,7 +122,7 @@ def test_single_packet_slack_deadline_uses_p_star():
 
 
 def test_single_packet_unbounded():
-    sol = solve_single_packet(5.0, UNBOUNDED, RATE1, 1.0)
+    sol = solve_n_packet(one_packet(5.0, UNBOUNDED))
     duration = sol.schedule.end_time
     assert duration == pytest.approx(5.0 / E, abs=1e-9)
     assert sol.total_data == pytest.approx((5.0 / E) * 0.5 * math.log2(E), abs=1e-9)
@@ -127,11 +130,11 @@ def test_single_packet_unbounded():
 
 def test_single_packet_validation():
     with pytest.raises(ValueError):
-        solve_single_packet(0.0, 4.0, RATE1, 1.0)
+        one_packet(0.0, 4.0)
     with pytest.raises(ValueError):
-        solve_single_packet(5.0, -1.0, RATE1, 1.0)
+        one_packet(5.0, -1.0)
     with pytest.raises(ValueError):
-        solve_single_packet(5.0, UNBOUNDED, RATE1, 0.0)
+        one_packet(5.0, UNBOUNDED, epsilon=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -204,14 +207,6 @@ def test_zero_leak_matches_taut_string():
         assert leak_sol.leaked_energy == 0.0
 
 
-def test_single_packet_agreement():
-    problem = LeakageProblem(((0.0, 10.0),), 1.0, 4.0, RATE1)
-    a = solve_n_packet(problem)
-    b = solve_single_packet(10.0, 4.0, RATE1, 1.0)
-    assert a.total_data == pytest.approx(b.total_data, abs=1e-12)
-    assert a.block_powers[0] == pytest.approx(b.block_powers[0], abs=1e-12)
-
-
 # --------------------------------------------------------------------------
 # simulator
 
@@ -226,8 +221,8 @@ def test_simulate_pure_leak():
 
 
 def test_simulate_unbounded_solution_conserves():
-    problem = LeakageProblem(((0.0, 5.0),), 1.0, UNBOUNDED, RATE1)
-    sol = solve_single_packet(5.0, UNBOUNDED, RATE1, 1.0)
+    problem = one_packet(5.0, UNBOUNDED)
+    sol = solve_n_packet(problem)
     trace = simulate(sol.schedule, problem)
     horizon = sol.schedule.end_time
     assert horizon == pytest.approx(5.0 / E, abs=1e-9)
@@ -351,7 +346,7 @@ def test_comparison_equal_when_condition_holds():
 def test_comparison_single_packet_equal():
     problem = LeakageProblem(((0.0, 6.0),), 0.8, 3.0, RATE1)
     cmp = compare_ST_NT(problem)
-    assert cmp.d_nt == pytest.approx(cmp.d_st, abs=1e-12)
+    assert cmp.d_nt == cmp.d_st  # one packet at t=0 is already upfront
 
 
 def test_comparison_needs_deadline():
