@@ -65,8 +65,8 @@ class PiecewiseCurve:
         )
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "horizon", float(self.horizon))
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if len(bps) < 2:
             raise ValueError("a curve needs breakpoints at 0 and at the horizon")
         if bps[0][0] != 0.0:
@@ -79,6 +79,15 @@ class PiecewiseCurve:
         for (t0, _, _), (t1, _, _) in zip(bps, bps[1:]):
             if not t1 > t0:
                 raise ValueError(f"breakpoint times must strictly increase at t={t1}")
+
+    @classmethod
+    def _trusted(cls, breakpoints, horizon: float):
+        """A curve from float breakpoints the library derived from curves or
+        schedules it has already validated, set without checking them again."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "breakpoints", breakpoints)
+        object.__setattr__(curve, "horizon", horizon)
+        return curve
 
     @cached_property
     def times(self) -> tuple[float, ...]:
@@ -147,16 +156,53 @@ class PiecewiseCurve:
         return left, right
 
 
+def _limits(
+    curve: PiecewiseCurve, times: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """``eval_left`` and ``eval`` of ``curve`` at ``times``, as two lists.
+
+    ``times`` must be sorted and contain every breakpoint time of the curve
+    (as :func:`merge_times` of it and other curves on the same horizon does),
+    so each time either is the next breakpoint or lies strictly inside the
+    piece ending there.  That makes the walk free of the domain, order and
+    clamp checks of :meth:`PiecewiseCurve.sample`; the interpolation is the
+    same expression, so the values are bit-identical.
+    """
+    bps = curve.breakpoints
+    # the sentinel after the horizon is never reached
+    nxt = iter(bps[1:] + ((math.inf, 0.0, 0.0),))
+    tb, vlb, vrb = bps[0]
+    t0 = v0 = 0.0
+    left: list[float] = []
+    right: list[float] = []
+    for t in times:
+        if t == tb:
+            left.append(vlb)
+            right.append(vrb)
+            t0, v0 = tb, vrb
+            tb, vlb, vrb = next(nxt)
+        else:
+            v = v0 + (vlb - v0) * (t - t0) / (tb - t0)
+            left.append(v)
+            right.append(v)
+    return left, right
+
+
 class CumulativeCurve(PiecewiseCurve):
-    """A non-decreasing, non-negative :class:`PiecewiseCurve` with upward jumps."""
+    """A non-decreasing, non-negative :class:`PiecewiseCurve` with upward jumps
+    and finite values."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        scale = max(1.0, abs(self.breakpoints[-1][2]))
-        slack = DEFAULT_TOL * scale
+        end = self.breakpoints[-1][2]
+        if not math.isfinite(end):
+            raise ValueError(f"cumulative curve ends at a non-finite value {end}")
+        slack = DEFAULT_TOL * max(1.0, abs(end))
         for t, vl, vr in self.breakpoints:
-            if vl < -slack or vr < -slack:
-                raise ValueError(f"cumulative curve is negative at t={t}")
+            # negated, so that NaN fails it; with a finite end value,
+            # non-negative and non-decreasing values are all finite
+            if not (vl >= -slack and vr >= -slack):
+                raise ValueError(f"cumulative curve is negative or NaN at t={t}")
             if vl > vr + slack:
                 raise ValueError(f"downward jump at t={t} ({vl} -> {vr})")
         for (t0, _, v0), (t1, v1, _) in zip(self.breakpoints, self.breakpoints[1:]):
@@ -174,8 +220,10 @@ class BatterySchedule(PiecewiseCurve):
             raise ValueError("a battery profile needs knots at 0 and at the horizon")
         super().__init__(tuple((t, c, c) for t, c in knots), knots[-1][0])
         for t, c, _ in self.breakpoints:
-            if c < 0:
-                raise ValueError(f"battery capacity is negative at t={t}")
+            if not 0.0 <= c < math.inf:
+                raise ValueError(
+                    f"battery capacity must be finite and non-negative at t={t}, got {c}"
+                )
 
     @classmethod
     def constant(cls, capacity: float, horizon: float) -> "BatterySchedule":
@@ -192,13 +240,19 @@ class PowerSchedule:
         segs = []
         for t0, t1, p in self.segments:
             t0, t1, p = float(t0), float(t1), float(p)
-            if p < -DEFAULT_TOL:
-                raise ValueError(f"negative power {p} on [{t0}, {t1}]")
+            if not -DEFAULT_TOL <= p < math.inf:
+                raise ValueError(
+                    f"power must be finite and non-negative, got {p} on [{t0}, {t1}]"
+                )
             segs.append((t0, t1, max(p, 0.0)))
         if not segs:
             raise ValueError("a schedule needs at least one segment")
         if segs[0][0] != 0.0:
             raise ValueError("schedule must start at t=0")
+        # the times strictly increase from 0 (checked below), so a finite end
+        # makes every time finite
+        if not math.isfinite(segs[-1][1]):
+            raise ValueError(f"schedule must end at a finite time, got {segs[-1][1]}")
         for (_, e0, _), (s1, _, _) in zip(segs, segs[1:]):
             if e0 != s1:
                 raise ValueError(f"segments must be contiguous: gap at t={e0}")
@@ -222,16 +276,21 @@ class PowerSchedule:
     def energy_curve(self, horizon: float | None = None) -> CumulativeCurve:
         """The continuous cumulative-energy curve induced by the schedule."""
         horizon = self.end_time if horizon is None else float(horizon)
-        if horizon < self.end_time:
-            raise ValueError("horizon shorter than the schedule")
+        if not horizon >= self.end_time:
+            raise ValueError(
+                f"horizon {horizon} shorter than the schedule, which ends at "
+                f"{self.end_time}"
+            )
         bps = [(0.0, 0.0, 0.0)]
         total = 0.0
         for t0, t1, p in self.segments:
             total += (t1 - t0) * p
             bps.append((t1, total, total))
+        if not math.isfinite(total):
+            raise ValueError(f"the schedule spends a non-finite energy {total}")
         if horizon > self.end_time:
             bps.append((horizon, total, total))
-        return CumulativeCurve(tuple(bps), horizon)
+        return CumulativeCurve._trusted(tuple(bps), horizon)
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +302,8 @@ def from_packet_arrivals(
 ) -> CumulativeCurve:
     """Staircase curve for discrete energy packets ``(arrival time, energy)``."""
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     pts = [(float(t), float(e)) for t, e in packets]
     for (t0, _), (t1, _) in zip(pts, pts[1:]):
         if not t1 > t0:
@@ -250,9 +311,9 @@ def from_packet_arrivals(
     bps: list[tuple[float, float, float]] = []
     total = 0.0
     for t, e in pts:
-        if e <= 0:
-            raise ValueError(f"packet energy must be positive, got {e} at t={t}")
-        if t < 0 or t > horizon:
+        if not 0.0 < e < math.inf:
+            raise ValueError(f"packet energy must be positive and finite, got {e} at t={t}")
+        if not 0.0 <= t <= horizon:
             raise ValueError(f"packet at t={t} outside [0, {horizon}]")
         bps.append((t, total, total + e))
         total += e
@@ -280,6 +341,8 @@ def integrate_rate(
     to O((horizon/(resolution*subsamples))^2).
     """
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     if subsamples < 1:
@@ -291,8 +354,8 @@ def integrate_rate(
     for k in range(n + 1):
         t = horizon * k / n if k else 0.0
         v = float(rate_fn(t))
-        if v < -1e-12:
-            raise ValueError(f"harvest rate is negative at t={t}: {v}")
+        if not v >= -1e-12:
+            raise ValueError(f"harvest rate is negative or NaN at t={t}: {v}")
         if v < 0.0:
             v = 0.0
         if k:
@@ -302,6 +365,8 @@ def integrate_rate(
                 cell = 0.0
                 bps.append((horizon * (k // subsamples) / resolution, total, total))
         prev_v = v
+    if not math.isfinite(total):
+        raise ValueError(f"the harvest rate integrates to a non-finite {total}")
     # horizon * resolution / resolution can round away from the horizon
     bps[-1] = (horizon, total, total)
     return CumulativeCurve(tuple(bps), horizon)
@@ -323,8 +388,8 @@ def min_energy_from_battery(
         )
 
     times = merge_times(harvested, battery)
-    h_left, h_right = harvested.sample(times)
-    capacity = battery.sample(times)[1]
+    h_left, h_right = _limits(harvested, times)
+    capacity = _limits(battery, times)[1]
     d_left = [h - b for h, b in zip(h_left, capacity)]
     d_right = [h - b for h, b in zip(h_right, capacity)]
 
@@ -347,7 +412,9 @@ def min_energy_from_battery(
             left = cur
         cur = max(left, uc_right)
         bps.append((c, left, cur))
-    return CumulativeCurve(tuple(bps), harvested.horizon)
+    # a running maximum of differences of two validated curves: non-negative,
+    # non-decreasing and finite
+    return CumulativeCurve._trusted(tuple(bps), harvested.horizon)
 
 
 def dying_battery_scenario(
@@ -404,8 +471,8 @@ def corridor_gates(
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
     times = merge_times(harvested, minimum)
-    h_left, h_right = harvested.sample(times)
-    m_left, m_right = minimum.sample(times)
+    h_left, h_right = _limits(harvested, times)
+    m_left, m_right = _limits(minimum, times)
     end_value = h_left[-1]
     tol = DEFAULT_TOL
 
@@ -466,9 +533,9 @@ def check_feasible(
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
     spent = schedule.energy_curve(T)
     times = merge_times(spent, minimum, harvested)
-    e_left, e_right = spent.sample(times)
-    h_left, h_right = harvested.sample(times)
-    m_left, m_right = minimum.sample(times)
+    e_left, e_right = _limits(spent, times)
+    h_left, h_right = _limits(harvested, times)
+    m_left, m_right = _limits(minimum, times)
     over, over_t = 0.0, None
     short, short_t = 0.0, None
     for t, el, er, hl, hr, ml, mr in zip(

@@ -25,7 +25,7 @@ from .curves import (
     CumulativeCurve,
     PiecewiseCurve,
     PowerSchedule,
-    from_packet_arrivals,
+    _limits,
     merge_times,
 )
 from .rate import RateFunction, throughput
@@ -71,14 +71,22 @@ class LeakageProblem:
         for (t0, _), (t1, _) in zip(packets, packets[1:]):
             if not t1 > t0:
                 raise ValueError("packet arrival times must be strictly increasing")
+        if not math.isfinite(packets[-1][0]):
+            raise ValueError(f"packet arrival times must be finite, got {packets[-1][0]!r}")
         for t, e in packets:
-            if not e > 0.0:
-                raise ValueError(f"packet energies must be positive, got {e!r} at t={t!r}")
+            if not 0.0 < e < math.inf:
+                raise ValueError(
+                    f"packet energies must be positive and finite, got {e!r} at t={t!r}"
+                )
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
         if self.deadline is not None:
             deadline = float(self.deadline)
             object.__setattr__(self, "deadline", deadline)
+            if not math.isfinite(deadline):
+                raise ValueError(
+                    f"deadline must be finite (UNBOUNDED is None), got {deadline!r}"
+                )
             if not deadline > packets[-1][0]:
                 raise ValueError(
                     f"deadline {deadline!r} must exceed the last arrival time "
@@ -208,28 +216,35 @@ def _decompose_blocks(
     energy-per-time average is minimal (ties to the longer prefix), at power
     ``max(p_opt, average - epsilon)``.  Unbounded: one block of everything at
     ``p_opt`` with open end.
+
+    The bounded blocks are the pieces of the lower convex hull of the
+    cumulative energy over the arrival times, so one left-to-right pass
+    finds them: each packet's interval joins a stack of blocks and merges
+    into the block below while that does not raise the block's average.
     """
     n = len(packets)
+    if deadline is None:
+        return [(0, n - 1, p_opt, packets[0][0], None)]
+    stack: list[tuple[int, float, float]] = []  # (first, start, energy)
+    for i, (start, e) in enumerate(packets):
+        end = packets[i + 1][0] if i + 1 < n else deadline
+        first = i
+        while stack:
+            first0, s0, e0 = stack[-1]
+            if (e0 + e) / (end - s0) <= e0 / (start - s0):
+                stack.pop()
+                first, start, e = first0, s0, e0 + e
+            else:
+                break
+        stack.append((first, start, e))
     blocks: list[tuple[int, int, float, float, float | None]] = []
-    i = 0
-    while i < n:
-        start_t = packets[i][0]
-        if deadline is None:
-            blocks.append((i, n - 1, p_opt, start_t, None))
-            break
+    for k, (first, start, _) in enumerate(stack):
+        last = stack[k + 1][0] - 1 if k + 1 < len(stack) else n - 1
+        end = packets[last + 1][0] if last + 1 < n else deadline
         cum_e = 0.0
-        best_k = i
-        best_avg = math.inf
-        for k in range(i, n):
-            cum_e += packets[k][1]
-            end_t = packets[k + 1][0] if k + 1 < n else deadline
-            avg = cum_e / (end_t - start_t)
-            if avg <= best_avg:
-                best_avg = avg
-                best_k = k
-        end_t = packets[best_k + 1][0] if best_k + 1 < n else deadline
-        blocks.append((i, best_k, max(p_opt, best_avg - epsilon), start_t, end_t))
-        i = best_k + 1
+        for _, e in packets[first : last + 1]:
+            cum_e += e
+        blocks.append((first, last, max(p_opt, cum_e / (end - start) - epsilon), start, end))
     return blocks
 
 
@@ -371,13 +386,26 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
         lk += charge
         record(horizon)
 
-    transmitted = CumulativeCurve(tuple((t, v, v) for t, v, _ in points), horizon)
-    leaked = CumulativeCurve(tuple((t, v, v) for t, _, v in points), horizon)
-    harvested = from_packet_arrivals(problem.packets, horizon)
+    # the event loop only adds non-negative amounts and records strictly
+    # increasing times from 0 to the horizon, so these curves need no checks
+    transmitted = CumulativeCurve._trusted(
+        tuple((t, v, v) for t, v, _ in points), horizon
+    )
+    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v in points), horizon)
+    # the validated packets' staircase, built here because a leak too small
+    # to empty the battery in floating point leaves an infinite horizon
+    h_bps = []
+    cum = 0.0
+    for t, e in problem.packets:
+        h_bps.append((t, cum, cum + e))
+        cum += e
+    if horizon > h_bps[-1][0]:
+        h_bps.append((horizon, cum, cum))
+    harvested = CumulativeCurve._trusted(tuple(h_bps), horizon)
     merged = merge_times(harvested, leaked)
-    h_left, h_right = harvested.sample(merged)
-    k_left, k_right = leaked.sample(merged)
-    usable = PiecewiseCurve(
+    h_left, h_right = _limits(harvested, merged)
+    k_left, k_right = _limits(leaked, merged)
+    usable = PiecewiseCurve._trusted(
         tuple(
             zip(
                 merged,

@@ -51,5 +51,12 @@ def awgn_rate(noise: float = 1.0) -> RateFunction:
 
 
 def throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
-    """Total data sent by a piecewise-constant schedule: sum of dt * r(p)."""
-    return sum((t1 - t0) * float(rate(p)) for t0, t1, p in schedule.segments)
+    """Total data sent by a piecewise-constant schedule: sum of dt * r(p).
+
+    The rate is evaluated once on the array of segment powers (NumPy's array
+    loop gives the same bits as one call per power), and the sum runs left
+    to right.
+    """
+    segments = schedule.segments
+    rates = np.asarray(rate(np.array([p for _, _, p in segments])), dtype=float)
+    return sum((t1 - t0) * r for (t0, t1, _), r in zip(segments, rates.tolist()))

@@ -56,11 +56,6 @@ class StringSolution:
     total_data: float | None
 
 
-def _cross(o, a, b) -> float:
-    """Positive iff slope(o, b) exceeds slope(o, a) (for a.x, b.x > o.x)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def taut_string(
     harvested: CumulativeCurve,
     minimum: CumulativeCurve | None = None,
@@ -85,11 +80,17 @@ def taut_string(
         # direction, the string must bend around the earlier of the two chain
         # fronts.  A violation can only appear when the newest gate point
         # collapsed its own chain to a singleton (appending at the back never
-        # changes a surviving front), so the singleton side holds the newest
-        # point and the bend is at the other side's front.
+        # changes a surviving front), so the sweep calls this only then: the
+        # singleton side holds the newest point and the bend is at the other
+        # side's front.
         nonlocal apex
         while upper and lower:
-            if _cross(apex, upper[0], lower[0]) <= 0:
+            o0, o1 = apex
+            a0, a1 = upper[0]
+            b0, b1 = lower[0]
+            # positive iff the floor front's slope from the apex exceeds the
+            # ceiling front's
+            if (a0 - o0) * (b1 - o1) - (a1 - o1) * (b0 - o0) <= 0:
                 return
             if len(upper) == 1:
                 bend = lower.popleft()
@@ -105,25 +106,30 @@ def taut_string(
                 lower.popleft()
 
     for t, lo, hi in gates:
-        q = (t, hi)
+        # pop the back of each chain while the new point does not turn the
+        # right way from it: the same cross product as in settle, with the
+        # point before the back (or the apex) as origin
         while upper:
-            prev = upper[-2] if len(upper) > 1 else apex
-            if _cross(prev, upper[-1], q) <= 0:
+            p0, p1 = upper[-2] if len(upper) > 1 else apex
+            a0, a1 = upper[-1]
+            if (a0 - p0) * (hi - p1) - (a1 - p1) * (t - p0) <= 0:
                 upper.pop()
             else:
                 break
-        upper.append(q)
-        settle()
+        upper.append((t, hi))
+        if len(upper) == 1:
+            settle()
 
-        q = (t, lo)
         while lower:
-            prev = lower[-2] if len(lower) > 1 else apex
-            if _cross(prev, lower[-1], q) >= 0:
+            p0, p1 = lower[-2] if len(lower) > 1 else apex
+            a0, a1 = lower[-1]
+            if (a0 - p0) * (lo - p1) - (a1 - p1) * (t - p0) >= 0:
                 lower.pop()
             else:
                 break
-        lower.append(q)
-        settle()
+        lower.append((t, lo))
+        if len(lower) == 1:
+            settle()
 
     end = (harvested.horizon, end_value)
     if apex != end:

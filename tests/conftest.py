@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 
@@ -225,6 +226,122 @@ def pointwise_check_feasible(
         max_shortfall=short,
         shortfall_time=short_t,
     )
+
+
+# --------------------------------------------------------------------------
+# per-element references for the solver internals
+#
+# The library evaluates the rate once per schedule, runs the funnel with the
+# cross product inlined, and finds leakage blocks with one stack pass; these
+# are the earlier versions, which the library must match exactly.
+
+
+def reference_throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
+    """Total data, one scalar rate call per segment."""
+    return sum((t1 - t0) * float(rate(p)) for t0, t1, p in schedule.segments)
+
+
+def _cross(o, a, b) -> float:
+    """Positive iff slope(o, b) exceeds slope(o, a) (for a.x, b.x > o.x)."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_taut_string(
+    harvested: CumulativeCurve, minimum: CumulativeCurve
+) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float, str], ...]]:
+    """Vertices and ``(time, value, kind)`` contacts of the funnel that calls
+    ``_cross`` for every test and ``settle`` after every gate point."""
+    gates, end_value = corridor_gates(harvested, minimum)
+    apex = (0.0, 0.0)
+    contacts = [(0.0, 0.0, "start")]
+    upper: deque[tuple[float, float]] = deque()
+    lower: deque[tuple[float, float]] = deque()
+
+    def settle() -> None:
+        nonlocal apex
+        while upper and lower:
+            if _cross(apex, upper[0], lower[0]) <= 0:
+                return
+            if len(upper) == 1:
+                bend = lower.popleft()
+                kind = "lower"
+            else:
+                bend = upper.popleft()
+                kind = "upper"
+            contacts.append((bend[0], bend[1], kind))
+            apex = bend
+            while upper and upper[0][0] <= apex[0]:
+                upper.popleft()
+            while lower and lower[0][0] <= apex[0]:
+                lower.popleft()
+
+    for t, lo, hi in gates:
+        q = (t, hi)
+        while upper:
+            prev = upper[-2] if len(upper) > 1 else apex
+            if _cross(prev, upper[-1], q) <= 0:
+                upper.pop()
+            else:
+                break
+        upper.append(q)
+        settle()
+
+        q = (t, lo)
+        while lower:
+            prev = lower[-2] if len(lower) > 1 else apex
+            if _cross(prev, lower[-1], q) >= 0:
+                lower.pop()
+            else:
+                break
+        lower.append(q)
+        settle()
+
+    end = (harvested.horizon, end_value)
+    if apex != end:
+        contacts.append((end[0], end[1], "end"))
+    else:
+        contacts[-1] = (end[0], end[1], "end")
+    return tuple((t, v) for t, v, _ in contacts), tuple(contacts)
+
+
+def reference_decompose_blocks(
+    packets: tuple[tuple[float, float], ...],
+    deadline: float | None,
+    epsilon: float,
+    p_opt: float,
+) -> list[tuple[int, int, float, float, float | None]]:
+    """Leakage blocks by rescanning the remaining packets for each block's
+    longest minimum-average prefix: O(packets x blocks)."""
+    n = len(packets)
+    blocks: list[tuple[int, int, float, float, float | None]] = []
+    i = 0
+    while i < n:
+        start_t = packets[i][0]
+        if deadline is None:
+            blocks.append((i, n - 1, p_opt, start_t, None))
+            break
+        cum_e = 0.0
+        best_k = i
+        best_avg = math.inf
+        for k in range(i, n):
+            cum_e += packets[k][1]
+            end_t = packets[k + 1][0] if k + 1 < n else deadline
+            avg = cum_e / (end_t - start_t)
+            if avg <= best_avg:
+                best_avg = avg
+                best_k = k
+        end_t = packets[best_k + 1][0] if best_k + 1 < n else deadline
+        blocks.append((i, best_k, max(p_opt, best_avg - epsilon), start_t, end_t))
+        i = best_k + 1
+    return blocks
+
+
+def assert_rebuilds(curve) -> None:
+    """A curve the library built without checks holds only floats and equals
+    its rebuild through the validating constructor."""
+    assert type(curve.horizon) is float
+    assert all(type(x) is float for bp in curve.breakpoints for x in bp)
+    assert type(curve)(curve.breakpoints, curve.horizon) == curve
 
 
 def random_packets(seed: int, max_packets: int = 5) -> tuple[tuple[float, float], ...]:

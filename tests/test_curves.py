@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_rebuilds,
     pointwise_check_feasible,
     pointwise_corridor_gates,
     pointwise_min_energy_from_battery,
@@ -440,6 +442,99 @@ def test_check_feasible_mismatched_horizons():
     for floor_horizon in (2.0, 4.0):
         with pytest.raises(ValueError, match="horizon mismatch"):
             check_feasible(schedule, zero_curve(floor_horizon), harvested)
+
+
+# --------------------------------------------------------------------------
+# non-finite numbers
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = {
+    "battery-nan": (lambda: BatterySchedule.constant(NAN, 3.0), "battery capacity must be finite"),
+    "battery-inf": (lambda: BatterySchedule.constant(INF, 3.0), "battery capacity must be finite"),
+    "packet-energy-nan": (lambda: from_packet_arrivals([(0.0, NAN)], 2.0), "positive and finite, got nan"),
+    "packet-energy-inf": (lambda: from_packet_arrivals([(0.0, INF)], 2.0), "positive and finite, got inf"),
+    "packet-time-nan": (lambda: from_packet_arrivals([(NAN, 1.0)], 2.0), "packet at t=nan outside"),
+    "packet-horizon-inf": (lambda: from_packet_arrivals([(0.0, 1.0)], INF), "horizon must be finite, got inf"),
+    "packet-horizon-nan": (lambda: from_packet_arrivals([(0.0, 1.0)], NAN), "horizon must be finite, got nan"),
+    "packet-total-inf": (
+        lambda: from_packet_arrivals([(0.0, 1e308), (1.0, 1e308)], 2.0),
+        "ends at a non-finite value inf",
+    ),
+    "rate-nan": (lambda: integrate_rate(lambda t: NAN, 4.0, 16), "harvest rate is negative or NaN"),
+    "rate-inf": (lambda: integrate_rate(lambda t: INF, 4.0, 16), "integrates to a non-finite inf"),
+    "rate-horizon-inf": (lambda: integrate_rate(lambda t: 1.0, INF, 16), "horizon must be finite"),
+    "power-nan": (lambda: PowerSchedule(((0.0, 1.0, NAN),)), "power must be finite and non-negative, got nan"),
+    "power-inf": (lambda: PowerSchedule(((0.0, 1.0, INF),)), "power must be finite and non-negative, got inf"),
+    "schedule-end-inf": (lambda: PowerSchedule(((0.0, INF, 1.0),)), "must end at a finite time"),
+    "schedule-energy-inf": (
+        lambda: PowerSchedule(((0.0, 1.0, 1e308), (1.0, 3.0, 1e308))).energy_curve(),
+        "spends a non-finite energy inf",
+    ),
+    "energy-curve-horizon-nan": (
+        lambda: PowerSchedule.constant(1.0, 2.0).energy_curve(NAN),
+        "horizon nan shorter than the schedule",
+    ),
+    "curve-horizon-inf": (
+        lambda: CumulativeCurve(((0.0, 0.0, 0.0), (INF, 1.0, 1.0)), INF),
+        "horizon must be positive and finite, got inf",
+    ),
+    "curve-value-nan": (
+        lambda: CumulativeCurve(((0.0, 0.0, NAN), (1.0, 1.0, 1.0)), 1.0),
+        "cumulative curve is negative or NaN at t=0.0",
+    ),
+    "curve-end-inf": (
+        lambda: CumulativeCurve(((0.0, 0.0, 0.0), (1.0, 1.0, INF)), 1.0),
+        "ends at a non-finite value inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_are_refused(case):
+    build, message = NON_FINITE[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_energy_curve_horizon_errors():
+    schedule = PowerSchedule.constant(1.0, 2.0)
+    with pytest.raises(ValueError, match="horizon 1.5 shorter than the schedule"):
+        schedule.energy_curve(1.5)
+    assert schedule.energy_curve(3.0).breakpoints == (
+        (0.0, 0.0, 0.0),
+        (2.0, 2.0, 2.0),
+        (3.0, 2.0, 2.0),
+    )
+
+
+# --------------------------------------------------------------------------
+# curves built without checks against their validating rebuild
+
+
+def test_trusted_curves_equal_their_validating_rebuild():
+    for seed in range(300):
+        harvested, minimum = random_corridor(seed)
+        assert_rebuilds(minimum)
+        T = harvested.horizon
+        schedules = [
+            taut_string(harvested, minimum).schedule,
+            random_feasible_schedule(harvested, minimum, seed=seed),
+            PowerSchedule.constant(0.0, 0.5 * T),
+        ]
+        for schedule in schedules:
+            for horizon in (None, T, 2.0 * T):
+                assert_rebuilds(schedule.energy_curve(horizon))
+    rng = random.Random(9)
+    for n in (1, 5, 50, 500):
+        t, packets = 0.0, []
+        for _ in range(n):
+            packets.append((t, rng.uniform(0.3, 3.0)))
+            t += rng.uniform(0.05, 2.0)
+        harvested = from_packet_arrivals(packets, t)
+        for capacity in (0.0, 1.0, 3.5, 1e9):
+            battery = BatterySchedule.constant(capacity, t)
+            assert_rebuilds(min_energy_from_battery(harvested, battery))
+        assert_rebuilds(min_energy_from_battery(harvested, _random_battery(rng, t, 3.0)))
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     RATE1,
+    assert_rebuilds,
     battery_content,
     grid_argmax_f,
     random_leakage_problem,
     random_packets,
+    reference_decompose_blocks,
 )
 
 from ehsched import (
@@ -30,6 +33,7 @@ from ehsched import (
     sufficient_condition_holds,
     taut_string,
 )
+from ehsched.leakage import _decompose_blocks
 
 E = math.e
 
@@ -53,6 +57,20 @@ def test_problem_validation():
         LeakageProblem(((0.0, 2.0), (3.0, 1.0)), 0.5, 3.0, RATE1)  # deadline early
     with pytest.raises(ValueError):
         LeakageProblem(((0.0, 2.0),), 0.0, UNBOUNDED, RATE1)
+
+
+@pytest.mark.parametrize(
+    "packets,deadline,message",
+    [
+        (((0.0, math.nan),), 4.0, "positive and finite, got nan"),
+        (((0.0, math.inf),), 4.0, "positive and finite, got inf"),
+        (((0.0, 1.0),), math.inf, "deadline must be finite"),
+        (((0.0, 1.0), (math.inf, 1.0)), UNBOUNDED, "arrival times must be finite, got inf"),
+    ],
+)
+def test_problem_refuses_non_finite_numbers(packets, deadline, message):
+    with pytest.raises(ValueError, match=message):
+        LeakageProblem(packets, 0.5, deadline, RATE1)
 
 
 # --------------------------------------------------------------------------
@@ -181,6 +199,77 @@ def test_counterexample_blocks():
     assert sol.schedule.segments[2] == (3.0, 4.0, 3.5)
     assert sol.total_data == pytest.approx(2.423558166935361, abs=1e-12)
     assert sol.transmit_energy + sol.leaked_energy == pytest.approx(8.0, abs=1e-9)
+
+
+@st.composite
+def block_trains(draw):
+    """Packet trains for the block decomposition, and whether their averages
+    are exact.  Integer gaps and energies in halves make every sum exact and
+    every average correctly rounded, so equal-density neighbours tie exactly;
+    arbitrary floats cover the rest."""
+    n = draw(st.integers(1, 12))
+    exact = draw(st.booleans())
+    if exact:
+        gaps = [float(g) for g in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))]
+        energies = [0.5 * e for e in draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))]
+    else:
+        gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+        energies = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+    times = [0.0]
+    for gap in gaps[:-1]:
+        times.append(times[-1] + gap)
+    packets = tuple(zip(times, energies))
+    return packets, times[-1] + gaps[-1], draw(st.floats(0.0, 1.5)), exact
+
+
+def _packet_powers(blocks, n):
+    powers = [0.0] * n
+    for first, last, power, _, _ in blocks:
+        powers[first : last + 1] = [power] * (last + 1 - first)
+    return powers
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(block_trains())
+def test_block_stack_matches_rescanning_reference(case):
+    packets, deadline, epsilon, exact = case
+    p_opt = p_star(RATE1, epsilon)
+    for end in (deadline, None):
+        blocks = _decompose_blocks(packets, end, epsilon, p_opt)
+        reference = reference_decompose_blocks(packets, end, epsilon, p_opt)
+        if exact:
+            assert blocks == reference
+        else:
+            # Where two averages agree to within rounding, either method may
+            # split or merge there (neither always agrees with exact
+            # arithmetic), so every packet's power agrees to rounding.
+            n = len(packets)
+            for p, q in zip(_packet_powers(blocks, n), _packet_powers(reference, n)):
+                assert abs(p - q) <= 1e-12 * (q + epsilon)
+
+
+def test_equal_density_packets_form_one_block():
+    # every packet carries 1.5 energy per unit of time until the next one
+    packets = ((0.0, 1.5), (1.0, 3.0), (3.0, 1.5), (4.0, 4.5))
+    sol = solve_n_packet(LeakageProblem(packets, 0.2, 7.0, RATE1))
+    assert sol.block_boundaries == (0.0, 7.0)
+    assert sol.block_powers == (1.3,) * 4
+
+
+def test_block_stack_matches_reference_on_long_trains():
+    rising = tuple((float(i), 1.0 + 0.01 * i) for i in range(600))
+    rng = random.Random(4)
+    t, noisy = 0.0, []
+    for i in range(600):
+        # energies drift up, as in the benchmark's leakage trains
+        noisy.append((t, rng.uniform(0.3, 3.0) * (1.0 + 0.5 * i / 600)))
+        t += rng.uniform(0.3, 2.0)
+    for packets, epsilon in ((rising, 0.5), (tuple(noisy), 0.95)):
+        deadline = packets[-1][0] + 1.0
+        p_opt = p_star(RATE1, epsilon)
+        blocks = _decompose_blocks(packets, deadline, epsilon, p_opt)
+        assert blocks == reference_decompose_blocks(packets, deadline, epsilon, p_opt)
+        assert len(blocks) > 5
 
 
 def test_unbounded_all_blocks_at_p_star():
@@ -321,6 +410,25 @@ def test_simulate_solver_outputs_clean():
         assert trace.transmitted.eval(end) + trace.leaked.eval(end) == pytest.approx(
             total, abs=1e-9 * max(1.0, total)
         )
+
+
+def test_trace_curves_equal_their_validating_rebuild():
+    problems = [random_leakage_problem(seed, bounded) for seed in range(60) for bounded in (True, False)]
+    problems.append(
+        LeakageProblem(tuple((1.5 * i, 1.0 + 0.005 * i) for i in range(300)), 0.9, 451.0, RATE1)
+    )
+    for problem in problems:
+        sol = solve_n_packet(problem)
+        horizon = sol.schedule.end_time
+        rivals = (
+            sol.schedule,
+            # overdraws: the replay must go silent part of the way
+            PowerSchedule.constant(2.0 * problem.total_energy / horizon, horizon),
+        )
+        for schedule in rivals:
+            trace = simulate(schedule, problem)
+            for curve in (trace.transmitted, trace.leaked, trace.usable):
+                assert_rebuilds(curve)
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import centered_second_differences
+from conftest import centered_second_differences, random_corridor, reference_throughput
 
-from ehsched import PowerSchedule, awgn_rate, throughput
+from ehsched import PowerSchedule, awgn_rate, composite_rate, taut_string, throughput
 
 
 def test_awgn_values():
@@ -84,3 +84,38 @@ def test_jensen_dominance_random_schedules():
             ((0.0, cut, first / cut), (cut, horizon, (e0 - first) / (horizon - cut)))
         )
         assert throughput(sched, rate) < best
+
+
+# --------------------------------------------------------------------------
+# the batched throughput against one scalar rate call per segment
+
+RATES = {
+    "awgn": awgn_rate(1.0),
+    "awgn-noise-0.3": awgn_rate(0.3),
+    "composite-user1-only": composite_rate(1.0, 0.8, 1.0, 3.0),  # p_th = inf
+    "composite-user2-only": composite_rate(1.0, 4.0, 1.0, 3.0),  # p_th = 0
+    "composite-shared": composite_rate(1.0, 2.0, 1.0, 3.0),  # p_th = 1
+}
+
+
+def _random_schedule(rng: random.Random, n: int) -> PowerSchedule:
+    """``n`` segments whose powers span zero, tiny, ordinary and huge values."""
+    t, segments = 0.0, []
+    for _ in range(n):
+        dt = rng.uniform(1e-3, 3.0)
+        power = rng.choice(
+            (0.0, rng.uniform(0.0, 5.0), 10.0 ** rng.uniform(-12.0, 8.0), 1.0)
+        )
+        segments.append((t, t + dt, power))
+        t += dt
+    return PowerSchedule(tuple(segments))
+
+
+@pytest.mark.parametrize("name", sorted(RATES))
+def test_throughput_matches_scalar_reference_bitwise(name):
+    rate = RATES[name]
+    rng = random.Random(name)
+    schedules = [_random_schedule(rng, n) for n in (1, 2, 3, 50, 1000) for _ in range(20)]
+    schedules += [taut_string(*random_corridor(seed)).schedule for seed in range(100)]
+    for schedule in schedules:
+        assert throughput(schedule, rate) == reference_throughput(schedule, rate)

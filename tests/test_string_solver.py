@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     chord_certificate,
     random_corridor,
+    reference_taut_string,
     solar_harvested_energy,
     tangent_root,
 )
@@ -127,6 +128,36 @@ def test_instant_forced_spend_raises():
 
 # --------------------------------------------------------------------------
 # solar model
+
+
+def test_funnel_matches_reference_on_random_corridors():
+    # the funnel that inlines the cross product and settles only after a
+    # chain collapses bends at exactly the same points
+    for seed in range(1500):
+        harvested, minimum = random_corridor(seed)
+        sol = taut_string(harvested, minimum)
+        vertices, contacts = reference_taut_string(harvested, minimum)
+        assert sol.vertices == vertices
+        assert tuple((c.time, c.value, c.kind) for c in sol.contacts) == contacts
+
+
+def test_funnel_matches_reference_on_long_trains():
+    rng = random.Random(3)
+    for n in (200, 800):
+        t, packets = 0.0, []
+        for _ in range(n):
+            packets.append((t, rng.uniform(0.3, 3.0)))
+            t += rng.uniform(0.3, 2.0)
+        harvested = from_packet_arrivals(packets, t)
+        capacity = max(e for _, e in packets) + 0.5
+        for minimum in (
+            zero_curve(t),
+            min_energy_from_battery(harvested, BatterySchedule.constant(capacity, t)),
+        ):
+            sol = taut_string(harvested, minimum)
+            vertices, contacts = reference_taut_string(harvested, minimum)
+            assert sol.vertices == vertices
+            assert tuple((c.time, c.value, c.kind) for c in sol.contacts) == contacts
 
 
 def test_solar_departure_and_endpoint():
