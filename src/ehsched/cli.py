@@ -35,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -806,7 +807,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> _Parser:
+    """The argument parser, built once: building it costs ten times a parse."""
     parser = _Parser(
         prog="ehsched",
         description="Throughput-optimal energy-harvesting transmit schedules.",
@@ -829,8 +832,11 @@ def main(argv: list[str] | None = None) -> int:
     p_demo = sub.add_parser("demo", help="run a built-in example scenario")
     p_demo.add_argument("name", choices=sorted(DEMO_SCENARIOS))
     _add_common(p_demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "demo":
             scenario, stem = DEMO_SCENARIOS[args.name], args.name

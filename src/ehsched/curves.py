@@ -113,48 +113,6 @@ class PiecewiseCurve:
         t1, v1, _ = self.breakpoints[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def sample(self, times: Iterable[float]) -> tuple[list[float], list[float]]:
-        """``eval_left`` and ``eval`` at non-decreasing ``times``, as two lists.
-
-        One cursor walk over the breakpoints instead of a bisection per
-        point: O(len(times) + pieces).  The domain check, the clamp and the
-        interpolation are those of the scalar methods, so every value is
-        bit-identical to theirs.
-        """
-        horizon = self.horizon
-        tol = DEFAULT_TOL * max(1.0, abs(horizon))
-        bps = self.breakpoints
-        last = len(bps) - 1
-        i = 0
-        t0, vl0, v0 = bps[0]
-        t1, v1, _ = bps[1]
-        top = horizon + tol
-        prev = -math.inf
-        left: list[float] = []
-        right: list[float] = []
-        for t in times:
-            if not -tol <= t <= top:
-                raise ValueError(f"t={t} outside the curve domain [0, {horizon}]")
-            if t < prev:
-                raise ValueError(f"sample times decrease: {t} after {prev}")
-            prev = t
-            if t < 0.0:
-                t = 0.0
-            elif t > horizon:
-                t = horizon
-            while t >= t1 and i < last:
-                i += 1
-                t0, vl0, v0 = bps[i]
-                t1, v1, _ = bps[i + 1] if i < last else bps[i]
-            if t == t0:
-                left.append(vl0)
-                right.append(v0)
-            else:
-                v = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-                left.append(v)
-                right.append(v)
-        return left, right
-
 
 def _limits(
     curve: PiecewiseCurve, times: Sequence[float]
@@ -164,9 +122,9 @@ def _limits(
     ``times`` must be sorted and contain every breakpoint time of the curve
     (as :func:`merge_times` of it and other curves on the same horizon does),
     so each time either is the next breakpoint or lies strictly inside the
-    piece ending there.  That makes the walk free of the domain, order and
-    clamp checks of :meth:`PiecewiseCurve.sample`; the interpolation is the
-    same expression, so the values are bit-identical.
+    piece ending there.  That makes the walk free of the domain and clamp
+    checks of :meth:`PiecewiseCurve.eval`; the interpolation is the same
+    expression, so the values are bit-identical.
     """
     bps = curve.breakpoints
     # the sentinel after the horizon is never reached

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,11 @@ import numpy as np
 from .curves import (
     DEFAULT_TOL,
     CumulativeCurve,
+    PiecewiseCurve,
     PowerSchedule,
+    _limits,
     corridor_gates,
+    merge_times,
     zero_curve,
 )
 from .leakage import LeakageProblem
@@ -220,6 +225,67 @@ def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
     return float(value.max())
 
 
+# The corridor of the last random_feasible_schedule call, since a dominance
+# sweep draws many rivals from one corridor: (harvested ref, minimum ref or
+# None, knots, H(T^-)).  The curves are held by weak reference and the entry
+# goes when either of them dies, so no curve or knot list outlives its caller.
+# Each call reads the entry once and returns the corridor of its own curves,
+# so threads that race here at worst build one corridor twice.
+_last_corridor: tuple | None = None
+
+
+def _refers(ref: weakref.ref | None, curve: CumulativeCurve | None) -> bool:
+    return ref is None if curve is None else ref is not None and ref() is curve
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last_corridor
+    last = _last_corridor
+    if last is not None and (last[0] is ref or last[1] is ref):
+        _last_corridor = None
+
+
+def _corridor_knots(
+    harvested: CumulativeCurve, minimum: CumulativeCurve | None
+) -> tuple[tuple[tuple[float, float, float], ...], float]:
+    """``(t, min(M(t), H(T^-)), min(H(t^-), H(T^-)))`` at the merged
+    breakpoint times strictly inside the horizon, and ``H(T^-)``.
+
+    Remembers the last corridor by the identity of its curves; a corridor
+    :func:`corridor_gates` refuses is never remembered, so it raises
+    :class:`InfeasibleError` on every call.
+    """
+    global _last_corridor
+    last = _last_corridor
+    if last is not None and _refers(last[0], harvested) and _refers(last[1], minimum):
+        return last[2], last[3]
+    floor = zero_curve(harvested.horizon) if minimum is None else minimum
+    end_value = corridor_gates(harvested, floor)[1]
+    times = merge_times(harvested, floor)
+    floors = _limits(floor, times)[1]
+    ceilings = _limits(harvested, times)[0]
+    knots = tuple(
+        (t, min(lo, end_value), min(hi, end_value))
+        for t, lo, hi in zip(times[1:-1], floors[1:-1], ceilings[1:-1])
+    )
+    _last_corridor = (
+        weakref.ref(harvested, _forget),
+        None if minimum is None else weakref.ref(minimum, _forget),
+        knots,
+        end_value,
+    )
+    return knots, end_value
+
+
+def _inside(curve: PiecewiseCurve, t: float) -> float:
+    """``curve.eval(t)`` at a time strictly inside one of its pieces, by the
+    same interpolation."""
+    i = bisect_right(curve.times, t) - 1
+    t0, _, v0 = curve.breakpoints[i]
+    t1, v1, _ = curve.breakpoints[i + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
 def random_feasible_schedule(
     harvested: CumulativeCurve,
     minimum: CumulativeCurve | None = None,
@@ -228,28 +294,33 @@ def random_feasible_schedule(
     """Seeded random feasible schedule spending everything by the horizon.
 
     Used for dominance sweeps: any feasible schedule's throughput must be
-    bounded by the taut-string optimum.
+    bounded by the taut-string optimum.  The path runs through the merged
+    breakpoints and three random knots, each drawn uniformly between the
+    floor (or the previous knot's value) and the ceiling.
     """
-    if minimum is None:
-        minimum = zero_curve(harvested.horizon)
     # raises InfeasibleError if the corridor is unusable
-    gates, end_value = corridor_gates(harvested, minimum)
+    corridor, end_value = _corridor_knots(harvested, minimum)
     rng = random.Random(seed)
     horizon = harvested.horizon
-    knots = sorted(
-        {t for t, _, _ in gates}
-        | {rng.uniform(0.0, horizon) for _ in range(3)}
-    )
-    floors = minimum.sample(knots)[1]
-    ceilings = harvested.sample(knots)[0]
+    knots = list(corridor)
+    for t in {rng.uniform(0.0, horizon) for _ in range(3)}:
+        # the path is pinned at both ends
+        if not 0.0 < t < horizon:
+            continue
+        i = bisect_left(knots, (t,))
+        if i < len(knots) and knots[i][0] == t:
+            continue
+        # t is no breakpoint of either curve, so both are linear there
+        floor = 0.0 if minimum is None else _inside(minimum, t)
+        ceiling = _inside(harvested, t)
+        knots.insert(i, (t, min(floor, end_value), min(ceiling, end_value)))
     points = [(0.0, 0.0)]
     prev = 0.0
-    for t, floor, ceiling in zip(knots, floors, ceilings):
-        if t in (0.0, horizon):
-            continue
-        lo = max(min(floor, end_value), prev)
-        hi = max(min(ceiling, end_value), lo)
-        prev = rng.uniform(lo, hi)
+    uniform = rng.uniform
+    for t, floor, ceiling in knots:
+        lo = max(floor, prev)
+        hi = max(ceiling, lo)
+        prev = uniform(lo, hi)
         points.append((t, prev))
     points.append((horizon, end_value))
     segments = tuple(

@@ -123,7 +123,7 @@ def chord_certificate(
 # --------------------------------------------------------------------------
 # point-by-point references for the corridor helpers
 #
-# The library reads curves through one PiecewiseCurve.sample walk; these are
+# The library reads curves in one merged walk (curves._limits); these are
 # the earlier versions, which evaluate every curve one point at a time.  They
 # must agree with the library exactly.
 

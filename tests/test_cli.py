@@ -266,6 +266,24 @@ def test_argparse_errors_exit_1(argv):
     assert excinfo.value.code == 1
 
 
+def test_main_runs_repeatedly_in_one_process(tmp_path):
+    # main parses with one parser built on first use; no call may leak an
+    # option value or a failure into the next
+    cli._parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "dying-battery", "--no-such-flag"])
+        assert excinfo.value.code == 1
+    grids = []
+    for out, extra in (("coarse", ["--grid", "10x10"]), ("default", [])):
+        # 10x10 misses the gap tolerance (exit 1), but still writes its report
+        argv = ["verify", "dying-battery", "--format", "json", *extra]
+        main([*argv, "--out", str(tmp_path / out)])
+        grid = load_report(tmp_path / out, "dying-battery")["verification"]["grid"]
+        grids.append((grid["time_slots"], grid["energy_levels"]))
+    assert grids == [(10, 10), (400, 400)]
+
+
 @pytest.mark.parametrize("grid", ["200x200", "400x400", "800x800"])
 @pytest.mark.parametrize("mode", ["p2p", "broadcast"])
 def test_verify_pinched_corridor(tmp_path, mode, grid):

@@ -87,7 +87,7 @@ def test_eval_outside_domain_raises():
 
 
 # --------------------------------------------------------------------------
-# PiecewiseCurve.sample
+# PiecewiseCurve.eval
 
 
 @st.composite
@@ -118,41 +118,42 @@ def battery_schedules(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(jump_curves(), battery_schedules()), st.data())
-def test_sample_matches_scalar_eval(curve, data):
+def test_eval_reads_its_own_piece(curve, data):
     T = curve.horizon
     tol = DEFAULT_TOL * max(1.0, T)
-    candidates = [0.0, T, -0.5 * tol, T + 0.5 * tol]
-    candidates += curve.times
-    candidates += [0.5 * (a + b) for a, b in zip(curve.times, curve.times[1:])]
-    candidates += data.draw(st.lists(st.floats(0.0, T), max_size=5))
-    times = sorted(data.draw(st.lists(st.sampled_from(candidates), max_size=30)))
-    left, right = curve.sample(times)
-    assert left == [curve.eval_left(t) for t in times]
-    assert right == [curve.eval(t) for t in times]
+    bps = curve.breakpoints
+    for t, vl, vr in bps:
+        assert (curve.eval_left(t), curve.eval(t)) == (vl, vr)
+    # within the tolerance outside the domain, eval clamps to its ends
+    assert curve.eval_left(-0.5 * tol) == bps[0][1]
+    assert curve.eval(T + 0.5 * tol) == bps[-1][2]
+    inside = [0.5 * (a + b) for a, b in zip(curve.times, curve.times[1:])]
+    inside += data.draw(st.lists(st.floats(0.0, T), max_size=5))
+    for t in inside:
+        if t in curve.times:
+            continue
+        (t0, _, v0), (t1, v1, _) = next(
+            (a, b) for a, b in zip(bps, bps[1:]) if a[0] < t < b[0]
+        )
+        expected = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        assert curve.eval_left(t) == curve.eval(t) == expected
 
     outside = data.draw(st.sampled_from((-10.0 * tol, T + 10.0 * tol)))
     with pytest.raises(ValueError, match="outside the curve domain"):
         curve.eval(outside)
-    with pytest.raises(ValueError, match="outside the curve domain"):
-        curve.sample(sorted([*times, outside]))
 
 
-def test_sample_rejects_decreasing_times():
+def test_eval_limits_at_a_staircase_jump():
     stairs = from_packet_arrivals([(0.0, 2.0), (2.0, 2.0)], 4.0)
-    assert stairs.sample([0.0, 2.0, 2.0, 3.0]) == (
-        [0.0, 2.0, 2.0, 4.0],
-        [2.0, 4.0, 4.0, 4.0],
-    )
-    with pytest.raises(ValueError, match="sample times decrease"):
-        stairs.sample([1.0, 0.5])
+    times = [0.0, 2.0, 2.0, 3.0]
+    assert [stairs.eval_left(t) for t in times] == [0.0, 2.0, 2.0, 4.0]
+    assert [stairs.eval(t) for t in times] == [2.0, 4.0, 4.0, 4.0]
 
 
 def test_nan_time_is_outside_the_domain():
     stairs = from_packet_arrivals([(0.0, 2.0), (2.0, 2.0)], 4.0)
     with pytest.raises(ValueError, match="outside the curve domain"):
         stairs.eval(float("nan"))
-    with pytest.raises(ValueError, match="outside the curve domain"):
-        stairs.sample([1.0, float("nan")])
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from conftest import (
 )
 
 from ehsched import (
+    BatterySchedule,
     CumulativeCurve,
     GridInfeasibleError,
     GridSpec,
@@ -24,12 +29,15 @@ from ehsched import (
     dp_throughput,
     dying_battery_scenario,
     from_packet_arrivals,
+    integrate_rate,
+    min_energy_from_battery,
     random_feasible_schedule,
     solar_harvest_rate,
     taut_string,
     throughput,
     zero_curve,
 )
+from ehsched import oracle
 
 GRID = GridSpec(200, 200, 16.0)
 
@@ -240,5 +248,107 @@ def test_random_schedules_never_beat_the_string():
 def test_random_schedule_rejects_infeasible_pair():
     harvested = from_packet_arrivals([(0.0, 1.0)], 4.0)
     minimum = from_packet_arrivals([(2.0, 2.0)], 4.0)
-    with pytest.raises(InfeasibleError):
-        random_feasible_schedule(harvested, minimum, seed=0)
+    # on every call: a refused corridor is never remembered, and a feasible
+    # corridor in between changes nothing
+    for _ in range(3):
+        with pytest.raises(InfeasibleError):
+            random_feasible_schedule(harvested, minimum, seed=0)
+        random_feasible_schedule(harvested, seed=0)
+
+
+def _train() -> CumulativeCurve:
+    return from_packet_arrivals(
+        [(0.5 * k, 1.0 + (7 * k % 5) * 0.4) for k in range(40)], 21.0
+    )
+
+
+# each builder returns a fresh (harvested, minimum) pair, so every call is a
+# corridor the oracle has not seen
+RIVAL_CORRIDORS = {
+    "dying-bank": lambda: dying_battery_scenario(
+        [2.0, 1.5, 3.0, 0.5], [1.0, 2.5, 4.0, 6.0]
+    ),
+    "capped-train": lambda: (
+        _train(),
+        min_energy_from_battery(_train(), BatterySchedule.constant(3.5, 21.0)),
+    ),
+    "packets-no-floor": lambda: (
+        from_packet_arrivals([(0.0, 2.0), (1.0, 3.0), (2.5, 0.5), (4.0, 1.25)], 6.0),
+        None,
+    ),
+    "solar-64": lambda: (
+        integrate_rate(solar_harvest_rate, 24.0, resolution=64),
+        zero_curve(24.0),
+    ),
+}
+
+
+def _rivals(harvested, minimum, seeds=range(64)) -> list[tuple]:
+    return [
+        random_feasible_schedule(harvested, minimum, seed=seed).segments
+        for seed in seeds
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("dying-bank", "3f7b6968c19c1d7e272e4c1864a47b298934cdbed2e174751765f89cff2fbd82"),
+        ("capped-train", "98458e458cf97f71536d414304e1919963498711bbc292ae37d199337fe88c6e"),
+        ("packets-no-floor", "4eea9bf08d5fa4354abf5b7911817c51fcc921331f4b9bd1cb9b0cd29e39b1c5"),
+        ("solar-64", "aa7ea78bedf6c21f6aecdb7ef1d98d391bef0a0017758c728a61a3d8481916a8"),
+    ],
+)
+def test_rival_stream_is_pinned(name, digest):
+    # sha256 of the segments of seeds 0-63, taken from the implementation that
+    # rebuilt and re-sampled the corridor for every rival
+    rivals = _rivals(*RIVAL_CORRIDORS[name]())
+    assert hashlib.sha256("".join(map(repr, rivals)).encode()).hexdigest() == digest
+
+
+def test_rival_draw_on_a_breakpoint():
+    # the second draw of seed 5 is a packet time, so it adds no knot
+    harvested = from_packet_arrivals(
+        [(0.0, 2.0), (4.450721935564376, 3.0), (4.5, 1.0)], 6.0
+    )
+    assert random_feasible_schedule(harvested, seed=5).segments == (
+        (0.0, 3.7374101693382116, 0.5043333437196331),
+        (3.7374101693382116, 4.450721935564376, 0.1193894592131181),
+        (4.450721935564376, 4.5, 56.71056992524322),
+        (4.5, 4.77116139339418, 0.13214130570128244),
+        (4.77116139339418, 6.0, 0.9761402192619999),
+    )
+
+
+def test_rivals_of_alternating_corridors_match_fresh_calls():
+    a = RIVAL_CORRIDORS["capped-train"]()
+    b = RIVAL_CORRIDORS["dying-bank"]()
+    fresh_a = [
+        random_feasible_schedule(*RIVAL_CORRIDORS["capped-train"](), seed=seed).segments
+        for seed in range(8)
+    ]
+    fresh_b = [
+        random_feasible_schedule(*RIVAL_CORRIDORS["dying-bank"](), seed=seed).segments
+        for seed in range(8)
+    ]
+    for pair, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
+        assert _rivals(*pair, seeds=range(8)) == fresh
+    # the same harvest under another floor is another corridor
+    assert _rivals(a[0], None, seeds=range(8)) != fresh_a
+
+
+def test_rivals_without_a_floor_match_the_zero_floor():
+    harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 3.0), (2.5, 0.5)], 5.0)
+    zero = zero_curve(5.0)
+    assert _rivals(harvested, None) == _rivals(harvested, zero)
+    assert _rivals(harvested, zero) == _rivals(harvested, None)
+
+
+def test_random_schedule_keeps_no_curve_alive():
+    harvested, minimum = RIVAL_CORRIDORS["capped-train"]()
+    random_feasible_schedule(harvested, minimum, seed=0)
+    refs = weakref.ref(harvested), weakref.ref(minimum)
+    del harvested, minimum
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert oracle._last_corridor is None
