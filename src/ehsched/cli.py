@@ -802,9 +802,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=1024,
         help="grid cells for sampled harvest curves (default: 1024)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized verification"
-    )
 
 
 @cache
@@ -826,6 +823,9 @@ def _parser() -> _Parser:
     p_verify.add_argument("scenario", nargs="+")
     p_verify.add_argument(
         "--grid", default="400x400", help='oracle grid "TIMExLEVELS" (default 400x400)'
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="seed of the dominance sweep (default: 0)"
     )
     _add_common(p_verify)
 

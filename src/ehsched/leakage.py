@@ -21,13 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .curves import (
-    CumulativeCurve,
-    PiecewiseCurve,
-    PowerSchedule,
-    _limits,
-    merge_times,
-)
+from .curves import CumulativeCurve, PiecewiseCurve, PowerSchedule
 from .rate import RateFunction, throughput
 
 __all__ = [
@@ -347,17 +341,18 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
         {0.0, horizon} | set(arrivals) | {t for seg in segments for t in seg[:2]}
     )
 
-    points = [(0.0, 0.0, 0.0)]  # (t, transmitted, leaked)
+    cur = 0.0
+    charge = harvested = arrivals[0.0]
+    # (t, transmitted, leaked, harvested before and after an arrival at t)
+    points = [(0.0, 0.0, 0.0, 0.0, harvested)]
     tx = 0.0
     lk = 0.0
     infeasible_at: float | None = None
 
     def record(t: float) -> None:
         if t > points[-1][0]:
-            points.append((t, tx, lk))
+            points.append((t, tx, lk, harvested, harvested))
 
-    cur = 0.0
-    charge = arrivals[0.0]
     k = 0  # the segment in effect at ``cur``
     for nxt in times[1:]:
         while k < len(segments) and segments[k][1] <= cur:
@@ -379,7 +374,12 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
             charge = 0.0
             cur = nxt
             record(cur)
-        charge += arrivals.get(nxt, 0.0)
+        credit = arrivals.get(nxt)
+        if credit is not None:
+            charge += credit
+            harvested += credit
+            # every arrival time is in ``times``, so the last point is at nxt
+            points[-1] = points[-1][:4] + (harvested,)
     if problem.deadline is None and charge > tol and eps > 0.0:
         # no deadline: the charge left after the last event leaks away
         horizon = cur + charge / eps
@@ -389,31 +389,11 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     # the event loop only adds non-negative amounts and records strictly
     # increasing times from 0 to the horizon, so these curves need no checks
     transmitted = CumulativeCurve._trusted(
-        tuple((t, v, v) for t, v, _ in points), horizon
+        tuple((t, v, v) for t, v, _, _, _ in points), horizon
     )
-    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v in points), horizon)
-    # the validated packets' staircase, built here because a leak too small
-    # to empty the battery in floating point leaves an infinite horizon
-    h_bps = []
-    cum = 0.0
-    for t, e in problem.packets:
-        h_bps.append((t, cum, cum + e))
-        cum += e
-    if horizon > h_bps[-1][0]:
-        h_bps.append((horizon, cum, cum))
-    harvested = CumulativeCurve._trusted(tuple(h_bps), horizon)
-    merged = merge_times(harvested, leaked)
-    h_left, h_right = _limits(harvested, merged)
-    k_left, k_right = _limits(leaked, merged)
+    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v, _, _ in points), horizon)
     usable = PiecewiseCurve._trusted(
-        tuple(
-            zip(
-                merged,
-                [h - k for h, k in zip(h_left, k_left)],
-                [h - k for h, k in zip(h_right, k_right)],
-            )
-        ),
-        horizon,
+        tuple((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points), horizon
     )
     return LeakageTrace(
         transmitted=transmitted,

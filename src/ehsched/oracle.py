@@ -1,11 +1,18 @@
 """Independent brute-force verifiers for the solvers.
 
 The dynamic programs here know nothing about taut strings or block
-decompositions: they quantize energy, enumerate feasible spending paths, and
-return the best achievable data.  Their values are certified lower bounds on
-the true optimum that converge as the grid refines, which makes them suitable
-oracles: a solver that undercuts them is wrong, and a solver they cannot
-approach within grid error is wrong too.
+decompositions: they quantize energy, enumerate spending paths, and return
+the best achievable data.  What their values prove differs:
+
+- :func:`dp_throughput` keeps every path inside the corridor, so its value is
+  the data of a feasible schedule: a lower bound on the optimum that
+  converges as ``energy_levels`` refines (while ``power_cap`` covers the
+  optimal powers).  A solver that undercuts it, or cannot come within grid
+  error of it, is wrong.
+- :func:`dp_leakage_throughput` quantizes the leak as well as the charge, so
+  its paths are not exact replays: its value can land above the optimum, and
+  its gap need not shrink as the grid refines.  It is an estimate to compare
+  within a tolerance on both sides.
 """
 
 from __future__ import annotations
@@ -23,9 +30,7 @@ from .curves import (
     CumulativeCurve,
     PiecewiseCurve,
     PowerSchedule,
-    _limits,
     corridor_gates,
-    merge_times,
     zero_curve,
 )
 from .leakage import LeakageProblem
@@ -248,8 +253,8 @@ def _forget(ref: weakref.ref) -> None:
 def _corridor_knots(
     harvested: CumulativeCurve, minimum: CumulativeCurve | None
 ) -> tuple[tuple[tuple[float, float, float], ...], float]:
-    """``(t, min(M(t), H(T^-)), min(H(t^-), H(T^-)))`` at the merged
-    breakpoint times strictly inside the horizon, and ``H(T^-)``.
+    """The gates of :func:`corridor_gates` strictly inside the horizon, as
+    ``(t, min(M(t), H(t^-), H(T^-)), min(H(t^-), H(T^-)))``, and ``H(T^-)``.
 
     Remembers the last corridor by the identity of its curves; a corridor
     :func:`corridor_gates` refuses is never remembered, so it raises
@@ -260,14 +265,8 @@ def _corridor_knots(
     if last is not None and _refers(last[0], harvested) and _refers(last[1], minimum):
         return last[2], last[3]
     floor = zero_curve(harvested.horizon) if minimum is None else minimum
-    end_value = corridor_gates(harvested, floor)[1]
-    times = merge_times(harvested, floor)
-    floors = _limits(floor, times)[1]
-    ceilings = _limits(harvested, times)[0]
-    knots = tuple(
-        (t, min(lo, end_value), min(hi, end_value))
-        for t, lo, hi in zip(times[1:-1], floors[1:-1], ceilings[1:-1])
-    )
+    gates, end_value = corridor_gates(harvested, floor)
+    knots = tuple((t, lo, min(hi, end_value)) for t, lo, hi in gates[:-1])
     _last_corridor = (
         weakref.ref(harvested, _forget),
         None if minimum is None else weakref.ref(minimum, _forget),

@@ -31,7 +31,7 @@ from ehsched import (
     solar_harvest_rate,
     zero_curve,
 )
-from ehsched.curves import corridor_gates
+from ehsched.curves import _limits, corridor_gates
 
 RATE1 = awgn_rate(1.0)
 
@@ -232,8 +232,9 @@ def pointwise_check_feasible(
 # per-element references for the solver internals
 #
 # The library evaluates the rate once per schedule, runs the funnel with the
-# cross product inlined, and finds leakage blocks with one stack pass; these
-# are the earlier versions, which the library must match exactly.
+# cross product inlined, finds leakage blocks with one stack pass, and reads a
+# replay's harvest from its own event loop; these are the earlier versions,
+# which the library must match exactly.
 
 
 def reference_throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
@@ -334,6 +335,34 @@ def reference_decompose_blocks(
         blocks.append((i, best_k, max(p_opt, best_avg - epsilon), start_t, end_t))
         i = best_k + 1
     return blocks
+
+
+def reference_usable(
+    problem: LeakageProblem, leaked: CumulativeCurve
+) -> tuple[tuple[float, float, float], ...]:
+    """Breakpoints of a replay's harvest minus its leak: the packets'
+    staircase and the leak curve read at their merged breakpoints.  The
+    staircase is built by hand because the horizon of a replay whose leak is
+    too small to empty the battery in floating point is infinite."""
+    horizon = leaked.horizon
+    bps = []
+    cum = 0.0
+    for t, e in problem.packets:
+        bps.append((t, cum, cum + e))
+        cum += e
+    if horizon > bps[-1][0]:
+        bps.append((horizon, cum, cum))
+    harvested = CumulativeCurve._trusted(tuple(bps), horizon)
+    merged = merge_times(harvested, leaked)
+    h_left, h_right = _limits(harvested, merged)
+    k_left, k_right = _limits(leaked, merged)
+    return tuple(
+        zip(
+            merged,
+            [h - k for h, k in zip(h_left, k_left)],
+            [h - k for h, k in zip(h_right, k_right)],
+        )
+    )
 
 
 def assert_rebuilds(curve) -> None:

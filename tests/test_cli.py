@@ -256,7 +256,16 @@ def test_bad_arguments_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["frobnicate"], [], ["demo", "no-such-demo"], ["demo"]]
+    "argv",
+    [
+        ["frobnicate"],
+        [],
+        ["demo", "no-such-demo"],
+        ["demo"],
+        # --seed seeds verify's dominance sweep, which solve and demo never run
+        ["solve", "dying-battery", "--seed", "1"],
+        ["demo", "dying-battery", "--seed", "1"],
+    ],
 )
 def test_argparse_errors_exit_1(argv):
     # argparse-level failures surface as SystemExit(1), not SystemExit(2):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
     random_leakage_problem,
     random_packets,
     reference_decompose_blocks,
+    reference_usable,
 )
 
 from ehsched import (
@@ -369,9 +370,12 @@ def replays(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(replays())
+# a leak too small to empty the battery in floating point: the horizon is inf
+@example((PowerSchedule(((0.0, 1.0, 0.0),)), LeakageProblem(((0.0, 1.0),), 5e-324, None, RATE1)))
 def test_simulate_replay_invariants(case):
     schedule, problem = case
     trace = simulate(schedule, problem)
+    assert trace.usable.breakpoints == reference_usable(problem, trace.leaked)
     horizon = trace.transmitted.horizon
     asked = schedule.energy_curve(horizon)
     total = problem.total_energy + asked.eval(horizon)
@@ -429,6 +433,7 @@ def test_trace_curves_equal_their_validating_rebuild():
             trace = simulate(schedule, problem)
             for curve in (trace.transmitted, trace.leaked, trace.usable):
                 assert_rebuilds(curve)
+            assert trace.usable.breakpoints == reference_usable(problem, trace.leaked)
 
 
 # --------------------------------------------------------------------------

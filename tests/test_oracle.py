@@ -238,11 +238,15 @@ def test_random_schedule_spends_everything():
 
 
 def test_random_schedules_never_beat_the_string():
-    harvested, minimum = dying_battery_scenario([2.0, 2.0], [1.0, 4.0])
-    best = taut_string(harvested, minimum, rate=RATE1).total_data
-    for seed in range(200):
-        sched = random_feasible_schedule(harvested, minimum, seed=seed)
-        assert throughput(sched, RATE1) <= best + 1e-9
+    corridors = [dying_battery_scenario([2.0, 2.0], [1.0, 4.0])]
+    corridors += [build() for build in RIVAL_CORRIDORS.values()]
+    for harvested, minimum in corridors:
+        floor = zero_curve(harvested.horizon) if minimum is None else minimum
+        best = taut_string(harvested, floor, rate=RATE1).total_data
+        for seed in range(200):
+            sched = random_feasible_schedule(harvested, minimum, seed=seed)
+            assert check_feasible(sched, floor, harvested).feasible
+            assert throughput(sched, RATE1) <= best + 1e-9
 
 
 def test_random_schedule_rejects_infeasible_pair():
@@ -260,6 +264,14 @@ def _train() -> CumulativeCurve:
     return from_packet_arrivals(
         [(0.5 * k, 1.0 + (7 * k % 5) * 0.4) for k in range(40)], 21.0
     )
+
+
+def _touching_floor() -> tuple[CumulativeCurve, CumulativeCurve]:
+    # the overflow floor at t=0.49 is 0.4600000000000001, one rounding above
+    # the 0.46 harvested before the jump there; corridor_gates accepts it
+    harvested = from_packet_arrivals([(0.0, 0.46), (0.49, 0.67)], 1.84)
+    battery = BatterySchedule.constant(0.67, 1.84)
+    return harvested, min_energy_from_battery(harvested, battery)
 
 
 # each builder returns a fresh (harvested, minimum) pair, so every call is a
@@ -280,6 +292,7 @@ RIVAL_CORRIDORS = {
         integrate_rate(solar_harvest_rate, 24.0, resolution=64),
         zero_curve(24.0),
     ),
+    "touching-floor": _touching_floor,
 }
 
 
@@ -304,6 +317,13 @@ def test_rival_stream_is_pinned(name, digest):
     # rebuilt and re-sampled the corridor for every rival
     rivals = _rivals(*RIVAL_CORRIDORS[name]())
     assert hashlib.sha256("".join(map(repr, rivals)).encode()).hexdigest() == digest
+
+
+def test_rival_knots_clamp_a_touching_floor_to_the_ceiling():
+    # the knot floor is the gate's min(M, H^-, H(T^-)), so a rival's path
+    # reaches at most the energy harvested before the jump (up to the
+    # rounding of its segment powers)
+    assert oracle._corridor_knots(*_touching_floor())[0] == ((0.49, 0.46, 0.46),)
 
 
 def test_rival_draw_on_a_breakpoint():
