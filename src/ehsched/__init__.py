@@ -58,6 +58,7 @@ from .string_solver import (
     CertificateReport,
     Contact,
     StringSolution,
+    dual_bound,
     optimality_certificate,
     solve_solar,
     taut_string,
@@ -91,6 +92,7 @@ __all__ = [
     "CertificateReport",
     "Contact",
     "StringSolution",
+    "dual_bound",
     "optimality_certificate",
     "solve_solar",
     "taut_string",

@@ -23,9 +23,10 @@ are harvest-rate values at uniform times from 0 to the deadline, linearly
 interpolated in between.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
-additionally runs the brute-force oracles and records the gap, and ``demo``
-runs one of the built-in scenarios.  Exit status: 0 success, 1 invalid
-input/arguments, 2 infeasible instance.
+additionally checks the answer against the dual bound (leakage: the grid DP)
+and records the gap, and ``demo`` runs one of the built-in scenarios.  Exit
+status: 0 success, 1 invalid input/arguments or a failed verification, 2
+infeasible instance.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .curves import (
     InfeasibleError,
     PiecewiseCurve,
     PowerSchedule,
+    check_feasible,
     from_packet_arrivals,
     integrate_rate,
     min_energy_from_battery,
@@ -63,21 +65,21 @@ from .leakage import (
     solve_n_packet,
     sufficient_condition_holds,
 )
-from .oracle import (
-    GridInfeasibleError,
-    GridSpec,
-    dp_leakage_throughput,
-    dp_throughput,
-    random_feasible_schedule,
-)
-from .rate import RateFunction, awgn_rate, throughput
-from .string_solver import taut_string
+from .oracle import GridInfeasibleError, GridSpec, dp_leakage_throughput
+from .rate import RateFunction, awgn_rate
+from .string_solver import dual_bound, taut_string
 
 __all__ = ["main", "DEMO_SCENARIOS", "REPORT_SCHEMA"]
 
-#: Relative oracle-gap tolerances checked by ``verify``.
-P2P_GAP_TOLERANCE = 0.005
+#: Bounds on the relative gap ``(U - data) / data`` that ``verify`` accepts
+#: between the dual bound and the solver: below the floor, the bound itself
+#: was computed wrongly.
+DUAL_GAP_TOLERANCE = 1e-9
+DUAL_GAP_FLOOR = -1e-12
+#: Largest ``|data - oracle| / data`` accepted against the leakage grid DP.
 LEAKAGE_GAP_TOLERANCE = 0.01
+# read by the benchmark's grid-DP and rival checks; verify uses neither
+P2P_GAP_TOLERANCE = 0.005
 DOMINANCE_SWEEPS = 64
 
 DEMO_SCENARIOS: dict[str, dict] = {
@@ -195,16 +197,24 @@ REPORT_SCHEMA = {
         "infeasible_at": {"type": ["number", "null"]},
         "verification": {
             "type": "object",
-            "required": ["grid", "oracle_data", "solver_data", "relative_gap", "tolerance", "ok"],
+            "required": [
+                "method", "solver_data", "oracle_data", "relative_gap", "tolerance",
+                "ok",
+            ],
             "properties": {
+                # "dual_bound": oracle_data is the bound U (p2p, broadcast);
+                # "grid_dp": it is the leakage DP's value on "grid"
+                "method": {"enum": ["dual_bound", "grid_dp"]},
                 "grid": {"type": "object"},
                 "oracle_data": _NUMBER,
                 "solver_data": _NUMBER,
                 "relative_gap": _NUMBER,
                 "tolerance": _NUMBER,
-                "dominance": {"type": "object"},
                 "ok": {"type": "boolean"},
             },
+            "if": {"properties": {"method": {"const": "grid_dp"}}},
+            "then": {"required": ["grid"]},
+            "else": {"not": {"required": ["grid"]}},
         },
     },
 }
@@ -333,12 +343,16 @@ def _build_minimum(
 
 @dataclass(frozen=True)
 class _Solved:
-    """A report, the curves it plots, and what the verifier re-solves: the
-    corridor ``(H, M, rate)`` of a taut string, or a leakage problem."""
+    """A report, the curves it plots, and what the verifier checks: the
+    taut string's schedule in its corridor ``(schedule, H, M, rate)``, or a
+    leakage problem."""
 
     report: dict
     curves: dict[str, PiecewiseCurve]  # name -> curve, drawn in this order
-    problem: tuple[CumulativeCurve, CumulativeCurve, RateFunction] | LeakageProblem
+    problem: (
+        tuple[PowerSchedule, CumulativeCurve, CumulativeCurve, RateFunction]
+        | LeakageProblem
+    )
 
 
 def _schedule_json(schedule: PowerSchedule) -> dict:
@@ -442,7 +456,7 @@ def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
         departure_time=departure,
         **fields,
     )
-    return _Solved(report, curves, (harvested, minimum, rate))
+    return _Solved(report, curves, (schedule, harvested, minimum, rate))
 
 
 def _solve_leakage(scenario: dict) -> _Solved:
@@ -510,46 +524,48 @@ def _solve_scenario(scenario: dict, resolution: int) -> _Solved:
 # verification
 
 
-def _verify(solved: _Solved, grid_arg: str, seed: int) -> dict:
+def _verify(solved: _Solved, grid_arg: str) -> dict:
     time_slots, energy_levels = _parse_grid(grid_arg)
-    max_power = max(s["power"] for s in solved.report["schedule"]["segments"])
-    cap = 4.0 * max(max_power, 0.25) + 1.0
-    grid = GridSpec(time_slots, energy_levels, cap)
     solver_data = solved.report["total_data"]
-    excess, dominance = 0.0, {}
+    scale = max(abs(solver_data), 1e-12)
     if isinstance(solved.problem, LeakageProblem):
         if solved.problem.deadline is None:
             raise ValueError("verify needs a bounded deadline in leakage mode")
-        oracle = dp_leakage_throughput(solved.problem, grid)
-        tolerance = LEAKAGE_GAP_TOLERANCE
+        max_power = max(s["power"] for s in solved.report["schedule"]["segments"])
+        cap = 4.0 * max(max_power, 0.25) + 1.0
+        oracle = dp_leakage_throughput(
+            solved.problem, GridSpec(time_slots, energy_levels, cap)
+        )
+        gap = (solver_data - oracle) / scale
         # the leak quantization can land the DP slightly above the true
         # optimum, so the gap check is two-sided
-        lowest = -tolerance
+        ok = abs(gap) <= LEAKAGE_GAP_TOLERANCE
+        fields = {
+            "method": "grid_dp",
+            "grid": {
+                "time_slots": time_slots,
+                "energy_levels": energy_levels,
+                "power_cap": cap,
+            },
+            "tolerance": LEAKAGE_GAP_TOLERANCE,
+        }
     else:
-        harvested, minimum, rate = solved.problem
-        oracle = dp_throughput(harvested, minimum, rate, grid)
-        tolerance = P2P_GAP_TOLERANCE
-        for k in range(DOMINANCE_SWEEPS):
-            sched = random_feasible_schedule(harvested, minimum, seed=seed + k)
-            excess = max(excess, throughput(sched, rate) - solver_data)
-        dominance = {"dominance": {"schedules": DOMINANCE_SWEEPS, "max_excess": excess}}
-        # this DP is a lower bound: it may only undershoot, and at most by the
-        # quantization tolerance
-        lowest = -1e-9
-    gap = (solver_data - oracle) / max(abs(solver_data), 1e-12)
-    ok = excess <= 1e-9 * max(1.0, abs(solver_data)) and lowest <= gap <= tolerance
+        schedule, harvested, minimum, rate = solved.problem
+        # weak duality puts every feasible schedule at or below the bound, so
+        # a feasible schedule that meets it is optimal
+        oracle = dual_bound(schedule, harvested, minimum, rate)
+        gap = (oracle - solver_data) / scale
+        ok = (
+            check_feasible(schedule, minimum, harvested).feasible
+            and DUAL_GAP_FLOOR <= gap <= DUAL_GAP_TOLERANCE
+        )
+        fields = {"method": "dual_bound", "tolerance": DUAL_GAP_TOLERANCE}
     return {
-        "grid": {
-            "time_slots": time_slots,
-            "energy_levels": energy_levels,
-            "power_cap": cap,
-        },
         "solver_data": solver_data,
         "oracle_data": oracle,
         "relative_gap": gap,
-        "tolerance": tolerance,
-        "ok": bool(ok),
-        **dominance,
+        "ok": ok,
+        **fields,
     }
 
 
@@ -818,14 +834,13 @@ def _parser() -> _Parser:
     _add_common(p_solve)
 
     p_verify = sub.add_parser(
-        "verify", help="solve and compare against the brute-force oracle"
+        "verify", help="solve and check the answer (dual bound; leakage: grid DP)"
     )
     p_verify.add_argument("scenario", nargs="+")
     p_verify.add_argument(
-        "--grid", default="400x400", help='oracle grid "TIMExLEVELS" (default 400x400)'
-    )
-    p_verify.add_argument(
-        "--seed", type=int, default=0, help="seed of the dominance sweep (default: 0)"
+        "--grid",
+        default="400x400",
+        help='leakage DP grid "TIMExLEVELS" (default: 400x400)',
     )
     _add_common(p_verify)
 
@@ -854,7 +869,7 @@ def main(argv: list[str] | None = None) -> int:
         solved = _solve_scenario(scenario, args.resolution)
         verification = None
         if args.command == "verify":
-            verification = _verify(solved, args.grid, args.seed)
+            verification = _verify(solved, args.grid)
             solved = replace(
                 solved, report={**solved.report, "verification": verification}
             )
@@ -878,9 +893,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     if verification is not None:
         print(
-            "oracle: {oracle_data:.9g} bits, relative gap {relative_gap:.3%} "
-            "(tolerance {tolerance:.1%}) -> {status}".format(
-                status="ok" if verification["ok"] else "FAILED", **verification
+            "{label}: {oracle_data:.9g} bits, relative gap {relative_gap:.3g} "
+            "(tolerance {tolerance:.3g}) -> {status}".format(
+                label="bound" if verification["method"] == "dual_bound" else "oracle",
+                status="ok" if verification["ok"] else "FAILED",
+                **verification,
             )
         )
     for target in written:

@@ -14,8 +14,12 @@ funnel of two convex chains.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .curves import (
     DEFAULT_TOL,
@@ -36,6 +40,7 @@ __all__ = [
     "taut_string",
     "solve_solar",
     "optimality_certificate",
+    "dual_bound",
 ]
 
 
@@ -280,3 +285,62 @@ def optimality_certificate(
                     f"off the floor {floor:g}"
                 )
     return CertificateReport(not failures, tuple(failures), tuple(bends))
+
+
+def dual_bound(
+    schedule: PowerSchedule,
+    harvested: CumulativeCurve,
+    minimum: CumulativeCurve,
+    rate: RateFunction,
+) -> float:
+    """An upper bound on the throughput of every feasible schedule in the
+    corridor, priced by ``schedule``'s own powers.
+
+    The gates of :func:`~ehsched.curves.corridor_gates` cut ``[0, T]`` into
+    pieces of lengths ``tau_i``; ``schedule`` must keep one power ``p_i`` on
+    each piece.  Its price ``c_i = r'(p_i)`` is the water level there.  A
+    fall in the level at gate ``k`` prices its ceiling ``hi_k`` and a rise
+    prices its floor ``lo_k`` (the multipliers ``lambda_k`` and ``nu_k``),
+    and the end gate's ceiling ``H(T^-)`` carries the last level.  The
+    Lagrangian dual of the gate-constrained problem at these multipliers is
+
+        U = sum tau_i r*(c_i) + sum lambda_k hi_k - sum nu_k lo_k,
+
+    and weak duality puts every feasible schedule's throughput at or below
+    it, whatever the prices.  Because each price is a derivative of the rate
+    at ``p_i``, the conjugate ``r*(c_i) = sup_p r(p) - c_i p`` is attained at
+    ``p_i``.  The optimal schedule of directional water-filling meets the
+    bound: its level rises only on the ceiling and falls only on the floor.
+
+    The terms are summed exactly rounded (``math.fsum``), so the bound does
+    not depend on the platform's summation order.  Raises ``ValueError``
+    when the schedule does not end at the horizon or changes power between
+    two gates.
+    """
+    gates, _ = corridor_gates(harvested, minimum)
+    times, lo, hi = (np.array(column) for column in zip(*gates))
+    segments = np.array(schedule.segments)
+    ends, powers = segments[:, 1], segments[:, 2]
+    if ends[-1] != times[-1]:
+        raise ValueError(
+            f"the schedule ends at t={ends[-1]:g}, not at the horizon {times[-1]:g}"
+        )
+    steps = ends[np.flatnonzero(powers[1:] != powers[:-1])]
+    # each step is before T, so the first gate at or after it exists
+    off_gate = steps[times[np.searchsorted(times, steps)] != steps]
+    if off_gate.size:
+        raise ValueError(
+            f"the schedule changes power at t={off_gate[0]:g}, "
+            "which is not a gate of the corridor"
+        )
+    starts = np.concatenate(([0.0], times[:-1]))
+    # each piece takes the power of the segment its start lies in
+    p = powers[np.searchsorted(ends, starts, side="right")]
+    c = np.asarray(rate.deriv(p), dtype=float)
+    fall = c[:-1] - c[1:]  # lambda_k where positive, -nu_k where negative
+    terms = chain(
+        ((times - starts) * (np.asarray(rate(p), dtype=float) - c * p)).tolist(),
+        (fall * np.where(fall > 0.0, hi[:-1], lo[:-1])).tolist(),
+        (c[-1] * hi[-1],),
+    )
+    return math.fsum(terms)

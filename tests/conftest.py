@@ -242,6 +242,36 @@ def reference_throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
     return sum((t1 - t0) * float(rate(p)) for t0, t1, p in schedule.segments)
 
 
+def awgn_conjugate(price: float, noise: float = 1.0) -> float:
+    """The concave conjugate ``r*(c) = sup_{p >= 0} r(p) - c p`` of the
+    Gaussian rate ``r(p) = 0.5 log2(1 + p / noise)`` in closed form: the
+    supremum is at ``p = max(1 / (2 ln 2 c) - noise, 0)``, where ``r'(p) = c``
+    or, for prices above ``r'(0)``, at zero power."""
+    p = max(1.0 / (2.0 * math.log(2.0) * price) - noise, 0.0)
+    return 0.5 * math.log2(1.0 + p / noise) - price * p
+
+
+def reference_dual_bound(
+    gates: list[tuple[float, float, float]],
+    powers: list[float],
+    rate: RateFunction,
+    conjugate,
+) -> float:
+    """The Lagrangian bound at the prices ``c_i = r'(powers[i])`` on the
+    pieces between consecutive ``gates``, one term at a time with an
+    independent ``conjugate``: ``sum tau_i r*(c_i)``, plus ``(c_k - c_{k+1})``
+    times the ceiling where the price falls at gate ``k`` or the floor where
+    it rises, plus the last price times ``H(T^-)``."""
+    prices = [float(rate.deriv(p)) for p in powers]
+    starts = [0.0] + [t for t, _, _ in gates[:-1]]
+    total = sum(
+        (t - t0) * conjugate(c) for t0, (t, _, _), c in zip(starts, gates, prices)
+    )
+    for (_, lo, hi), c, c_next in zip(gates, prices, prices[1:]):
+        total += (c - c_next) * (hi if c > c_next else lo)
+    return total + prices[-1] * gates[-1][2]
+
+
 def _cross(o, a, b) -> float:
     """Positive iff slope(o, b) exceeds slope(o, a) (for a.x, b.x > o.x)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -371,6 +401,18 @@ def assert_rebuilds(curve) -> None:
     assert type(curve.horizon) is float
     assert all(type(x) is float for bp in curve.breakpoints for x in bp)
     assert type(curve)(curve.breakpoints, curve.horizon) == curve
+
+
+def narrow_gate_train(n: int) -> tuple[list[tuple[float, float]], float]:
+    """``n`` packets of 0.2-3.0 at gaps 0.1-1.0, cycling with coprime
+    periods, and the time one more gap after the last.  Under a 3.5 battery
+    many of its gates are narrower than the level step of a grid DP spread
+    over the whole train's energy."""
+    t, packets = 0.0, []
+    for i in range(n):
+        packets.append((t, 0.2 + 2.8 * (i * 53 % 29) / 28))
+        t += 0.1 + 0.9 * (i * 37 % 17) / 16
+    return packets, t
 
 
 def random_packets(seed: int, max_packets: int = 5) -> tuple[tuple[float, float], ...]:

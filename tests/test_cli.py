@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tangent_root
+from conftest import narrow_gate_train, tangent_root
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from ehsched import (
@@ -127,8 +127,37 @@ def test_verify_p2p_demo(tmp_path):
     assert run(tmp_path, "verify", "demo", "dying-battery", "--grid", "400x400") == 0
     verification = load_report(tmp_path, "dying-battery")["verification"]
     assert verification["ok"] is True
-    assert verification["dominance"]["max_excess"] <= 1e-9
-    assert -1e-9 <= verification["relative_gap"] <= verification["tolerance"]
+    assert verification["method"] == "dual_bound"
+    assert "grid" not in verification
+    assert verification["tolerance"] == 1e-9
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("resolution", [None, "8192"])
+def test_verify_solar_without_a_grid(tmp_path, resolution):
+    # the grid DP refused the 1024 solar pieces at its 400 time slots; the
+    # dual bound needs no grid
+    extra = [] if resolution is None else ["--resolution", resolution]
+    assert run(tmp_path, "verify", "solar", *extra) == 0
+    verification = load_report(tmp_path, "solar")["verification"]
+    assert verification["ok"] is True
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
+
+
+def test_verify_capped_train_with_narrow_gates(tmp_path):
+    # the grid DP spaced its levels over the whole stretch's energy and
+    # found this corridor empty at t=3.13125, where it is 0.5 wide
+    packets, deadline = narrow_gate_train(300)
+    scenario = {
+        "mode": "p2p",
+        "deadline": deadline,
+        "harvest": {"packets": [{"t": t, "e": e} for t, e in packets]},
+        "battery": {"constant": 3.5},
+    }
+    assert run(tmp_path, "verify", write_scenario(tmp_path, scenario)) == 0
+    verification = load_report(tmp_path, "scenario")["verification"]
+    assert verification["ok"] is True
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -262,9 +291,10 @@ def test_bad_arguments_exit_1(tmp_path):
         [],
         ["demo", "no-such-demo"],
         ["demo"],
-        # --seed seeds verify's dominance sweep, which solve and demo never run
+        # no command takes a seed: verify draws no random schedules
         ["solve", "dying-battery", "--seed", "1"],
         ["demo", "dying-battery", "--seed", "1"],
+        ["verify", "dying-battery", "--seed", "1"],
     ],
 )
 def test_argparse_errors_exit_1(argv):
@@ -284,13 +314,15 @@ def test_main_runs_repeatedly_in_one_process(tmp_path):
             main(["verify", "dying-battery", "--no-such-flag"])
         assert excinfo.value.code == 1
     grids = []
-    for out, extra in (("coarse", ["--grid", "10x10"]), ("default", [])):
-        # 10x10 misses the gap tolerance (exit 1), but still writes its report
-        argv = ["verify", "dying-battery", "--format", "json", *extra]
+    for out, extra in (("coarse", ["--grid", "40x40"]), ("default", [])):
+        # --grid sets the leakage oracle's grid; 40x40 misses the gap
+        # tolerance (exit 1), but still writes its report
+        argv = ["verify", "leakage-counterexample", "--format", "json", *extra]
         main([*argv, "--out", str(tmp_path / out)])
-        grid = load_report(tmp_path / out, "dying-battery")["verification"]["grid"]
+        report = load_report(tmp_path / out, "leakage-counterexample")
+        grid = report["verification"]["grid"]
         grids.append((grid["time_slots"], grid["energy_levels"]))
-    assert grids == [(10, 10), (400, 400)]
+    assert grids == [(40, 40), (400, 400)]
 
 
 @pytest.mark.parametrize("grid", ["200x200", "400x400", "800x800"])

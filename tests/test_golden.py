@@ -5,7 +5,10 @@ The digests were taken from the files the CLI wrote before its scenario
 parsing and report assembly were restructured, and (for the leakage
 scenario files) before the leakage replay was rewritten, and (for the two
 300-packet trains) before the JSON report writer was replaced; any change to
-a report, CSV or SVG byte shows up here.
+a report, CSV or SVG byte shows up here.  The three ``verify`` reports were
+taken again when ``verify`` moved from the grid DP and random rivals to the
+dual bound for point-to-point and broadcast: only their ``verification``
+blocks changed.
 """
 
 from __future__ import annotations
@@ -106,17 +109,17 @@ GOLDEN = {
         "33232c44e13b28557db6398403a6435777bb01061ffb6ca0bd58d56b6da71540",
     ),
     ("verify", "broadcast"): (
-        "c59aec087b6126a8804f364637bb3f24c21bade771699715e0a1d381beddd5fb",
+        "23ce0b5afbcf88801a52e6a4920c8af1e9619f8dba924592a4885093277839e5",
         "7e63da2f95eee7b68ab9f51ac7f2bcbcdf2befa79823c56a3ea278500ff1a895",
         "b1937c47bf279c993f22c91d466111a0f5303fb5edf581583c0499c6ba643fbc",
     ),
     ("verify", "dying-battery"): (
-        "57c56bfa7874fb6f5fbda452f9b48578c04cfdf396087b76c3d14d4e9bbc87f6",
+        "efb43f1f1ba9f787070489be5566e8475cb559b35c4c4d2d155ada4c5aa07785",
         "818b51d8ffc30fa7e9b15815c7f1c4017462c40d22972618fdf22aed9788c531",
         "cdf67734ea8dde6ba6563c841b3dc45c3a6ed133a25e023029fcefaf22a6b88b",
     ),
     ("verify", "leakage-counterexample"): (
-        "a8f335e0c2afbc33803d26e8214a0ca118b6d19e488bba56ada22a2648cd4f22",
+        "c8490634846b55cdd79f8fc85d9a251c598301e9ecd08ccb54766abfaef06af7",
         "48be58016fba3d24886cffe3d8d511d000ee9c927b343db8de174d0f3b928cc7",
         "fa6ef8d879a4a939367f1c254a7c7ee1aaa0e0a556f194a885117b1b3cb6e5be",
     ),

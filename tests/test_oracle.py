@@ -1,4 +1,5 @@
-"""Brute-force verifiers: DP bounds, grid maximizers, roots, random schedules."""
+"""Brute-force verifiers: DP bounds, grid maximizers, roots, random schedules,
+and the dual bound at the prices of random schedules."""
 
 from __future__ import annotations
 
@@ -11,7 +12,10 @@ import pytest
 
 from conftest import (
     RATE1,
+    awgn_conjugate,
     grid_argmax_f,
+    random_corridor,
+    reference_dual_bound,
     solar_harvested_energy,
     tangent_root,
 )
@@ -23,14 +27,17 @@ from ehsched import (
     GridSpec,
     InfeasibleError,
     LeakageProblem,
+    PowerSchedule,
     check_feasible,
     compare_ST_NT,
     dp_leakage_throughput,
     dp_throughput,
+    dual_bound,
     dying_battery_scenario,
     from_packet_arrivals,
     integrate_rate,
     min_energy_from_battery,
+    optimality_certificate,
     random_feasible_schedule,
     solar_harvest_rate,
     taut_string,
@@ -38,6 +45,7 @@ from ehsched import (
     zero_curve,
 )
 from ehsched import oracle
+from ehsched.curves import corridor_gates
 
 GRID = GridSpec(200, 200, 16.0)
 
@@ -372,3 +380,77 @@ def test_random_schedule_keeps_no_curve_alive():
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
     assert oracle._last_corridor is None
+
+
+# --------------------------------------------------------------------------
+# the dual bound at the prices of rivals
+
+
+def _on_gate_pieces(schedule, gates) -> PowerSchedule:
+    """``schedule`` moved onto the pieces between consecutive gates, each at
+    its mean power there: it spends the same energy by every gate, so it is
+    feasible when ``schedule`` is, and it sends no more data (Jensen)."""
+    spent = schedule.energy_curve(gates[-1][0])
+    segments, t0, e0 = [], 0.0, 0.0
+    for t, _, _ in gates:
+        e = spent.eval(t)
+        segments.append((t0, t, (e - e0) / (t - t0)))
+        t0, e0 = t, e
+    return PowerSchedule(tuple(segments))
+
+
+def _rival_bounds(name):
+    """For each of 200 rivals in the named corridor: the rival on the gate
+    pieces, its dual bound, and the bound from the closed-form conjugate."""
+    harvested, minimum = RIVAL_CORRIDORS[name]()
+    floor = zero_curve(harvested.horizon) if minimum is None else minimum
+    gates, _ = corridor_gates(harvested, floor)
+    best = taut_string(harvested, floor, rate=RATE1).total_data
+    for seed in range(200):
+        rival = random_feasible_schedule(harvested, minimum, seed=seed)
+        moved = _on_gate_pieces(rival, gates)
+        powers = [p for _, _, p in moved.segments]
+        yield (
+            harvested,
+            floor,
+            best,
+            moved,
+            dual_bound(moved, harvested, floor, RATE1),
+            reference_dual_bound(gates, powers, RATE1, awgn_conjugate),
+        )
+
+
+@pytest.mark.parametrize("name", sorted(RIVAL_CORRIDORS))
+def test_dual_bound_at_rival_prices_is_never_below_the_optimum(name):
+    # weak duality: every choice of prices bounds the optimum from above,
+    # and with prices taken from a schedule's own powers the conjugate is
+    # attained at those powers
+    for _, _, best, _, bound, reference in _rival_bounds(name):
+        assert (reference - best) / best >= -1e-12
+        assert abs(bound - reference) <= 1e-12 * best
+
+
+@pytest.mark.parametrize("name", sorted(set(RIVAL_CORRIDORS) - {"touching-floor"}))
+def test_dual_bound_refuses_feasible_rivals(name):
+    # the touching floor pins both of its pieces, so every rival is optimal
+    # there; in the other corridors a feasible but suboptimal schedule sits
+    # further below its own bound than verify's 1e-9
+    for harvested, floor, _, moved, bound, _ in _rival_bounds(name):
+        assert check_feasible(moved, floor, harvested).feasible
+        data = throughput(moved, RATE1)
+        assert (bound - data) / data > 1e-9
+
+
+def test_dp_string_and_dual_bound_are_ordered():
+    # the DP sends what one feasible grid schedule sends, the string is
+    # optimal, and the bound is above every feasible schedule; the KKT
+    # certificate agrees that the string is optimal
+    for seed in range(40):
+        harvested, minimum = random_corridor(seed)
+        solution = taut_string(harvested, minimum, rate=RATE1)
+        data = solution.total_data
+        assert optimality_certificate(solution, minimum, harvested).ok
+        oracle = dp_throughput(harvested, minimum, RATE1, GRID)
+        bound = dual_bound(solution.schedule, harvested, minimum, RATE1)
+        assert oracle <= data * (1.0 + 1e-12), seed
+        assert -1e-12 <= (bound - data) / data <= 1e-9, seed

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     chord_certificate,
+    narrow_gate_train,
     random_corridor,
     reference_taut_string,
     solar_harvested_energy,
@@ -24,6 +25,7 @@ from ehsched import (
     StringSolution,
     awgn_rate,
     check_feasible,
+    dual_bound,
     dying_battery_scenario,
     from_packet_arrivals,
     min_energy_from_battery,
@@ -418,3 +420,40 @@ def test_more_energy_never_lowers_data(case, data):
     before = taut_string(*_corridor(packets, horizon, capacity), rate=RATE).total_data
     after = taut_string(*_corridor(richer, horizon, capacity), rate=RATE).total_data
     assert after >= before - 1e-12 * max(1.0, before), (extra, before, after)
+
+
+# --------------------------------------------------------------------------
+# dual bound
+
+
+def test_dual_bound_needs_one_power_per_gate_piece():
+    harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 3.0)], 4.0)
+    floor = zero_curve(4.0)
+    optimal = taut_string(harvested, floor, rate=RATE)
+    assert dual_bound(optimal.schedule, harvested, floor, RATE) == pytest.approx(
+        optimal.total_data, rel=1e-12
+    )
+    # the gates are at t=1 and t=4: equal powers on both sides of t=0.5 are
+    # one piece, different ones are not
+    split = PowerSchedule(((0.0, 0.5, 1.25), (0.5, 1.0, 1.25), (1.0, 4.0, 1.25)))
+    assert dual_bound(split, harvested, floor, RATE) == dual_bound(
+        PowerSchedule.constant(1.25, 4.0), harvested, floor, RATE
+    )
+    bent = PowerSchedule(((0.0, 0.5, 1.0), (0.5, 1.0, 1.5), (1.0, 4.0, 1.25)))
+    with pytest.raises(ValueError, match=r"changes power at t=0\.5"):
+        dual_bound(bent, harvested, floor, RATE)
+    with pytest.raises(ValueError, match="not at the horizon 4"):
+        dual_bound(PowerSchedule.constant(1.25, 3.0), harvested, floor, RATE)
+
+
+def test_dual_bound_certifies_a_long_capped_train():
+    # far past the sizes any grid oracle can take
+    packets, deadline = narrow_gate_train(10_000)
+    harvested = from_packet_arrivals(packets, deadline)
+    battery = BatterySchedule.constant(3.5, deadline)
+    floor = min_energy_from_battery(harvested, battery)
+    solution = taut_string(harvested, floor, rate=RATE)
+    assert check_feasible(solution.schedule, floor, harvested).feasible
+    bound = dual_bound(solution.schedule, harvested, floor, RATE)
+    gap = (bound - solution.total_data) / solution.total_data
+    assert -1e-12 <= gap <= 1e-9
