@@ -60,7 +60,7 @@ from .curves import (
 )
 from .leakage import (
     LeakageProblem,
-    compare_ST_NT,
+    _upfront_data,
     simulate,
     solve_n_packet,
     sufficient_condition_holds,
@@ -292,8 +292,10 @@ def _build_harvest(
         # trapezoid between two given values
         cells = len(samples) - 1
         grid = deadline * np.arange(len(samples)) / cells
+        # an array once: np.interp converts a list again on every call
+        values = np.asarray(samples)
         return integrate_rate(
-            lambda t: np.interp(t, grid, samples), deadline, cells, 1
+            lambda t: np.interp(t, grid, values), deadline, cells, 1
         )
     if "named" in spec:
         if spec["named"] != "solar":
@@ -488,10 +490,10 @@ def _solve_leakage(scenario: dict) -> _Solved:
         "infeasible_at": trace.infeasible_at,
     }
     if problem.deadline is not None:
-        comparison = compare_ST_NT(problem)
+        # d_nt is this solution's data: only the upfront problem is new
         fields["comparison"] = {
-            "d_nt": comparison.d_nt,
-            "d_st": comparison.d_st,
+            "d_nt": solution.total_data,
+            "d_st": _upfront_data(problem),
             "sufficient_condition": sufficient_condition_holds(problem),
         }
     report = _report(
@@ -688,17 +690,26 @@ def _write_csv(solved: _Solved, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _svg_path(curve: PiecewiseCurve, to_xy) -> str:
-    pts = []
+#: SVG canvas width, height and margin, in pixels
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = 720, 440, 50
+
+
+def _svg_path(curve: PiecewiseCurve, horizon: float, vmax: float) -> str:
+    """The pixel points of ``curve``, by the expressions of ``to_xy`` in
+    :func:`_write_svg`, filled into one template."""
+    left, bottom = _SVG_MARGIN, _SVG_HEIGHT - _SVG_MARGIN
+    xspan, yspan = _SVG_WIDTH - 2 * _SVG_MARGIN, _SVG_HEIGHT - 2 * _SVG_MARGIN
+    coords = []
     for t, vl, vr in curve.breakpoints:
-        pts.append(to_xy(t, vl))
+        x = left + (t / horizon) * xspan
+        coords += (x, bottom - (vl / vmax) * yspan)
         if vr != vl:
-            pts.append(to_xy(t, vr))
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+            coords += (x, bottom - (vr / vmax) * yspan)
+    return " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
 
 
 def _write_svg(solved: _Solved, path: Path) -> None:
-    width, height, margin = 720, 440, 50
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     curves = solved.curves
     horizon = max(c.horizon for c in curves.values())
     vmax = max(
@@ -736,7 +747,8 @@ def _write_svg(solved: _Solved, path: Path) -> None:
     ]
     for name, curve in curves.items():
         parts.append(
-            f'<polyline class="curve-{name}" points="{_svg_path(curve, to_xy)}"/>'
+            f'<polyline class="curve-{name}" '
+            f'points="{_svg_path(curve, horizon, vmax)}"/>'
         )
     for c in solved.report.get("contacts", ()):
         if c["kind"] in ("upper", "lower"):

@@ -296,7 +296,9 @@ def integrate_rate(
 
     Each of the ``resolution`` cells is integrated by a composite trapezoid
     rule over ``subsamples`` sub-intervals, so grid-point values are accurate
-    to O((horizon/(resolution*subsamples))^2).
+    to O((horizon/(resolution*subsamples))^2).  The built-in
+    :func:`solar_harvest_rate` itself (not a wrapper around it) is integrated
+    exactly instead, on the same grid, and ``subsamples`` is unused there.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon):
@@ -305,6 +307,8 @@ def integrate_rate(
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     if subsamples < 1:
         raise ValueError("subsamples must be at least 1")
+    if rate_fn is solar_harvest_rate:
+        return _solar_harvest_curve(horizon, resolution)
     n = resolution * subsamples
     width = horizon / n
     bps = [(0.0, 0.0, 0.0)]
@@ -526,3 +530,27 @@ def solar_harvest_rate(t: float) -> float:
     if t < 6.0 or t > 18.0:
         return 0.0
     return 5.0 - (5.0 / 36.0) * (t - 12.0) ** 2
+
+
+def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
+    """The exact integral of :func:`solar_harvest_rate` at the grid times of
+    :func:`integrate_rate`.
+
+    ``s = t - 6`` hours after sunrise the day has harvested
+    ``(5/108) s^2 (18 - s)``: the same cubic as
+    ``5s - (5/108)((s - 6)^3 + 216)``, factored so that no two large terms
+    cancel near sunrise.  It rises from 0 to 40 at sunset (``s = 12``).
+    """
+    bps = [(0.0, 0.0, 0.0)]
+    for k in range(1, resolution + 1):
+        # horizon * resolution / resolution can round away from the horizon
+        t = horizon * k / resolution if k < resolution else horizon
+        if t <= 6.0:
+            e = 0.0
+        elif t >= 18.0:
+            e = 40.0
+        else:
+            s = t - 6.0
+            e = (5.0 / 108.0) * s * s * (18.0 - s)
+        bps.append((t, e, e))
+    return CumulativeCurve(tuple(bps), horizon)

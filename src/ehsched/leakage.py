@@ -409,6 +409,10 @@ def compare_ST_NT(problem: LeakageProblem) -> ThroughputComparison:
     if problem.deadline is None:
         raise ValueError("the comparison is defined for bounded deadlines")
     d_nt = solve_n_packet(problem).total_data
+    return ThroughputComparison(d_nt=d_nt, d_st=_upfront_data(problem))
+
+
+def _upfront_data(problem: LeakageProblem) -> float:
+    """Best data with the problem's total energy all available at t=0."""
     upfront = replace(problem, packets=((0.0, problem.total_energy),))
-    d_st = solve_n_packet(upfront).total_data
-    return ThroughputComparison(d_nt=d_nt, d_st=d_st)
+    return solve_n_packet(upfront).total_data

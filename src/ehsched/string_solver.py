@@ -159,9 +159,9 @@ def solve_solar(
 ) -> StringSolution:
     """Optimal schedule for the bell-shaped solar harvest model.
 
-    The continuous harvest curve is sampled to ``resolution`` uniform pieces
-    and solved with no spending floor.  Defaults to the unit-noise Gaussian
-    rate law for throughput reporting.
+    The continuous harvest curve is its exact integral at ``resolution + 1``
+    uniform times, linear in between, and is solved with no spending floor.
+    Defaults to the unit-noise Gaussian rate law for throughput reporting.
     """
     if not 6.0 <= deadline <= 24.0:
         raise ValueError(f"deadline must lie in [6, 24], got {deadline}")

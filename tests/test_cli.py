@@ -215,6 +215,20 @@ def test_samples_harvest_is_trapezoidal(tmp_path, samples, deadline, expected):
     assert [(b["t"], b["v_right"]) for b in curve["breakpoints"]] == expected
 
 
+def test_many_samples_are_one_trapezoid_per_cell():
+    # thousands of samples: the curve is still the running trapezoid sum of
+    # the given values, bit for bit
+    samples = [abs(((k * 37) % 101) - 50) / 10.0 for k in range(3001)]
+    deadline, cells = 17.3, len(samples) - 1
+    curve = cli._build_harvest({"samples": samples}, deadline, 1024)
+    expected, total = [(0.0, 0.0, 0.0)], 0.0
+    for k in range(1, cells + 1):
+        total += 0.5 * (samples[k - 1] + samples[k]) * (deadline / cells)
+        t = deadline * k / cells if k < cells else deadline
+        expected.append((t, total, total))
+    assert curve.breakpoints == tuple(expected)
+
+
 def test_broadcast_honours_resolution(tmp_path):
     scenario = {
         "mode": "broadcast",

@@ -201,7 +201,8 @@ def test_packet_validation_errors():
 
 
 def test_solar_sunrise_and_total():
-    curve = integrate_rate(solar_harvest_rate, 18.0, resolution=1024)
+    # a wrapper is integrated by the trapezoid rule, not in closed form
+    curve = integrate_rate(lambda t: solar_harvest_rate(t), 18.0, resolution=1024)
     # the cell straddling sunrise picks up O(h^2) spurious mass
     assert curve.eval(6.0) == pytest.approx(0.0, abs=1e-4)
     assert curve.eval(18.0) == pytest.approx(40.0, abs=1e-6)
@@ -216,8 +217,8 @@ def test_constant_rate_integrates_linearly():
 
 
 def test_integrate_rate_convergence():
-    coarse = integrate_rate(solar_harvest_rate, 18.0, resolution=128)
-    fine = integrate_rate(solar_harvest_rate, 18.0, resolution=256)
+    coarse = integrate_rate(lambda t: solar_harvest_rate(t), 18.0, resolution=128)
+    fine = integrate_rate(lambda t: solar_harvest_rate(t), 18.0, resolution=256)
     err_coarse = abs(coarse.eval(18.0) - 40.0)
     err_fine = abs(fine.eval(18.0) - 40.0)
     assert err_fine <= err_coarse + 1e-12
@@ -229,6 +230,36 @@ def test_integrate_rate_last_edge_is_the_horizon():
     curve = integrate_rate(solar_harvest_rate, horizon, resolution=861)
     assert curve.breakpoints[-1][0] == horizon
     assert curve.eval(horizon) == pytest.approx(40.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("horizon", [5.0, 18.0, 24.0, 19.343151820042713])
+@pytest.mark.parametrize("resolution", [64, 861, 1024, 8192])
+def test_solar_harvest_is_integrated_exactly(horizon, resolution):
+    curve = integrate_rate(solar_harvest_rate, horizon, resolution)
+    # the grid times do not depend on the subsamples
+    quadrature = integrate_rate(
+        lambda t: solar_harvest_rate(t), horizon, resolution, subsamples=1
+    )
+    assert curve.times == quadrature.times
+    previous = 0.0
+    for t, vl, vr in curve.breakpoints:
+        assert vl == vr
+        assert abs(vr - solar_harvested_energy(t)) <= 1e-13, t
+        assert vr >= previous, t
+        previous = vr
+    assert curve.breakpoints[0][2] == 0.0
+
+
+def test_exact_solar_harvest_is_the_limit_of_the_quadrature():
+    exact = integrate_rate(solar_harvest_rate, 18.0, 1024)
+    quadrature = integrate_rate(lambda t: solar_harvest_rate(t), 18.0, 1024)
+    gaps = [
+        abs(e - q)
+        for (_, _, e), (_, _, q) in zip(exact.breakpoints, quadrature.breakpoints)
+    ]
+    # the trapezoid rule's own O(h^2) error at 32 x 1024 sub-intervals
+    assert 0.0 < max(gaps) <= 1e-7
+    assert exact.eval(18.0) == 40.0
 
 
 def test_integrate_rate_single_cell():

@@ -8,7 +8,8 @@ scenario files) before the leakage replay was rewritten, and (for the two
 a report, CSV or SVG byte shows up here.  The three ``verify`` reports were
 taken again when ``verify`` moved from the grid DP and random rivals to the
 dual bound for point-to-point and broadcast: only their ``verification``
-blocks changed.
+blocks changed.  The three ``demo solar`` files were taken again when the
+solar harvest curve moved from the trapezoid rule to its exact integral.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ GOLDEN = {
         "fa6ef8d879a4a939367f1c254a7c7ee1aaa0e0a556f194a885117b1b3cb6e5be",
     ),
     ("demo", "solar"): (
-        "9236940b59ff461bf4e3108bc2cbbdc5e82cd6f645084e961d656372bfb8710b",
-        "6e371816a733639835fb5af1042ed2213c4cf1f9ae85b7d7ea3b217fbfd864f3",
-        "a68812367dc6598e4f4d8ba05e6d179f8b812d8ebc6466980758fddc050734f7",
+        "3f7de4e53302235ef3d06d6886496b96f8195e335544056846b3d3112d9d787e",
+        "14d64afe9902a542d360ada2cf34ad9d51f155aa244fec0b978bf1335869f0d4",
+        "516fb075ac226d2c286302db990baa50a4d7e8a3820264176149d69e25aef351",
     ),
     ("solve", "capped-train"): (
         "dd91c91886f1043175f8ec6a70c4d6c85af84918d36a1e3e2bcd7aef918e9c76",

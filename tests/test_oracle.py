@@ -296,8 +296,10 @@ RIVAL_CORRIDORS = {
         from_packet_arrivals([(0.0, 2.0), (1.0, 3.0), (2.5, 0.5), (4.0, 1.25)], 6.0),
         None,
     ),
+    # the quadrature the stream was pinned on: a wrapper does not take the
+    # closed-form branch that solar_harvest_rate itself takes
     "solar-64": lambda: (
-        integrate_rate(solar_harvest_rate, 24.0, resolution=64),
+        integrate_rate(lambda t: solar_harvest_rate(t), 24.0, resolution=64),
         zero_curve(24.0),
     ),
     "touching-floor": _touching_floor,
