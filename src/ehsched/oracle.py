@@ -2,17 +2,15 @@
 
 The dynamic programs here know nothing about taut strings or block
 decompositions: they quantize energy, enumerate spending paths, and return
-the best achievable data.  What their values prove differs:
+the best achievable data.  Every path they keep is an exact replay inside the
+constraints, so each value is the data of a feasible schedule: a lower bound
+on the optimum that converges as ``energy_levels`` refines.  A solver that
+undercuts it, or cannot come within grid error of it, is wrong.
 
-- :func:`dp_throughput` keeps every path inside the corridor, so its value is
-  the data of a feasible schedule: a lower bound on the optimum that
-  converges as ``energy_levels`` refines (while ``power_cap`` covers the
-  optimal powers).  A solver that undercuts it, or cannot come within grid
-  error of it, is wrong.
-- :func:`dp_leakage_throughput` quantizes the leak as well as the charge, so
-  its paths are not exact replays: its value can land above the optimum, and
-  its gap need not shrink as the grid refines.  It is an estimate to compare
-  within a tolerance on both sides.
+- :func:`dp_throughput` quantizes the cumulative spent energy in the
+  harvest/floor corridor (while ``power_cap`` covers the optimal powers).
+- :func:`dp_leakage_throughput` quantizes only the charge a leaky battery
+  carries from one packet arrival to the next, never the leak.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .curves import (
     corridor_gates,
     zero_curve,
 )
-from .leakage import LeakageProblem
+from .leakage import LeakageProblem, p_star
 from .rate import RateFunction
 
 __all__ = [
@@ -54,10 +52,12 @@ class GridInfeasibleError(Exception):
 class GridSpec:
     """Discretization used by the DP oracles.
 
-    ``time_slots`` bounds how many slots the oracle may use; ``energy_levels``
-    quantizes cumulative energy (or battery charge); ``power_cap`` bounds the
-    per-slot power the DP enumerates — it must be at least the highest power
-    an optimal schedule uses, or the oracle undershoots.
+    ``energy_levels`` quantizes cumulative energy (or, for the leakage DP, the
+    carried battery charge).  ``time_slots`` and ``power_cap`` are read only
+    by :func:`dp_throughput`: ``time_slots`` bounds how many corridor pieces
+    it takes, and ``power_cap`` bounds the per-slot power it enumerates, which
+    must be at least the highest power an optimal schedule uses, or the
+    oracle undershoots.
     """
 
     time_slots: int = 400
@@ -161,73 +161,50 @@ def _dp_stretch(
 
 
 def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
-    """Best data of any quantized schedule under battery leakage.
+    """Best data of the leakage schedules whose battery carries charge from
+    each packet arrival to the next only on ``grid.energy_levels`` even levels
+    over ``[0, total energy]`` (``time_slots`` and ``power_cap`` are unread).
 
-    State is the battery charge in units of ``total energy / (levels - 1)``.
-    Slots are the packet arrivals plus a uniform fill.  Within a slot the
-    battery is credited with arrivals, a spend is chosen, and then the leak
-    for the slot is subtracted (clamped at empty) — the leak-after-spend
-    convention; leak quantization is spread by a global fractional
-    accumulator so the drift stays within one unit per busy period.
+    An interval of length ``L`` that starts with energy ``E`` either keeps a
+    carry ``c > 0``, never emptying, so it leaks ``epsilon L`` and (by
+    concavity) sends most at the constant power ``(E - c - epsilon L) / L``;
+    or it empties at ``p = max(p_star, E/L - epsilon)``, sending
+    ``E r(p) / (p + epsilon)``.  The last interval only empties, at ``p_star``
+    if there is no deadline.  Every plan replays exactly, so the value is the
+    data of a feasible schedule.
     """
-    if problem.deadline is None:
-        raise ValueError("the leakage DP needs a bounded deadline")
-    horizon = problem.deadline
-    total = sum(e for _, e in problem.packets)
+    rate, eps = problem.rate, problem.epsilon
+    p_opt = p_star(rate, eps)
     levels = grid.energy_levels
-    db = total / (levels - 1)
+    carries = np.linspace(0.0, problem.total_energy, levels)
+    # carry differences c_in - c_out, in steps from -(levels - 1) to levels - 1
+    drops = np.arange(1 - levels, levels) * carries[1]
 
-    arrival_units: dict[float, int] = {}
-    for t, e in problem.packets:
-        units = int(math.floor(e / db + 1e-9))
-        if units == 0:
-            raise GridInfeasibleError(
-                f"grid too coarse: packet of {e:g} at t={t:g} is below one "
-                f"energy level ({db:g})"
-            )
-        arrival_units[t] = units
-
-    fill = max(32, min(grid.time_slots, levels) // 4)
-    boundaries = sorted(
-        {horizon * i / fill for i in range(fill + 1)}
-        | set(arrival_units)
-        | {horizon}
-    )
-    if len(boundaries) - 1 > grid.time_slots:
-        raise GridInfeasibleError(
-            f"{len(boundaries) - 1} slots exceed the {grid.time_slots} allowed"
-        )
+    def emptied(energy: np.ndarray, length: float | None) -> np.ndarray:
+        power = p_opt if length is None else np.maximum(p_opt, energy / length - eps)
+        return energy * rate(power) / (power + eps)
 
     value = np.full(levels, -np.inf)
     value[0] = 0.0
-    leak_acc = 0.0
-    for t0, t1 in zip(boundaries, boundaries[1:]):
-        dt = t1 - t0
-        credit = arrival_units.get(t0, 0)
-        if credit:
-            shifted = np.full(levels, -np.inf)
-            shifted[credit:] = value[: levels - credit]
-            value = shifted
-        new_acc = leak_acc + problem.epsilon * dt / db
-        leak = int(math.floor(new_acc + 1e-12)) - int(math.floor(leak_acc + 1e-12))
-        leak_acc = new_acc
-        dmax = int(math.floor(grid.power_cap * dt / db + 1e-9))
-        powers = np.arange(dmax + 1) * (db / dt)
-        gains = dt * np.asarray(problem.rate(powers), dtype=float)
-        new = np.full(levels, -np.inf)
-        for d in range(dmax + 1):
-            src = d + leak
-            if src < levels:
-                np.maximum(
-                    new[: levels - src], value[src:] + gains[d], out=new[: levels - src]
-                )
-            # sources that can afford the spend but not the full leak end empty
-            bucket = value[d : min(src, levels)]
-            if bucket.size:
-                new[0] = max(new[0], bucket.max() + gains[d])
+    packets = problem.packets
+    for (t0, e), (t1, _) in zip(packets, packets[1:]):
+        length = t1 - t0
+        powers = (drops + (e - eps * length)) / length
+        gains = np.full(powers.size, -np.inf)
+        sendable = powers >= 0.0
+        gains[sendable] = length * rate(powers[sendable])
+        # row k holds the gains from every carry j to carry k, in the order of j
+        rows = np.lib.stride_tricks.sliding_window_view(gains, levels)[::-1]
+        new = np.empty(levels)
+        new[0] = np.max(value + emptied(carries + e, length))
+        # 64 rows at a time, so that no levels x levels array is ever built
+        for k in range(1, levels, 64):
+            new[k : k + 64] = np.max(rows[k : k + 64] + value, axis=1)
         value = new
 
-    return float(value.max())
+    t, e = packets[-1]
+    length = None if problem.deadline is None else problem.deadline - t
+    return float(np.max(value + emptied(carries + e, length)))
 
 
 # The corridor of the last random_feasible_schedule call, since a dominance

@@ -439,15 +439,9 @@ def test_criterion_10_cli_round_trip(tmp_path):
     failures: list[str] = []
     from ehsched.cli import REPORT_SCHEMA
 
-    grids = {
-        "solar": "1100x8192",
-        "dying-battery": "400x400",
-        "broadcast": "400x400",
-        "leakage-counterexample": "400x400",
-    }
     gaps = {}
-    for name, grid in grids.items():
-        code = main(["verify", name, "--grid", grid, "--out", str(tmp_path)])
+    for name in ("solar", "dying-battery", "broadcast", "leakage-counterexample"):
+        code = main(["verify", name, "--out", str(tmp_path)])
         _check(failures, code == 0, f"{name}: verify exited {code}")
         report = json.loads((tmp_path / f"{name}.report.json").read_text())
         try:

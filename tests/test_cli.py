@@ -4,18 +4,25 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import narrow_gate_train, tangent_root
+from conftest import narrow_gate_train, random_leakage_problem, tangent_root
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from ehsched import (
+    GridSpec,
     PowerSchedule,
     check_feasible,
+    dp_throughput,
     dying_battery_scenario,
 )
 from ehsched import cli
@@ -124,7 +131,7 @@ def test_verify_demo_within_tolerance(tmp_path):
 
 
 def test_verify_p2p_demo(tmp_path):
-    assert run(tmp_path, "verify", "demo", "dying-battery", "--grid", "400x400") == 0
+    assert run(tmp_path, "verify", "demo", "dying-battery") == 0
     verification = load_report(tmp_path, "dying-battery")["verification"]
     assert verification["ok"] is True
     assert verification["method"] == "dual_bound"
@@ -142,6 +149,38 @@ def test_verify_solar_without_a_grid(tmp_path, resolution):
     verification = load_report(tmp_path, "solar")["verification"]
     assert verification["ok"] is True
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("source", ["golden-unbounded", "random-seed-2"])
+def test_verify_leakage_scenarios(tmp_path, source):
+    # verify refused unbounded deadlines, and its two-grid DP landed 4.4%
+    # above the solver on random seed 2; the carry DP is a feasible value
+    if source == "golden-unbounded":
+        scenario = GOLDEN_SCENARIOS["leakage-unbounded"]
+    else:
+        problem = random_leakage_problem(2)
+        scenario = {
+            "mode": "leakage",
+            "deadline": problem.deadline,
+            "harvest": {"packets": [{"t": t, "e": e} for t, e in problem.packets]},
+            "epsilon": problem.epsilon,
+        }
+    assert run(tmp_path, "verify", write_scenario(tmp_path, scenario)) == 0
+    verification = load_report(tmp_path, "scenario")["verification"]
+    assert verification["ok"] is True
+    assert verification["method"] == "grid_dp"
+    assert verification["grid"] == {"energy_levels": 401}
+    assert -1e-12 <= verification["relative_gap"] <= 1e-4
+
+
+def test_verify_leakage_needs_a_feasible_replay():
+    # a schedule that drew from an empty battery fails at any gap
+    solved = _solve_scenario(DEMO_SCENARIOS["leakage-counterexample"], 1024)
+    assert cli._verify(solved)["ok"] is True
+    broken = replace(solved, report={**solved.report, "infeasible_at": 3.5})
+    verification = cli._verify(broken)
+    assert verification["relative_gap"] == 0.0
+    assert verification["ok"] is False
 
 
 def test_verify_capped_train_with_narrow_gates(tmp_path):
@@ -294,7 +333,6 @@ def test_bad_arguments_exit_1(tmp_path):
     assert run(tmp_path, "solve", str(tmp_path / "missing.json")) == 1
     assert run(tmp_path, "solve", "no-such-demo") == 1
     assert main(["solve", "demo"]) == 1  # demo without a name
-    assert run(tmp_path, "verify", "demo", "solar", "--grid", "fine") == 1
     assert run(tmp_path, "demo", "solar", "--format", "json,pdf") == 1
 
 
@@ -309,6 +347,8 @@ def test_bad_arguments_exit_1(tmp_path):
         ["solve", "dying-battery", "--seed", "1"],
         ["demo", "dying-battery", "--seed", "1"],
         ["verify", "dying-battery", "--seed", "1"],
+        # nor a grid: the leakage DP's carry levels are fixed
+        ["verify", "leakage-counterexample", "--grid", "400x400"],
     ],
 )
 def test_argparse_errors_exit_1(argv):
@@ -327,16 +367,13 @@ def test_main_runs_repeatedly_in_one_process(tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "dying-battery", "--no-such-flag"])
         assert excinfo.value.code == 1
-    grids = []
-    for out, extra in (("coarse", ["--grid", "40x40"]), ("default", [])):
-        # --grid sets the leakage oracle's grid; 40x40 misses the gap
-        # tolerance (exit 1), but still writes its report
-        argv = ["verify", "leakage-counterexample", "--format", "json", *extra]
-        main([*argv, "--out", str(tmp_path / out)])
-        report = load_report(tmp_path / out, "leakage-counterexample")
-        grid = report["verification"]["grid"]
-        grids.append((grid["time_slots"], grid["energy_levels"]))
-    assert grids == [(40, 40), (400, 400)]
+    pieces = []
+    for out, extra in (("coarse", ["--resolution", "64"]), ("default", [])):
+        argv = ["demo", "solar", "--format", "json", *extra]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        report = load_report(tmp_path / out, "solar")
+        pieces.append(len(report["curves"]["harvested"]["breakpoints"]) - 1)
+    assert pieces == [64, 1024]
 
 
 @pytest.mark.parametrize("grid", ["200x200", "400x400", "800x800"])
@@ -344,7 +381,8 @@ def test_main_runs_repeatedly_in_one_process(tmp_path):
 def test_verify_pinched_corridor(tmp_path, mode, grid):
     # the 5-unit battery overflows exactly when the second packet lands, so
     # floor and ceiling both equal 3 at t=2, and 3 is on no level of a grid
-    # over [0, 8] with 199, 399 or 799 level steps
+    # over [0, 8] with 199, 399 or 799 level steps: verify's bound needs no
+    # level there, and the grid DP starts a new stretch at the pinch
     scenario = {
         "mode": mode,
         "deadline": 4.0,
@@ -354,15 +392,49 @@ def test_verify_pinched_corridor(tmp_path, mode, grid):
     if mode == "broadcast":
         scenario["broadcast"] = {"n1": 1.0, "n2": 3.0, "mu1": 1.0, "mu2": 2.0}
     path = write_scenario(tmp_path, scenario)
-    assert run(tmp_path, "verify", path, "--grid", grid) == 0
+    assert run(tmp_path, "verify", path) == 0
     verification = load_report(tmp_path, "scenario")["verification"]
     assert verification["ok"] is True
-    assert -1e-9 <= verification["relative_gap"] <= 0.005
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
+    _, harvested, minimum, rate = _solve_scenario(scenario, 1024).problem
+    time_slots, levels = map(int, grid.split("x"))
+    dp = dp_throughput(harvested, minimum, rate, GridSpec(time_slots, levels, 16.0))
+    data = verification["solver_data"]
+    assert -1e-9 <= (data - dp) / data <= 0.005
 
 
 def test_verify_demo_pair_parses(tmp_path):
     # "verify demo <name>" and "verify <name>" are both accepted
-    assert run(tmp_path, "verify", "dying-battery", "--grid", "300x300") == 0
+    assert run(tmp_path, "verify", "dying-battery") == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_keeps_files_and_status(tmp_path, unbuffered):
+    # stdout is a pipe whose reading end is already closed, as in "| head"
+    # after head has exited; the summary's print then fails at its write
+    # (unbuffered) or at its flush (buffered)
+    src = str(Path(cli.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehsched.cli", "demo", "solar", "--out", str(tmp_path)],
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(writer)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 0
+    for suffix in ("report.json", "schedule.csv", "plot.svg"):
+        assert (tmp_path / f"solar.{suffix}").exists()
 
 
 def test_format_selection(tmp_path):

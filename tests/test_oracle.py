@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     awgn_conjugate,
     grid_argmax_f,
     random_corridor,
+    random_leakage_problem,
     reference_dual_bound,
     solar_harvested_energy,
     tangent_root,
@@ -38,8 +40,10 @@ from ehsched import (
     integrate_rate,
     min_energy_from_battery,
     optimality_certificate,
+    p_star,
     random_feasible_schedule,
     solar_harvest_rate,
+    solve_n_packet,
     taut_string,
     throughput,
     zero_curve,
@@ -148,16 +152,68 @@ def test_dp_leak_counterexample_below_single_packet_bound():
     assert d_st - value == pytest.approx(0.22, abs=0.05)
 
 
-def test_dp_leak_rejects_sub_level_packet():
-    problem = LeakageProblem(((0.0, 100.0), (1.0, 0.01)), 0.5, 2.0, RATE1)
-    with pytest.raises(GridInfeasibleError):
-        dp_leakage_throughput(problem, GridSpec(400, 400, 16.0))
+def _closed_form(energy: float, epsilon: float, deadline: float | None) -> float:
+    """One packet's optimum: ``E r(p) / (p + epsilon)`` at the block power."""
+    p = p_star(RATE1, epsilon)
+    if deadline is not None:
+        p = max(p, energy / deadline - epsilon)
+    return energy * RATE1(p) / (p + epsilon)
 
 
-def test_dp_leak_needs_deadline():
+@pytest.mark.parametrize("energy", [0.5, 4.0, 16.0])
+def test_dp_leak_bounded_single_packet_closed_form(energy):
+    # the one interval only empties, so no carry level is ever rounded
+    problem = LeakageProblem(((0.0, energy),), 1.0, 4.0, RATE1)
+    value = dp_leakage_throughput(problem, GridSpec(energy_levels=401))
+    assert value == pytest.approx(_closed_form(energy, 1.0, 4.0), rel=1e-12)
+
+
+def test_dp_leak_unbounded_single_packet_closed_form():
     problem = LeakageProblem(((0.0, 4.0),), 0.5, None, RATE1)
-    with pytest.raises(ValueError):
-        dp_leakage_throughput(problem, GridSpec(400, 400, 16.0))
+    value = dp_leakage_throughput(problem, GridSpec(energy_levels=401))
+    p = p_star(RATE1, 0.5)
+    assert value == pytest.approx(4.0 * RATE1(p) / (p + 0.5), rel=1e-12)
+    assert value == pytest.approx(_closed_form(4.0, 0.5, None), rel=1e-12)
+
+
+def _leak_gap(problem: LeakageProblem, levels: int) -> float:
+    data = solve_n_packet(problem).total_data
+    return (data - dp_leakage_throughput(problem, GridSpec(energy_levels=levels))) / data
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_dp_leak_is_a_close_lower_bound(bounded):
+    # every carry plan replays exactly, so the DP never beats the solver, and
+    # 401 carry levels bring it within the CLI's tolerance on every seed
+    gaps = [_leak_gap(random_leakage_problem(s, bounded), 401) for s in range(300)]
+    assert -1e-12 <= min(gaps)
+    assert max(gaps) <= 1e-4
+
+
+def test_dp_leak_refining_nested_levels_never_loses():
+    # 201 levels are every other one of 401, which are every other one of 801
+    for seed in range(30):
+        problem = random_leakage_problem(seed, bounded=seed % 3 != 0)
+        data = solve_n_packet(problem).total_data
+        values = [
+            dp_leakage_throughput(problem, GridSpec(energy_levels=levels))
+            for levels in (201, 401, 801)
+        ]
+        for coarse, fine in zip(values, values[1:] + [data]):
+            assert coarse <= fine * (1.0 + 1e-12), (seed, values, data)
+
+
+def test_dp_leak_memory_stays_blocked():
+    # an 800 x 800 float array alone is 5.1 MB
+    problem = random_leakage_problem(5)
+    assert len(problem.packets) == 5
+    tracemalloc.start()
+    try:
+        dp_leakage_throughput(problem, GridSpec(energy_levels=800))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # --------------------------------------------------------------------------
