@@ -170,8 +170,9 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
         data2 += dt * 0.5 * math.log2(1.0 + p2 / (p1 + problem.noise2))
     return BroadcastSolution(
         total_schedule=string.schedule,
-        user1_schedule=PowerSchedule(tuple(user1_segments)),
-        user2_schedule=PowerSchedule(tuple(user2_segments)),
+        # split from a validated schedule, so only the powers need a check
+        user1_schedule=PowerSchedule._derived(tuple(user1_segments)),
+        user2_schedule=PowerSchedule._derived(tuple(user2_segments)),
         user1_data=data1,
         user2_data=data2,
         weighted_sum=problem.mu1 * data1 + problem.mu2 * data2,

@@ -667,9 +667,13 @@ def _write_csv(solved: _Solved, path: Path) -> None:
     ]
     header = ("t_start", "t_end", "power", "power_user1", "power_user2")
     lines = [",".join(header[: 2 + len(schedules)])]
+    # "%.12g" formats a float as f"{v:.12g}" does
+    template = ",".join(["%.12g"] * (2 + len(schedules)))
     for row in zip(*schedules):
-        values = (row[0]["t_start"], row[0]["t_end"], *(s["power"] for s in row))
-        lines.append(",".join(f"{v:.12g}" for v in values))
+        lines.append(
+            template
+            % (row[0]["t_start"], row[0]["t_end"], *(s["power"] for s in row))
+        )
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -124,7 +124,9 @@ def _limits(
     so each time either is the next breakpoint or lies strictly inside the
     piece ending there.  That makes the walk free of the domain and clamp
     checks of :meth:`PiecewiseCurve.eval`; the interpolation is the same
-    expression, so the values are bit-identical.
+    expression, so the values are bit-identical.  :func:`check_feasible`
+    reads its three curves this way; two curves are read together by
+    :func:`_merged_limits`.
     """
     bps = curve.breakpoints
     # the sentinel after the horizon is never reached
@@ -144,6 +146,48 @@ def _limits(
             left.append(v)
             right.append(v)
     return left, right
+
+
+def _merged_limits(a: PiecewiseCurve, b: PiecewiseCurve):
+    """Yield ``(t, a(t^-), a(t), b(t^-), b(t))`` at each time of
+    :func:`merge_times` of two curves on one horizon, in one walk over both.
+
+    Between its own breakpoints a curve is read by the interpolation of
+    :func:`_limits`, so the values are bit-identical to it.  At a time both
+    curves share, ``t`` is ``a``'s (the one ``merge_times`` keeps of 0.0 and
+    -0.0).
+    """
+    inf = math.inf
+    # sentinels after the horizon, where both walks end together
+    end = ((inf, 0.0, 0.0),)
+    abps = a.breakpoints + end
+    bbps = b.breakpoints + end
+    ta, al, ar = abps[0]
+    tb, bl, br = bbps[0]
+    # both curves start at t=0, so the first step sets the pieces' starts
+    ta0 = tb0 = va0 = vb0 = 0.0
+    i = j = 1
+    while ta < inf:
+        if ta < tb:
+            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
+            yield ta, al, ar, v, v
+            ta0, va0 = ta, ar
+            ta, al, ar = abps[i]
+            i += 1
+        elif tb < ta:
+            v = va0 + (al - va0) * (tb - ta0) / (ta - ta0)
+            yield tb, v, v, bl, br
+            tb0, vb0 = tb, br
+            tb, bl, br = bbps[j]
+            j += 1
+        else:
+            yield ta, al, ar, bl, br
+            ta0, va0 = ta, ar
+            tb0, vb0 = tb, br
+            ta, al, ar = abps[i]
+            tb, bl, br = bbps[j]
+            i += 1
+            j += 1
 
 
 class CumulativeCurve(PiecewiseCurve):
@@ -220,6 +264,27 @@ class PowerSchedule:
         object.__setattr__(self, "segments", tuple(segs))
 
     @classmethod
+    def _trusted(cls, segments):
+        """A schedule from contiguous float segments the library derived
+        itself, from t=0 to a finite end at finite non-negative powers, set
+        without checking them again."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "segments", segments)
+        return schedule
+
+    @classmethod
+    def _derived(cls, segments):
+        """A schedule from contiguous float segments the library derived
+        itself, from t=0 to a finite end, with only the powers checked, in
+        one pass: where one is negative, infinite or NaN, the validating
+        constructor clamps it or raises."""
+        powers = [p for _, _, p in segments]
+        # a NaN or an infinite power makes the sum fail the test
+        if min(powers) >= 0.0 and sum(powers) < math.inf:
+            return cls._trusted(segments)
+        return cls(segments)
+
+    @classmethod
     def constant(cls, power: float, duration: float) -> "PowerSchedule":
         return cls(((0.0, float(duration), float(power)),))
 
@@ -258,7 +323,12 @@ class PowerSchedule:
 def from_packet_arrivals(
     packets: Iterable[tuple[float, float]], horizon: float
 ) -> CumulativeCurve:
-    """Staircase curve for discrete energy packets ``(arrival time, energy)``."""
+    """Staircase curve for discrete energy packets ``(arrival time, energy)``.
+
+    The packets are checked here, so the curve skips the constructor's
+    checks of its breakpoints; a horizon that is not positive and a total
+    that overflows still raise the constructor's errors.
+    """
     horizon = float(horizon)
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
@@ -279,7 +349,13 @@ def from_packet_arrivals(
         bps.insert(0, (0.0, 0.0, 0.0))
     if bps[-1][0] < horizon:
         bps.append((horizon, total, total))
-    return CumulativeCurve(tuple(bps), horizon)
+    if not (horizon > 0.0 and math.isfinite(total)):
+        # the two checks the packets above do not cover, with the
+        # constructor's messages
+        return CumulativeCurve(tuple(bps), horizon)
+    # float times strictly increasing from 0 to the horizon, and a running
+    # sum of positive energies that ends finite
+    return CumulativeCurve._trusted(tuple(bps), horizon)
 
 
 def zero_curve(horizon: float) -> CumulativeCurve:
@@ -342,27 +418,24 @@ def min_energy_from_battery(
 
     Returns the running maximum over ``s <= t`` of ``max(H(s) - b(s), 0)``,
     which is the tightest non-decreasing floor implied by the pointwise
-    overflow constraint.
+    overflow constraint.  Both curves are read in one merged walk of their
+    breakpoints.
     """
     if battery.horizon != harvested.horizon:
         raise ValueError(
             f"battery horizon {battery.horizon} != curve horizon {harvested.horizon}"
         )
 
-    times = merge_times(harvested, battery)
-    h_left, h_right = _limits(harvested, times)
-    capacity = _limits(battery, times)[1]
-    d_left = [h - b for h, b in zip(h_left, capacity)]
-    d_right = [h - b for h, b in zip(h_right, capacity)]
-
+    walk = _merged_limits(harvested, battery)
+    a, h_left, h_right, _, capacity = next(walk)
     # the running maximum starts at >= 0, so comparing it with the unclamped
     # deficit is the same as comparing it with the clamped one
-    cur = max(d_left[0], 0.0)
-    bps = [(0.0, cur, max(cur, d_right[0]))]
+    cur = max(h_left - capacity, 0.0)
+    ua = h_right - capacity
+    bps = [(0.0, cur, max(cur, ua))]
     cur = bps[0][2]
-    for a, c, ua, uc, uc_right in zip(
-        times, times[1:], d_right, d_left[1:], d_right[1:]
-    ):
+    for c, h_left, h_right, _, capacity in walk:
+        uc = h_left - capacity
         if uc > cur:
             if ua < cur:
                 # the deficit overtakes the running max inside the piece
@@ -372,7 +445,8 @@ def min_energy_from_battery(
             left = uc
         else:
             left = cur
-        cur = max(left, uc_right)
+        a, ua = c, h_right - capacity
+        cur = max(left, ua)
         bps.append((c, left, cur))
     # a running maximum of differences of two validated curves: non-negative,
     # non-decreasing and finite
@@ -427,27 +501,25 @@ def corridor_gates(
     between breakpoints both envelopes are linear, so the gates bound the
     whole corridor.  Raises :class:`InfeasibleError` when the corridor
     pinches shut.  The list excludes t=0 (a path is pinned at the origin)
-    and ends with the pinned endpoint gate ``(T, H(T^-), H(T^-))``.
+    and ends with the pinned endpoint gate ``(T, H(T^-), H(T^-))``.  Both
+    curves are read in one merged walk of their breakpoints.
     """
     T = harvested.horizon
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
-    times = merge_times(harvested, minimum)
-    h_left, h_right = _limits(harvested, times)
-    m_left, m_right = _limits(minimum, times)
-    end_value = h_left[-1]
+    walk = _merged_limits(harvested, minimum)
+    # t=0, where the path is pinned
+    floor0 = next(walk)[4]
+    end_value = harvested.breakpoints[-1][1]
     tol = DEFAULT_TOL
 
-    if m_right[0] > tol:
+    if floor0 > tol:
         raise InfeasibleError(
-            f"the floor forces {m_right[0]:g} energy to be spent "
+            f"the floor forces {floor0:g} energy to be spent "
             "instantaneously at t=0"
         )
     gates: list[tuple[float, float, float]] = []
-    # times[0] is t=0, where the path is pinned
-    for t, hi, h_post, m_pre, lo in zip(
-        times[1:], h_left[1:], h_right[1:], m_left[1:], m_right[1:]
-    ):
+    for t, hi, h_post, m_pre, lo in walk:
         if m_pre > hi + tol:
             raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
         if lo > h_post + tol:

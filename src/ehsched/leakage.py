@@ -248,7 +248,9 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
     Within each block the transmitter runs at the block power from every
     moment the battery is non-empty (earliest-transmission convention: silent
     gaps appear only where the battery has emptied before the next arrival),
-    and the battery is empty at each block boundary.
+    and the battery is empty at each block boundary.  Raises ``ValueError``
+    when a block's power is not finite (its energy over its length
+    overflows).
     """
     p_opt = p_star(problem.rate, problem.epsilon)
     packets = problem.packets
@@ -285,7 +287,21 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
             cur, charge = _advance(emit, cur, end_t, charge, power, drain, tol)
             boundaries.append(end_t)
 
-    schedule = PowerSchedule(tuple(segments))
+    for k, (first, last, power, _, _) in enumerate(blocks):
+        # a block power is at least p_star >= 0; an average that overflows
+        # leaves it infinite
+        if not power < math.inf:
+            raise ValueError(
+                f"leakage block {k} (packets {first} to {last}) has a power "
+                f"that is not finite: {power!r}"
+            )
+    if segments and math.isfinite(segments[-1][1]):
+        # contiguous from the first arrival at t=0, each piece non-empty, at
+        # the finite block powers or idle
+        schedule = PowerSchedule._trusted(tuple(segments))
+    else:
+        # the constructor refuses an empty or endless schedule
+        schedule = PowerSchedule(tuple(segments))
     transmit_duration = sum(t1 - t0 for t0, t1, p in schedule.segments if p > 0.0)
     return LeakageSolution(
         schedule=schedule,
@@ -323,77 +339,101 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     Arrivals are credited before the empty-battery check at the same instant,
     and leakage runs exactly while the battery holds charge.  Demand from an
     empty battery is recorded (first time only) and ignored rather than
-    raised, so every schedule yields a complete trace.
+    raised, so every schedule yields a complete trace.  The points are kept
+    in columns, one list per quantity, that are zipped into the three
+    curves.
     """
     eps = problem.epsilon
-    arrivals = dict(problem.packets)
+    packets = problem.packets
     total = problem.total_energy
     tol = 1e-15 * max(1.0, total)
 
     segments = schedule.segments
+    n_segments = len(segments)
     end = schedule.end_time
     if problem.deadline is not None:
         horizon = max(problem.deadline, end)
     else:
         # cover every arrival; extended below if charge remains after that
-        horizon = max(end, problem.packets[-1][0])
+        horizon = max(end, packets[-1][0])
     times = sorted(
-        {0.0, horizon} | set(arrivals) | {t for seg in segments for t in seg[:2]}
+        {0.0, horizon}
+        | {t for t, _ in packets}
+        | {t for seg in segments for t in seg[:2]}
     )
+    # the next arrival after t=0, from the packets and a sentinel after them
+    arrivals = packets + ((math.inf, 0.0),)
+    i = 1
+    t_arrival, energy = arrivals[i]
 
     cur = 0.0
-    charge = harvested = arrivals[0.0]
-    # (t, transmitted, leaked, harvested before and after an arrival at t)
-    points = [(0.0, 0.0, 0.0, 0.0, harvested)]
+    charge = harvested = packets[0][1]
+    # the points in columns: t, transmitted, leaked, and harvested after an
+    # arrival at t
+    ts, txs, lks, hs = [0.0], [0.0], [0.0], [harvested]
     tx = 0.0
     lk = 0.0
     infeasible_at: float | None = None
 
-    def record(t: float) -> None:
-        if t > points[-1][0]:
-            points.append((t, tx, lk, harvested, harvested))
-
     k = 0  # the segment in effect at ``cur``
     for nxt in times[1:]:
-        while k < len(segments) and segments[k][1] <= cur:
+        while k < n_segments and segments[k][1] <= cur:
             k += 1
         power = segments[k][2] if cur < end else 0.0
         if charge > tol:
             rate_out = power + eps
             t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
-            stop = min(t_empty, nxt)
+            stop = nxt if nxt < t_empty else t_empty
             dt = stop - cur
             tx += power * dt
             lk += eps * dt
             charge = 0.0 if stop == t_empty else charge - rate_out * dt
+            if cur < stop < nxt:
+                # the battery empties between two events
+                ts.append(stop)
+                txs.append(tx)
+                lks.append(lk)
+                hs.append(harvested)
             cur = stop
-            record(cur)
         if cur < nxt:
             if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
                 infeasible_at = cur
             charge = 0.0
             cur = nxt
-            record(cur)
-        credit = arrivals.get(nxt)
-        if credit is not None:
-            charge += credit
-            harvested += credit
-            # every arrival time is in ``times``, so the last point is at nxt
-            points[-1] = points[-1][:4] + (harvested,)
+        if nxt == t_arrival:
+            charge += energy
+            harvested += energy
+            i += 1
+            t_arrival, energy = arrivals[i]
+        ts.append(nxt)
+        txs.append(tx)
+        lks.append(lk)
+        hs.append(harvested)
     if problem.deadline is None and charge > tol and eps > 0.0:
         # no deadline: the charge left after the last event leaks away
         horizon = cur + charge / eps
         lk += charge
-        record(horizon)
+        if horizon > cur:
+            ts.append(horizon)
+            txs.append(tx)
+            lks.append(lk)
+            hs.append(harvested)
 
     # the event loop only adds non-negative amounts and records strictly
     # increasing times from 0 to the horizon, so these curves need no checks
-    transmitted = CumulativeCurve._trusted(
-        tuple((t, v, v) for t, v, _, _, _ in points), horizon
-    )
-    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v, _, _ in points), horizon)
+    transmitted = CumulativeCurve._trusted(tuple(zip(ts, txs, txs)), horizon)
+    leaked = CumulativeCurve._trusted(tuple(zip(ts, lks, lks)), horizon)
+    # the harvest before an arrival is the one after the point before it
+    h_before = [0.0] + hs[:-1]
     usable = PiecewiseCurve._trusted(
-        tuple((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points), horizon
+        tuple(
+            zip(
+                ts,
+                [h - v for h, v in zip(h_before, lks)],
+                [h - v for h, v in zip(hs, lks)],
+            )
+        ),
+        horizon,
     )
     return LeakageTrace(
         transmitted=transmitted,

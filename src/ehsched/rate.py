@@ -39,11 +39,19 @@ def awgn_rate(noise: float = 1.0) -> RateFunction:
     if noise <= 0:
         raise ValueError(f"noise power must be positive, got {noise}")
 
+    # A non-negative float takes the same operations in the same order
+    # without the array: Python's float arithmetic rounds as NumPy's does,
+    # and the denominators are positive, so the bits are the same.
+
     def value(p):
+        if type(p) is float and p >= 0.0:
+            return float(0.5 * np.log2(1.0 + p / noise))
         out = 0.5 * np.log2(1.0 + np.asarray(p, dtype=float) / noise)
         return float(out) if np.ndim(out) == 0 else out
 
     def deriv(p):
+        if type(p) is float and p >= 0.0:
+            return 1.0 / (2.0 * _LN2 * (noise + p))
         out = 1.0 / (2.0 * _LN2 * (noise + np.asarray(p, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 

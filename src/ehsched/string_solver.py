@@ -70,6 +70,7 @@ def taut_string(
 
     The path is unique and maximizes throughput for every strictly concave
     increasing rate law.  When ``rate`` is given, ``total_data`` is filled in.
+    Raises ``ValueError`` when a slope of the path overflows to infinity.
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
@@ -147,7 +148,8 @@ def taut_string(
         (t0, t1, (v1 - v0) / (t1 - t0))
         for (t0, v0), (t1, v1) in zip(vertices, vertices[1:])
     )
-    schedule = PowerSchedule(segments)
+    # the vertex times strictly increase from 0 to the horizon
+    schedule = PowerSchedule._derived(segments)
     total = throughput(schedule, rate) if rate is not None else None
     return StringSolution(schedule, vertices, tuple(contacts), total)
 

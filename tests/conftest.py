@@ -19,6 +19,8 @@ from ehsched import (
     FeasibilityReport,
     InfeasibleError,
     LeakageProblem,
+    LeakageTrace,
+    PiecewiseCurve,
     PowerSchedule,
     RateFunction,
     StringSolution,
@@ -123,9 +125,10 @@ def chord_certificate(
 # --------------------------------------------------------------------------
 # point-by-point references for the corridor helpers
 #
-# The library reads curves in one merged walk (curves._limits); these are
-# the earlier versions, which evaluate every curve one point at a time.  They
-# must agree with the library exactly.
+# The library reads two curves in one merged walk (curves._merged_limits)
+# and three through merge_times and curves._limits; these are the earlier
+# versions, which evaluate every curve one point at a time.  They must agree
+# with the library exactly.
 
 
 def pointwise_min_energy_from_battery(
@@ -233,8 +236,8 @@ def pointwise_check_feasible(
 #
 # The library evaluates the rate once per schedule, runs the funnel with the
 # cross product inlined, finds leakage blocks with one stack pass, and reads a
-# replay's harvest from its own event loop; these are the earlier versions,
-# which the library must match exactly.
+# replay's harvest from its own event loop, whose points go into one flat
+# list; these are the earlier versions, which the library must match exactly.
 
 
 def reference_throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
@@ -395,12 +398,92 @@ def reference_usable(
     )
 
 
+def reference_simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
+    """The replay of :func:`ehsched.simulate` with its points kept as
+    tuples, recorded by a closure, and each event's arrival looked up in a
+    dict."""
+    eps = problem.epsilon
+    arrivals = dict(problem.packets)
+    total = problem.total_energy
+    tol = 1e-15 * max(1.0, total)
+
+    segments = schedule.segments
+    end = schedule.end_time
+    if problem.deadline is not None:
+        horizon = max(problem.deadline, end)
+    else:
+        horizon = max(end, problem.packets[-1][0])
+    times = sorted(
+        {0.0, horizon} | set(arrivals) | {t for seg in segments for t in seg[:2]}
+    )
+
+    cur = 0.0
+    charge = harvested = arrivals[0.0]
+    # (t, transmitted, leaked, harvested before and after an arrival at t)
+    points = [(0.0, 0.0, 0.0, 0.0, harvested)]
+    tx = 0.0
+    lk = 0.0
+    infeasible_at = None
+
+    def record(t: float) -> None:
+        if t > points[-1][0]:
+            points.append((t, tx, lk, harvested, harvested))
+
+    k = 0
+    for nxt in times[1:]:
+        while k < len(segments) and segments[k][1] <= cur:
+            k += 1
+        power = segments[k][2] if cur < end else 0.0
+        if charge > tol:
+            rate_out = power + eps
+            t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
+            stop = min(t_empty, nxt)
+            dt = stop - cur
+            tx += power * dt
+            lk += eps * dt
+            charge = 0.0 if stop == t_empty else charge - rate_out * dt
+            cur = stop
+            record(cur)
+        if cur < nxt:
+            if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
+                infeasible_at = cur
+            charge = 0.0
+            cur = nxt
+            record(cur)
+        credit = arrivals.get(nxt)
+        if credit is not None:
+            charge += credit
+            harvested += credit
+            points[-1] = points[-1][:4] + (harvested,)
+    if problem.deadline is None and charge > tol and eps > 0.0:
+        horizon = cur + charge / eps
+        lk += charge
+        record(horizon)
+
+    transmitted = CumulativeCurve._trusted(
+        tuple((t, v, v) for t, v, _, _, _ in points), horizon
+    )
+    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v, _, _ in points), horizon)
+    usable = PiecewiseCurve._trusted(
+        tuple((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points), horizon
+    )
+    return LeakageTrace(transmitted, leaked, usable, infeasible_at)
+
+
 def assert_rebuilds(curve) -> None:
     """A curve the library built without checks holds only floats and equals
     its rebuild through the validating constructor."""
     assert type(curve.horizon) is float
     assert all(type(x) is float for bp in curve.breakpoints for x in bp)
     assert type(curve)(curve.breakpoints, curve.horizon) == curve
+
+
+def assert_schedule_rebuilds(schedule: PowerSchedule) -> None:
+    """A schedule the library built without checks holds only floats and
+    equals its rebuild through the validating constructor."""
+    assert type(schedule.segments) is tuple
+    assert all(type(x) is float for seg in schedule.segments for x in seg)
+    assert PowerSchedule(schedule.segments) == schedule
 
 
 def narrow_gate_train(n: int) -> tuple[list[tuple[float, float]], float]:

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broadcast_inner_max, chord_slopes
+from conftest import (
+    assert_schedule_rebuilds,
+    broadcast_inner_max,
+    chord_slopes,
+    random_corridor,
+)
 
 from ehsched import (
     BroadcastProblem,
@@ -257,3 +262,25 @@ def test_solution_rate_gives_weighted_sum(mu2):
     assert throughput(solution.total_schedule, solution.rate) == pytest.approx(
         solution.weighted_sum, rel=1e-12
     )
+
+
+def test_threshold_rounded_below_zero_gives_user1_no_power():
+    # mu2 / mu1 is noise2 / noise1 as floats, and the crossover power rounds
+    # to -1.3e-16; the schedule clamps user 1's share to zero
+    noise1, noise2 = 0.559911975193751, 1.514539078448115
+    mu2 = noise2 / noise1
+    assert power_threshold(1.0, mu2, noise1, noise2) <= 0.0
+    harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 1.0)], 3.0)
+    solution = solve_broadcast(BroadcastProblem(noise1, noise2, 1.0, mu2, harvested))
+    assert solution.user1_schedule.segments == ((0.0, 3.0, 0.0),)
+    assert_schedule_rebuilds(solution.user1_schedule)
+
+
+@pytest.mark.parametrize("mu2", [0.5, 2.0, 5.0])  # user 1 only, shared, user 2 only
+def test_user_schedules_equal_their_validating_rebuild(mu2):
+    for seed in range(60):
+        harvested, minimum = random_corridor(seed)
+        problem = BroadcastProblem(1.0, 3.0, 1.0, mu2, harvested, minimum)
+        solution = solve_broadcast(problem)
+        assert_schedule_rebuilds(solution.user1_schedule)
+        assert_schedule_rebuilds(solution.user2_schedule)

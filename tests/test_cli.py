@@ -329,6 +329,19 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         assert field in capsys.readouterr().err, payload
 
 
+def test_overflowing_leakage_block_exits_1(tmp_path, capsys):
+    scenario = {
+        "mode": "leakage",
+        "deadline": 1e-10,
+        "epsilon": 0.5,
+        "harvest": {"packets": [{"t": 0.0, "e": 1e300}]},
+    }
+    assert run(tmp_path, "solve", write_scenario(tmp_path, scenario)) == 1
+    assert "block 0 (packets 0 to 0) has a power that is not finite" in (
+        capsys.readouterr().err
+    )
+
+
 def test_bad_arguments_exit_1(tmp_path):
     assert run(tmp_path, "solve", str(tmp_path / "missing.json")) == 1
     assert run(tmp_path, "solve", "no-such-demo") == 1
@@ -567,3 +580,36 @@ def test_json_text_on_reports(name):
     scenario = DEMO_SCENARIOS.get(name) or GOLDEN_SCENARIOS[name]
     report = _solve_scenario(scenario, 1024).report
     assert _json_text(report) == reference_json(report)
+
+
+def reference_csv(schedules) -> str:
+    """The CSV text, one f-string per value."""
+    header = ("t_start", "t_end", "power", "power_user1", "power_user2")
+    lines = [",".join(header[: 2 + len(schedules)])]
+    for row in zip(*schedules):
+        values = (row[0]["t_start"], row[0]["t_end"], *(s["power"] for s in row))
+        lines.append(",".join(f"{v:.12g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+class _TextSink:
+    """Stands in for a path: keeps what is written to it."""
+
+    def write_text(self, text: str) -> None:
+        self.text = text
+
+
+SEGMENTS = st.lists(
+    st.fixed_dictionaries({"t_start": FLOATS, "t_end": FLOATS, "power": FLOATS}),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(SEGMENTS, min_size=1, max_size=3))
+def test_csv_template_matches_per_value_format(schedules):
+    keys = ("schedule", "user1_schedule", "user2_schedule")
+    report = {key: {"segments": s} for key, s in zip(keys, schedules)}
+    sink = _TextSink()
+    cli._write_csv(cli._Solved(report, {}, None), sink)
+    assert sink.text == reference_csv(schedules)

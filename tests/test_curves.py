@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_rebuilds,
+    assert_schedule_rebuilds,
     pointwise_check_feasible,
     pointwise_corridor_gates,
     pointwise_min_energy_from_battery,
@@ -546,6 +547,7 @@ def test_energy_curve_horizon_errors():
 def test_trusted_curves_equal_their_validating_rebuild():
     for seed in range(300):
         harvested, minimum = random_corridor(seed)
+        assert_rebuilds(harvested)
         assert_rebuilds(minimum)
         T = harvested.horizon
         schedules = [
@@ -553,6 +555,7 @@ def test_trusted_curves_equal_their_validating_rebuild():
             random_feasible_schedule(harvested, minimum, seed=seed),
             PowerSchedule.constant(0.0, 0.5 * T),
         ]
+        assert_schedule_rebuilds(schedules[0])
         for schedule in schedules:
             for horizon in (None, T, 2.0 * T):
                 assert_rebuilds(schedule.energy_curve(horizon))
@@ -563,10 +566,26 @@ def test_trusted_curves_equal_their_validating_rebuild():
             packets.append((t, rng.uniform(0.3, 3.0)))
             t += rng.uniform(0.05, 2.0)
         harvested = from_packet_arrivals(packets, t)
+        assert_rebuilds(harvested)
         for capacity in (0.0, 1.0, 3.5, 1e9):
             battery = BatterySchedule.constant(capacity, t)
-            assert_rebuilds(min_energy_from_battery(harvested, battery))
+            minimum = min_energy_from_battery(harvested, battery)
+            assert_rebuilds(minimum)
+            if capacity > 3.0:  # above every packet, so the corridor is open
+                assert_schedule_rebuilds(taut_string(harvested, minimum).schedule)
         assert_rebuilds(min_energy_from_battery(harvested, _random_battery(rng, t, 3.0)))
+
+
+@pytest.mark.parametrize(
+    "packets, horizon",
+    [([(0.0, 1.0)], 0.0), ([], -1.0)],
+    ids=["zero", "negative"],
+)
+def test_packet_curve_refuses_a_degenerate_horizon(packets, horizon):
+    with pytest.raises(
+        ValueError, match=f"horizon must be positive and finite, got {horizon}"
+    ):
+        from_packet_arrivals(packets, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -615,6 +634,9 @@ def test_sampled_helpers_match_references_on_random_corridors():
 
 def test_sampled_helpers_match_references_on_capped_trains():
     rng = random.Random(5)
+    # floors that cross the running maximum inside a piece of a battery with
+    # inner knots, and floors that touch the ceiling at a gate
+    crossings = touches = 0
     for _ in range(300):
         t, packets = rng.choice((0.0, rng.uniform(0.1, 1.0))), []
         for _ in range(rng.randint(1, 8)):
@@ -627,6 +649,15 @@ def test_sampled_helpers_match_references_on_capped_trains():
         assert minimum.breakpoints == (
             pointwise_min_energy_from_battery(harvested, battery).breakpoints
         )
+        if len(battery.breakpoints) > 2 and set(minimum.times) - set(
+            merge_times(harvested, battery)
+        ):
+            crossings += 1
+        outcome = _outcome(corridor_gates, harvested, minimum)
+        if outcome[0] is not InfeasibleError and any(
+            lo == hi for _, lo, hi in outcome[0][:-1]
+        ):
+            touches += 1
         schedules = [
             PowerSchedule.constant(harvested.eval(horizon) / horizon, horizon)
         ]
@@ -635,6 +666,7 @@ def test_sampled_helpers_match_references_on_capped_trains():
         except InfeasibleError:
             pass  # a packet larger than the battery overflows at once
         _assert_corridor_matches(harvested, minimum, schedules)
+    assert crossings and touches, (crossings, touches)
 
 
 def _random_stairs_and_ramps(rng: random.Random, times, scale: float, at_zero: float):

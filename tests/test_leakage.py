@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from conftest import (
     RATE1,
     assert_rebuilds,
+    assert_schedule_rebuilds,
     battery_content,
     grid_argmax_f,
     random_leakage_problem,
     random_packets,
     reference_decompose_blocks,
+    reference_simulate,
     reference_usable,
 )
 
@@ -375,6 +377,8 @@ def replays(draw):
 def test_simulate_replay_invariants(case):
     schedule, problem = case
     trace = simulate(schedule, problem)
+    # bit for bit, floats and their signs included
+    assert repr(trace) == repr(reference_simulate(schedule, problem))
     assert trace.usable.breakpoints == reference_usable(problem, trace.leaked)
     horizon = trace.transmitted.horizon
     asked = schedule.energy_curve(horizon)
@@ -423,6 +427,7 @@ def test_trace_curves_equal_their_validating_rebuild():
     )
     for problem in problems:
         sol = solve_n_packet(problem)
+        assert_schedule_rebuilds(sol.schedule)
         horizon = sol.schedule.end_time
         rivals = (
             sol.schedule,
@@ -491,3 +496,25 @@ def test_upfront_energy_never_sends_less(problem):
     assert cmp.d_st >= cmp.d_nt - 1e-9 * cmp.d_st
     if sufficient_condition_holds(problem):
         assert cmp.d_nt == pytest.approx(cmp.d_st, rel=1e-9)
+
+
+def test_overflowing_block_power_is_refused():
+    # 1e300 over 1e-10 overflows the block's average power
+    problem = LeakageProblem(((0.0, 1e300),), 0.5, 1e-10, RATE1)
+    with pytest.raises(ValueError, match=r"block 0 .* power that is not finite: inf"):
+        solve_n_packet(problem)
+
+
+@pytest.mark.parametrize(
+    "packet, epsilon, message",
+    [
+        # the charge drains in less than the smallest time step
+        ((0.0, 5e-324), 50.0, "a schedule needs at least one segment"),
+        # a leak too small to empty the battery in floating point
+        ((0.0, 1e308), 5e-324, "schedule must end at a finite time, got inf"),
+    ],
+)
+def test_degenerate_unbounded_schedule_is_refused(packet, epsilon, message):
+    problem = LeakageProblem((packet,), epsilon, UNBOUNDED, RATE1)
+    with pytest.raises(ValueError, match=message):
+        solve_n_packet(problem)

@@ -42,6 +42,19 @@ def test_deriv_matches_finite_differences():
         assert rate.deriv(p) == pytest.approx(fd, rel=1e-6)
 
 
+def test_scalar_calls_match_the_array_path_bitwise():
+    rng = random.Random(3)
+    powers = [rng.uniform(0.0, 10.0) * 10.0 ** rng.uniform(-300, 300) for _ in range(2000)]
+    powers += [0.0, 5e-324, 1e300]
+    for noise in (1.0, 0.37, 4.5):
+        rate = awgn_rate(noise)
+        for fn in (rate, rate.deriv):
+            scalar = [fn(p) for p in powers]
+            array = [float(fn(np.array([p]))[0]) for p in powers]
+            assert all(type(v) is float for v in scalar)
+            assert [v.hex() for v in scalar] == [v.hex() for v in array]
+
+
 def test_strictly_concave_and_increasing():
     rate = awgn_rate(0.7)
     grid = np.linspace(0.0, 50.0, 501)

@@ -20,6 +20,7 @@ from conftest import (
 
 from ehsched import (
     BatterySchedule,
+    CumulativeCurve,
     InfeasibleError,
     PowerSchedule,
     StringSolution,
@@ -125,6 +126,16 @@ def test_instant_forced_spend_raises():
     harvested = from_packet_arrivals([(0.0, 4.0)], 4.0)
     minimum = from_packet_arrivals([(0.0, 1.0)], 4.0)  # M(0) > 0 = E(0)
     with pytest.raises(InfeasibleError):
+        taut_string(harvested, minimum)
+
+
+def test_overflowing_slope_is_refused_as_the_schedule_refuses_it():
+    # the floor forces one unit of energy out over the first 5e-324 seconds
+    harvested = CumulativeCurve(((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0), (1.0, 1.0, 1.0)), 1.0)
+    minimum = min_energy_from_battery(harvested, BatterySchedule.constant(0.0, 1.0))
+    with pytest.raises(
+        ValueError, match=r"power must be finite and non-negative, got inf on \[0.0, 5e-324\]"
+    ):
         taut_string(harvested, minimum)
 
 
