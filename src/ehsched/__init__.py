@@ -6,7 +6,7 @@ function.  The optimal cumulative-energy curve is the taut string threaded
 between the harvested ceiling and a minimum-spend floor (finite or dying
 batteries).  Extensions cover two-receiver broadcast (via a composite rate)
 and leaky batteries (block decomposition around the efficiency-optimal
-power).  Brute-force dynamic programs in :mod:`ehsched.oracle` verify it all.
+power).  Dual bounds certify it all; the DPs in :mod:`ehsched.oracle` cross-check.
 """
 
 from .broadcast import (
@@ -41,6 +41,7 @@ from .leakage import (
     LeakageTrace,
     ThroughputComparison,
     compare_ST_NT,
+    drain_bound,
     p_star,
     simulate,
     solve_n_packet,
@@ -110,6 +111,7 @@ __all__ = [
     "LeakageTrace",
     "ThroughputComparison",
     "compare_ST_NT",
+    "drain_bound",
     "p_star",
     "simulate",
     "solve_n_packet",

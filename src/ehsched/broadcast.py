@@ -55,7 +55,7 @@ def power_threshold(mu1: float, mu2: float, noise1: float, noise2: float) -> flo
     cleaner receiver is worth more per unit power at every level, so
     ``p_th = inf``; above ``noise2 / noise1`` the noisier receiver always
     wins, so ``p_th = 0``; in between, ``p_th`` is the crossover power
-    ``(noise2 - ratio * noise1) / (ratio - 1)``.
+    ``(noise2 - ratio * noise1) / (ratio - 1)``, clamped at 0 against rounding.
     """
     _check_weights(mu1, mu2, noise1, noise2)
     if mu2 == 0.0 or (mu1 > 0.0 and mu2 / mu1 <= 1.0):
@@ -63,7 +63,7 @@ def power_threshold(mu1: float, mu2: float, noise1: float, noise2: float) -> flo
     if mu1 == 0.0 or mu2 / mu1 > noise2 / noise1:
         return 0.0
     ratio = mu2 / mu1
-    return (noise2 - ratio * noise1) / (ratio - 1.0)
+    return max((noise2 - ratio * noise1) / (ratio - 1.0), 0.0)
 
 
 def composite_rate(

@@ -24,10 +24,9 @@ interpolated in between.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
 additionally checks that the schedule is feasible and that its data is within
-a one-sided relative gap of the dual bound above it or (leakage, bounded or
-not) of the carry DP's feasible value below it, and ``demo`` runs one of the
-built-in scenarios.  Exit status: 0 success, 1 invalid input/arguments or a
-failed verification, 2 infeasible instance.  A closed standard output drops
+a one-sided relative gap of a dual bound above it, and ``demo`` runs one of
+the built-in scenarios.  Exit status: 0 success, 1 invalid input/arguments or
+a failed verification, 2 infeasible instance.  A closed standard output drops
 the summary lines but changes neither the files written nor the status.
 """
 
@@ -64,25 +63,23 @@ from .curves import (
 from .leakage import (
     LeakageProblem,
     _upfront_data,
+    drain_bound,
     simulate,
     solve_n_packet,
     sufficient_condition_holds,
 )
-from .oracle import GridSpec, dp_leakage_throughput
 from .rate import RateFunction, awgn_rate
 from .string_solver import dual_bound, taut_string
 
 __all__ = ["main", "DEMO_SCENARIOS", "REPORT_SCHEMA"]
 
-#: Largest relative gap ``verify`` accepts: ``(U - data) / data`` to the dual
-#: bound, ``(data - DP) / data`` to the leakage DP's feasible value.  A gap
-#: below ``GAP_FLOOR`` means the check itself was computed wrongly.
+#: Largest relative gap ``(U - data) / data`` to the dual bound ``U`` that
+#: ``verify`` accepts.  A gap below ``GAP_FLOOR`` means the bound itself was
+#: computed wrongly.
 DUAL_GAP_TOLERANCE = 1e-9
-LEAKAGE_GAP_TOLERANCE = 1e-4
 GAP_FLOOR = -1e-12
-#: Carry levels of the leakage DP.
-LEAKAGE_GRID = GridSpec(energy_levels=401)
-# read by the benchmark's grid-DP and rival checks; verify uses neither
+# read by the benchmark's grid-DP and rival checks; verify uses none of them
+LEAKAGE_GAP_TOLERANCE = 1e-4
 P2P_GAP_TOLERANCE = 0.005
 DOMINANCE_SWEEPS = 64
 
@@ -206,19 +203,13 @@ REPORT_SCHEMA = {
                 "ok",
             ],
             "properties": {
-                # "dual_bound": oracle_data is the bound U (p2p, broadcast);
-                # "grid_dp": it is the leakage DP's value on "grid"
-                "method": {"enum": ["dual_bound", "grid_dp"]},
-                "grid": {"type": "object"},
+                "method": {"const": "dual_bound"},
                 "oracle_data": _NUMBER,
                 "solver_data": _NUMBER,
                 "relative_gap": _NUMBER,
                 "tolerance": _NUMBER,
                 "ok": {"type": "boolean"},
             },
-            "if": {"properties": {"method": {"const": "grid_dp"}}},
-            "then": {"required": ["grid"]},
-            "else": {"not": {"required": ["grid"]}},
         },
     },
 }
@@ -532,33 +523,23 @@ def _solve_scenario(scenario: dict, resolution: int) -> _Solved:
 
 def _verify(solved: _Solved) -> dict:
     solver_data = solved.report["total_data"]
-    scale = max(abs(solver_data), 1e-12)
     if isinstance(solved.problem, LeakageProblem):
-        # the DP's value is a feasible schedule's data, at or below the optimum
-        oracle = dp_leakage_throughput(solved.problem, LEAKAGE_GRID)
-        gap = (solver_data - oracle) / scale
+        bound = drain_bound(solved.problem)
         feasible = solved.report["infeasible_at"] is None
-        tolerance = LEAKAGE_GAP_TOLERANCE
-        fields = {
-            "method": "grid_dp",
-            "grid": {"energy_levels": LEAKAGE_GRID.energy_levels},
-        }
     else:
         schedule, harvested, minimum, rate = solved.problem
-        # weak duality puts every feasible schedule at or below the bound, so
-        # a feasible schedule that meets it is optimal
-        oracle = dual_bound(schedule, harvested, minimum, rate)
-        gap = (oracle - solver_data) / scale
+        bound = dual_bound(schedule, harvested, minimum, rate)
         feasible = check_feasible(schedule, minimum, harvested).feasible
-        tolerance = DUAL_GAP_TOLERANCE
-        fields = {"method": "dual_bound"}
+    # weak duality puts every feasible schedule at or below the bound, so a
+    # feasible schedule that meets it is optimal
+    gap = (bound - solver_data) / max(abs(solver_data), 1e-12)
     return {
+        "method": "dual_bound",
         "solver_data": solver_data,
-        "oracle_data": oracle,
+        "oracle_data": bound,
         "relative_gap": gap,
-        "tolerance": tolerance,
-        "ok": feasible and GAP_FLOOR <= gap <= tolerance,
-        **fields,
+        "tolerance": DUAL_GAP_TOLERANCE,
+        "ok": feasible and GAP_FLOOR <= gap <= DUAL_GAP_TOLERANCE,
     }
 
 
@@ -833,7 +814,7 @@ def _parser() -> _Parser:
     _add_common(p_solve)
 
     p_verify = sub.add_parser(
-        "verify", help="solve and check the answer (dual bound; leakage: grid DP)"
+        "verify", help="solve and check the answer against a dual bound"
     )
     p_verify.add_argument("scenario", nargs="+")
     _add_common(p_verify)
@@ -884,11 +865,9 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if verification is not None:
         lines.append(
-            "{label}: {oracle_data:.9g} bits, relative gap {relative_gap:.3g} "
+            "bound: {oracle_data:.9g} bits, relative gap {relative_gap:.3g} "
             "(tolerance {tolerance:.3g}) -> {status}".format(
-                label="bound" if verification["method"] == "dual_bound" else "oracle",
-                status="ok" if verification["ok"] else "FAILED",
-                **verification,
+                status="ok" if verification["ok"] else "FAILED", **verification
             )
         )
     lines += [f"wrote {target}" for target in written]

@@ -21,8 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .curves import CumulativeCurve, PiecewiseCurve, PowerSchedule
+import numpy as np
+
+from .curves import (
+    CumulativeCurve,
+    PiecewiseCurve,
+    PowerSchedule,
+    from_packet_arrivals,
+    zero_curve,
+)
 from .rate import RateFunction, throughput
+from .string_solver import dual_bound, taut_string
 
 __all__ = [
     "UNBOUNDED",
@@ -35,6 +44,7 @@ __all__ = [
     "solve_n_packet",
     "simulate",
     "compare_ST_NT",
+    "drain_bound",
 ]
 
 UNBOUNDED = None
@@ -456,3 +466,26 @@ def _upfront_data(problem: LeakageProblem) -> float:
     """Best data with the problem's total energy all available at t=0."""
     upfront = replace(problem, packets=((0.0, problem.total_energy),))
     return solve_n_packet(upfront).total_data
+
+
+def drain_bound(problem: LeakageProblem) -> float:
+    """Upper bound on the data of any schedule that replays feasibly, read
+    from the packets alone: the dual bound of the taut string under their
+    staircase at the drain rate ``g(q) = r(q - epsilon)``, time-shared as
+    ``q * f`` below ``p_star + epsilon``, ``f = r(p_star) / (p_star + epsilon)``.
+    The string's pieces are the solver's blocks, so the optimum meets it.
+    With no deadline it is ``E * f``.
+    """
+    r, eps = problem.rate, problem.epsilon
+    p_opt = p_star(r, eps)
+    if problem.deadline is None:
+        return problem.total_energy * r(p_opt) / (p_opt + eps)
+    knee = p_opt + eps
+    f = r(p_opt) / knee if eps > 0.0 else 0.0  # at eps = 0, knee = 0 and g = r
+    g = RateFunction(
+        lambda q: np.where(q < knee, q * f, r(np.maximum(q - eps, p_opt))),
+        lambda q: np.where(q < knee, f, r.deriv(np.maximum(q - eps, p_opt))),
+    )
+    harvested = from_packet_arrivals(problem.packets, problem.deadline)
+    schedule = taut_string(harvested).schedule
+    return dual_bound(schedule, harvested, zero_curve(problem.deadline), g)

@@ -266,13 +266,14 @@ def test_solution_rate_gives_weighted_sum(mu2):
 
 def test_threshold_rounded_below_zero_gives_user1_no_power():
     # mu2 / mu1 is noise2 / noise1 as floats, and the crossover power rounds
-    # to -1.3e-16; the schedule clamps user 1's share to zero
+    # to -1.3e-16; the threshold clamps it to zero, so user 1 sends nothing
     noise1, noise2 = 0.559911975193751, 1.514539078448115
     mu2 = noise2 / noise1
-    assert power_threshold(1.0, mu2, noise1, noise2) <= 0.0
+    assert power_threshold(1.0, mu2, noise1, noise2) == 0.0
     harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 1.0)], 3.0)
     solution = solve_broadcast(BroadcastProblem(noise1, noise2, 1.0, mu2, harvested))
     assert solution.user1_schedule.segments == ((0.0, 3.0, 0.0),)
+    assert solution.user1_data == 0.0
     assert_schedule_rebuilds(solution.user1_schedule)
 
 

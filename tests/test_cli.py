@@ -15,7 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import narrow_gate_train, random_leakage_problem, tangent_root
+from conftest import (
+    leaky_train,
+    narrow_gate_train,
+    random_leakage_problem,
+    tangent_root,
+)
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from ehsched import (
@@ -154,7 +159,7 @@ def test_verify_solar_without_a_grid(tmp_path, resolution):
 @pytest.mark.parametrize("source", ["golden-unbounded", "random-seed-2"])
 def test_verify_leakage_scenarios(tmp_path, source):
     # verify refused unbounded deadlines, and its two-grid DP landed 4.4%
-    # above the solver on random seed 2; the carry DP is a feasible value
+    # above the solver on random seed 2; the drain bound is exact on both
     if source == "golden-unbounded":
         scenario = GOLDEN_SCENARIOS["leakage-unbounded"]
     else:
@@ -168,9 +173,28 @@ def test_verify_leakage_scenarios(tmp_path, source):
     assert run(tmp_path, "verify", write_scenario(tmp_path, scenario)) == 0
     verification = load_report(tmp_path, "scenario")["verification"]
     assert verification["ok"] is True
-    assert verification["method"] == "grid_dp"
-    assert verification["grid"] == {"energy_levels": 401}
-    assert -1e-12 <= verification["relative_gap"] <= 1e-4
+    assert verification["method"] == "dual_bound"
+    assert "grid" not in verification
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1448, 10_000])
+def test_verify_long_leaky_trains(tmp_path, n):
+    # the carry DP's 401 levels fell 6% short of the solver at 1448 packets,
+    # so verify exited 1 on a correct answer; the drain bound uses no levels
+    problem = leaky_train(n)
+    scenario = {
+        "mode": "leakage",
+        "deadline": problem.deadline,
+        "harvest": {"packets": [{"t": t, "e": e} for t, e in problem.packets]},
+        "epsilon": problem.epsilon,
+    }
+    path = write_scenario(tmp_path, scenario)
+    assert run(tmp_path, "verify", path, "--format", "json") == 0
+    verification = load_report(tmp_path, "scenario")["verification"]
+    assert verification["ok"] is True
+    assert verification["method"] == "dual_bound"
+    assert -1e-12 <= verification["relative_gap"] <= 1e-9
 
 
 def test_verify_leakage_needs_a_feasible_replay():

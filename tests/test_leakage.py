@@ -28,6 +28,8 @@ from ehsched import (
     LeakageProblem,
     PowerSchedule,
     compare_ST_NT,
+    drain_bound,
+    dual_bound,
     from_packet_arrivals,
     merge_times,
     p_star,
@@ -35,7 +37,10 @@ from ehsched import (
     solve_n_packet,
     sufficient_condition_holds,
     taut_string,
+    throughput,
+    zero_curve,
 )
+from ehsched import leakage
 from ehsched.leakage import _decompose_blocks
 
 E = math.e
@@ -518,3 +523,61 @@ def test_degenerate_unbounded_schedule_is_refused(packet, epsilon, message):
     problem = LeakageProblem((packet,), epsilon, UNBOUNDED, RATE1)
     with pytest.raises(ValueError, match=message):
         solve_n_packet(problem)
+
+
+# --------------------------------------------------------------------------
+# drain bound
+
+
+def test_drain_bound_meets_the_solver_on_random_trains():
+    rng = random.Random(11)
+    for seed in range(300):
+        problem = random_leakage_problem(seed, seed % 3 != 0, rng.uniform(0.01, 3.0))
+        data = solve_n_packet(problem).total_data
+        assert -1e-12 <= (drain_bound(problem) - data) / data <= 1e-12, seed
+
+
+def test_drain_bound_reads_only_the_packets(monkeypatch):
+    # an independent check: neither the block decomposition nor the solver
+    problem = random_leakage_problem(4)
+    expected = drain_bound(problem)
+
+    def refuse(*args):
+        raise AssertionError("drain_bound called the solver")
+
+    monkeypatch.setattr(leakage, "_decompose_blocks", refuse)
+    monkeypatch.setattr(leakage, "solve_n_packet", refuse)
+    assert drain_bound(problem) == expected
+
+
+def test_drain_bound_caps_slower_feasible_schedules():
+    # one block run at a lower power keeps more charge at every instant, so
+    # its replay never draws from an empty battery; its data stays below U
+    checked = 0
+    for seed in range(40):
+        problem = random_leakage_problem(seed, bounded=seed % 3 != 0)
+        bound = drain_bound(problem)
+        solution = solve_n_packet(problem)
+        for power in set(solution.block_powers):
+            for scale in (0.3, 0.7, 0.95):
+                slower = PowerSchedule(
+                    tuple(
+                        (t0, t1, p * scale if p == power else p)
+                        for t0, t1, p in solution.schedule.segments
+                    )
+                )
+                assert simulate(slower, problem).infeasible_at is None
+                assert throughput(slower, RATE1) <= bound * (1.0 + 1e-12)
+                checked += 1
+    assert checked > 100
+
+
+def test_drain_bound_without_leak_is_the_plain_dual_bound():
+    # at eps = 0 the drain envelope is the rate itself, with no 0/0 at p_star
+    for seed in range(20):
+        problem = random_leakage_problem(seed, epsilon=0.0)
+        harvested = from_packet_arrivals(problem.packets, problem.deadline)
+        schedule = taut_string(harvested).schedule
+        zero = zero_curve(problem.deadline)
+        assert drain_bound(problem) == dual_bound(schedule, harvested, zero, RATE1)
+

@@ -34,6 +34,7 @@ from ehsched import (
     compare_ST_NT,
     dp_leakage_throughput,
     dp_throughput,
+    drain_bound,
     dual_bound,
     dying_battery_scenario,
     from_packet_arrivals,
@@ -188,6 +189,15 @@ def test_dp_leak_is_a_close_lower_bound(bounded):
     gaps = [_leak_gap(random_leakage_problem(s, bounded), 401) for s in range(300)]
     assert -1e-12 <= min(gaps)
     assert max(gaps) <= 1e-4
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_dp_leak_stays_below_the_drain_bound(bounded):
+    # the DP's value is a feasible schedule's data, which no bound is below
+    for seed in range(300):
+        problem = random_leakage_problem(seed, bounded)
+        value = dp_leakage_throughput(problem, GridSpec(energy_levels=401))
+        assert value <= drain_bound(problem) * (1.0 + 1e-12), seed
 
 
 def test_dp_leak_refining_nested_levels_never_loses():
