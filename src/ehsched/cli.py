@@ -44,8 +44,6 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from .broadcast import BroadcastProblem, solve_broadcast
 from .curves import (
     BatterySchedule,
@@ -240,8 +238,13 @@ def _numbers(values, where: str) -> list[float]:
 
 def _records(items, where: str, *keys: str) -> list[tuple[float, ...]]:
     """A list of objects whose ``keys`` fields are finite numbers."""
+    if not isinstance(items, list):
+        raise ValueError(f'"{where}" must be a list of objects')
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f'"{where}[{i}]" must be an object, got {item!r}')
     return [
-        tuple(_number(item[key], f"{where}[{i}].{key}") for key in keys)
+        tuple(_number(item.get(key), f"{where}[{i}].{key}") for key in keys)
         for i, item in enumerate(items)
     ]
 
@@ -283,15 +286,16 @@ def _build_harvest(
             raise ValueError('"samples" needs at least two rate values')
         if any(v < 0.0 for v in samples):
             raise ValueError('"samples" rate values must be non-negative')
-        # the very times integrate_rate samples at, so each cell is one
-        # trapezoid between two given values
+        # one trapezoid per cell between two given values
         cells = len(samples) - 1
-        grid = deadline * np.arange(len(samples)) / cells
-        # an array once: np.interp converts a list again on every call
-        values = np.asarray(samples)
-        return integrate_rate(
-            lambda t: np.interp(t, grid, values), deadline, cells, 1
-        )
+        width, total, bps = deadline / cells, 0.0, [(0.0, 0.0, 0.0)]
+        for k in range(1, len(samples)):
+            total += 0.5 * (samples[k - 1] + samples[k]) * width
+            bps.append((deadline * k / cells, total, total))
+        if not math.isfinite(total):
+            raise ValueError(f"the harvest rate integrates to a non-finite {total}")
+        bps[-1] = (deadline, total, total)
+        return CumulativeCurve(tuple(bps), deadline)
     if "named" in spec:
         if spec["named"] != "solar":
             raise ValueError(f'unknown named harvest {spec["named"]!r}')
@@ -324,8 +328,11 @@ def _build_minimum(
             )
         return min_energy_from_battery(harvested, profile)
     if "dying" in spec:
-        amounts = _numbers(spec["dying"]["b"], "battery.dying.b")
-        times = _numbers(spec["dying"]["t"], "battery.dying.t")
+        dying = spec["dying"]
+        if not isinstance(dying, dict):
+            raise ValueError('"battery.dying" must be an object {"b": ..., "t": ...}')
+        amounts = _numbers(dying.get("b"), "battery.dying.b")
+        times = _numbers(dying.get("t"), "battery.dying.t")
         if len(amounts) != len(times):
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
         if times[-1] > deadline:
@@ -411,10 +418,10 @@ def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
             raise ValueError('broadcast mode needs a "broadcast" object')
         solution = solve_broadcast(
             BroadcastProblem(
-                noise1=_number(spec["n1"], "broadcast.n1"),
-                noise2=_number(spec["n2"], "broadcast.n2"),
-                mu1=_number(spec["mu1"], "broadcast.mu1"),
-                mu2=_number(spec["mu2"], "broadcast.mu2"),
+                noise1=_number(spec.get("n1"), "broadcast.n1"),
+                noise2=_number(spec.get("n2"), "broadcast.n2"),
+                mu1=_number(spec.get("mu1"), "broadcast.mu1"),
+                mu2=_number(spec.get("mu2"), "broadcast.mu2"),
                 harvested=harvested,
                 minimum=minimum,
             )

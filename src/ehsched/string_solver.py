@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -298,51 +297,44 @@ def dual_bound(
     """An upper bound on the throughput of every feasible schedule in the
     corridor, priced by ``schedule``'s own powers.
 
-    The gates of :func:`~ehsched.curves.corridor_gates` cut ``[0, T]`` into
-    pieces of lengths ``tau_i``; ``schedule`` must keep one power ``p_i`` on
-    each piece.  Its price ``c_i = r'(p_i)`` is the water level there.  A
-    fall in the level at gate ``k`` prices its ceiling ``hi_k`` and a rise
-    prices its floor ``lo_k`` (the multipliers ``lambda_k`` and ``nu_k``),
-    and the end gate's ceiling ``H(T^-)`` carries the last level.  The
-    Lagrangian dual of the gate-constrained problem at these multipliers is
+    Segment ``s`` of ``schedule`` ends at ``t_s`` and has length ``tau_s``,
+    power ``p_s`` and price ``c_s = r'(p_s)``, the water level there.  Every
+    continuous feasible spending curve ``S`` meets ``S(t) <= H(t^-)`` and
+    ``S(t) >= M(t)`` at every ``t``, and weak duality holds with multipliers
+    at any constraint times, so they sit at the schedule's own breakpoints:
+    a fall in the level, ``lambda_s = c_s - c_{s+1} > 0``, prices the
+    ceiling ``H(t_s^-)``, a rise, ``nu_s = c_{s+1} - c_s > 0``, prices the
+    floor ``M(t_s)``, and the last level prices ``S(T) <= H(T^-)``.  Summed
+    by parts (``S(0) = 0``), the multipliers' ``S`` terms are ``-c_s`` times
+    the energy spent on segment ``s``, so every feasible schedule sends at most
 
-        U = sum tau_i r*(c_i) + sum lambda_k hi_k - sum nu_k lo_k,
+        U = sum tau_s r*(c_s) + sum lambda_s H(t_s^-) - sum nu_s M(t_s)
+            + c_last H(T^-),
 
-    and weak duality puts every feasible schedule's throughput at or below
-    it, whatever the prices.  Because each price is a derivative of the rate
-    at ``p_i``, the conjugate ``r*(c_i) = sup_p r(p) - c_i p`` is attained at
-    ``p_i``.  The optimal schedule of directional water-filling meets the
-    bound: its level rises only on the ceiling and falls only on the floor.
+    with the conjugate ``r*(c_s) = sup_p r(p) - c_s p`` attained at ``p_s``
+    because the rate is concave.  The optimal schedule of directional
+    water-filling meets the bound: its level falls only on the ceiling and
+    rises only on the floor.
 
     The terms are summed exactly rounded (``math.fsum``), so the bound does
     not depend on the platform's summation order.  Raises ``ValueError``
-    when the schedule does not end at the horizon or changes power between
-    two gates.
+    when the horizons differ or the schedule does not end at the horizon.
     """
-    gates, _ = corridor_gates(harvested, minimum)
-    times, lo, hi = (np.array(column) for column in zip(*gates))
-    segments = np.array(schedule.segments)
-    ends, powers = segments[:, 1], segments[:, 2]
-    if ends[-1] != times[-1]:
+    T = harvested.horizon
+    if minimum.horizon != T:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    starts, ends, p = np.array(schedule.segments).T
+    if ends[-1] != T:
         raise ValueError(
-            f"the schedule ends at t={ends[-1]:g}, not at the horizon {times[-1]:g}"
+            f"the schedule ends at t={ends[-1]:g}, not at the horizon {T:g}"
         )
-    steps = ends[np.flatnonzero(powers[1:] != powers[:-1])]
-    # each step is before T, so the first gate at or after it exists
-    off_gate = steps[times[np.searchsorted(times, steps)] != steps]
-    if off_gate.size:
-        raise ValueError(
-            f"the schedule changes power at t={off_gate[0]:g}, "
-            "which is not a gate of the corridor"
-        )
-    starts = np.concatenate(([0.0], times[:-1]))
-    # each piece takes the power of the segment its start lies in
-    p = powers[np.searchsorted(ends, starts, side="right")]
     c = np.asarray(rate.deriv(p), dtype=float)
-    fall = c[:-1] - c[1:]  # lambda_k where positive, -nu_k where negative
-    terms = chain(
-        ((times - starts) * (np.asarray(rate(p), dtype=float) - c * p)).tolist(),
-        (fall * np.where(fall > 0.0, hi[:-1], lo[:-1])).tolist(),
-        (c[-1] * hi[-1],),
-    )
+    terms = ((ends - starts) * (np.asarray(rate(p), dtype=float) - c * p)).tolist()
+    prices = c.tolist()
+    for t, c0, c1 in zip(ends.tolist(), prices, prices[1:]):
+        if c0 > c1:
+            terms.append((c0 - c1) * harvested.eval_left(t))
+        elif c0 < c1:
+            terms.append((c0 - c1) * minimum.eval(t))
+    terms.append(prices[-1] * harvested.eval_left(T))
     return math.fsum(terms)

@@ -347,6 +347,28 @@ def test_validation_failures_exit_1(tmp_path, capsys):
             {**p2p, "harvest": packet, "battery": {"dying": {"b": [], "t": []}}},
             "battery.dying.b",
         ),
+        ({**p2p, "harvest": {"packets": [{"t": 0.0}]}}, "harvest.packets[0].e"),
+        ({**p2p, "harvest": {"packets": {"t": 0.0, "e": 1.0}}}, "harvest.packets"),
+        ({**p2p, "harvest": {"packets": [[0.0, 1.0]]}}, "harvest.packets[0]"),
+        ({**p2p, "harvest": packet, "battery": {"dying": [2, 2]}}, "battery.dying"),
+        (
+            {**p2p, "harvest": packet, "battery": {"dying": {"b": [2.0]}}},
+            "battery.dying.t",
+        ),
+        (
+            {
+                "mode": "broadcast",
+                "deadline": 4.0,
+                "harvest": packet,
+                "broadcast": {"n1": 1.0, "n2": 3.0, "mu1": 1.0},
+            },
+            "broadcast.mu2",
+        ),
+        # each sample is finite, but the trapezoid of the cell is not
+        (
+            {**p2p, "deadline": 10.0, "harvest": {"samples": [1e308, 1e308]}},
+            "the harvest rate integrates to a non-finite inf",
+        ),
     ]
     for payload, field in bad:
         assert run(tmp_path, "solve", write_scenario(tmp_path, payload)) == 1, payload

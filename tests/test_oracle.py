@@ -509,6 +509,20 @@ def test_dual_bound_refuses_feasible_rivals(name):
         assert (bound - data) / data > 1e-9
 
 
+@pytest.mark.parametrize("name", sorted(RIVAL_CORRIDORS))
+def test_dual_bound_of_raw_rivals_bounds_the_optimum_and_the_rival(name):
+    # rivals change power off the gates; their own breakpoints carry the
+    # multipliers, and weak duality holds at any prices and any times
+    harvested, minimum = RIVAL_CORRIDORS[name]()
+    floor = zero_curve(harvested.horizon) if minimum is None else minimum
+    best = taut_string(harvested, floor, rate=RATE1).total_data
+    for seed in range(200):
+        rival = random_feasible_schedule(harvested, minimum, seed=seed)
+        bound = dual_bound(rival, harvested, floor, RATE1)
+        assert bound >= best * (1.0 - 1e-12), seed
+        assert bound >= throughput(rival, RATE1), seed
+
+
 def test_dp_string_and_dual_bound_are_ordered():
     # the DP sends what one feasible grid schedule sends, the string is
     # optimal, and the bound is above every feasible schedule; the KKT

@@ -437,24 +437,45 @@ def test_more_energy_never_lowers_data(case, data):
 # dual bound
 
 
-def test_dual_bound_needs_one_power_per_gate_piece():
+def test_dual_bound_prices_any_schedule_that_ends_at_the_horizon():
     harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 3.0)], 4.0)
     floor = zero_curve(4.0)
     optimal = taut_string(harvested, floor, rate=RATE)
+    best = optimal.total_data
     assert dual_bound(optimal.schedule, harvested, floor, RATE) == pytest.approx(
-        optimal.total_data, rel=1e-12
+        best, rel=1e-12
     )
-    # the gates are at t=1 and t=4: equal powers on both sides of t=0.5 are
-    # one piece, different ones are not
+    # equal powers on both sides of a breakpoint put no multiplier there
     split = PowerSchedule(((0.0, 0.5, 1.25), (0.5, 1.0, 1.25), (1.0, 4.0, 1.25)))
     assert dual_bound(split, harvested, floor, RATE) == dual_bound(
         PowerSchedule.constant(1.25, 4.0), harvested, floor, RATE
     )
+    # the gates are at t=1 and t=4, but weak duality holds with multipliers
+    # at any times: a power change at t=0.5 is priced there
     bent = PowerSchedule(((0.0, 0.5, 1.0), (0.5, 1.0, 1.5), (1.0, 4.0, 1.25)))
-    with pytest.raises(ValueError, match=r"changes power at t=0\.5"):
-        dual_bound(bent, harvested, floor, RATE)
+    assert dual_bound(bent, harvested, floor, RATE) >= best
     with pytest.raises(ValueError, match="not at the horizon 4"):
         dual_bound(PowerSchedule.constant(1.25, 3.0), harvested, floor, RATE)
+    with pytest.raises(ValueError, match="horizon mismatch: 5.0 != 4.0"):
+        dual_bound(optimal.schedule, harvested, zero_curve(5.0), RATE)
+
+
+def test_dual_bound_reads_no_corridor_gates(monkeypatch):
+    # the bound reads the curves only at the schedule's own breakpoints
+    packets, deadline = narrow_gate_train(256)
+    harvested = from_packet_arrivals(packets, deadline)
+    floor = min_energy_from_battery(
+        harvested, BatterySchedule.constant(3.5, deadline)
+    )
+    solution = taut_string(harvested, floor, rate=RATE)
+
+    def refuse(*args):
+        raise AssertionError("corridor_gates called")
+
+    monkeypatch.setattr("ehsched.string_solver.corridor_gates", refuse)
+    assert dual_bound(solution.schedule, harvested, floor, RATE) == pytest.approx(
+        solution.total_data, rel=1e-12
+    )
 
 
 def test_dual_bound_certifies_a_long_capped_train():
