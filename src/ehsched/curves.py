@@ -304,6 +304,8 @@ class PowerSchedule:
                 f"horizon {horizon} shorter than the schedule, which ends at "
                 f"{self.end_time}"
             )
+        if horizon == math.inf:
+            raise ValueError(f"horizon must be finite, got {horizon}")
         bps = [(0.0, 0.0, 0.0)]
         total = 0.0
         for t0, t1, p in self.segments:

@@ -351,7 +351,9 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     empty battery is recorded (first time only) and ignored rather than
     raised, so every schedule yields a complete trace.  The points are kept
     in columns, one list per quantity, that are zipped into the three
-    curves.
+    curves.  With no deadline the trace ends when the charge left has
+    leaked out; a ``ValueError`` is raised when that time overflows the
+    float range (a leak such as ``epsilon=5e-324`` under an idle schedule).
     """
     eps = problem.epsilon
     packets = problem.packets
@@ -422,6 +424,11 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     if problem.deadline is None and charge > tol and eps > 0.0:
         # no deadline: the charge left after the last event leaks away
         horizon = cur + charge / eps
+        if horizon == math.inf:
+            raise ValueError(
+                f"the charge {charge!r} left at t={cur!r} cannot leak out at "
+                f"epsilon={eps!r} in a finite float time"
+            )
         lk += charge
         if horizon > cur:
             ts.append(horizon)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -156,12 +157,21 @@ def test_verify_solar_without_a_grid(tmp_path, resolution):
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
 
 
-@pytest.mark.parametrize("source", ["golden-unbounded", "random-seed-2"])
+@pytest.mark.parametrize("source", ["golden-unbounded", "random-seed-2", "tiny-leak"])
 def test_verify_leakage_scenarios(tmp_path, source):
     # verify refused unbounded deadlines, and its two-grid DP landed 4.4%
     # above the solver on random seed 2; the drain bound is exact on both
     if source == "golden-unbounded":
         scenario = GOLDEN_SCENARIOS["leakage-unbounded"]
+    elif source == "tiny-leak":
+        # an idle replay could not end (1 / 5e-324 overflows), but the
+        # solver's schedule empties the battery at a finite time
+        scenario = {
+            "mode": "leakage",
+            "deadline": "unbounded",
+            "epsilon": 5e-324,
+            "harvest": {"packets": [{"t": 0.0, "e": 1.0}]},
+        }
     else:
         problem = random_leakage_problem(2)
         scenario = {
@@ -504,15 +514,93 @@ def test_format_selection(tmp_path):
 
 def test_repeated_format_is_written_once(tmp_path, capsys, monkeypatch):
     written = []
-    write_json = cli._write_json
+    write_file = cli._write_file
     monkeypatch.setattr(
-        cli, "_write_json", lambda report, path: (written.append(path), write_json(report, path))
+        cli, "_write_file", lambda path, text: (written.append(path), write_file(path, text))
     )
     assert run(tmp_path, "demo", "dying-battery", "--format", "json, csv,json,csv") == 0
     report, csv = (tmp_path / f"dying-battery.{s}" for s in ("report.json", "schedule.csv"))
-    assert written == [report]
+    assert written == [report, csv]
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("wrote")] == [f"wrote {report}", f"wrote {csv}"]
+
+
+# --------------------------------------------------------------------------
+# writing over old outputs in place
+
+
+OUTPUTS = ("report.json", "schedule.csv", "plot.svg")
+
+
+def test_shorter_output_over_longer_matches_a_fresh_run(tmp_path):
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run(rerun, "demo", "solar", "--resolution", "8192") == 0
+    longer = {s: (rerun / f"solar.{s}").stat().st_size for s in OUTPUTS}
+    assert run(rerun, "demo", "solar") == 0
+    assert run(fresh, "demo", "solar") == 0
+    for suffix in OUTPUTS:
+        new = (rerun / f"solar.{suffix}").read_bytes()
+        assert len(new) < longer[suffix]
+        assert new == (fresh / f"solar.{suffix}").read_bytes()
+
+
+def test_output_symlink_is_written_through(tmp_path):
+    out, target = tmp_path / "out", tmp_path / "kept.json"
+    out.mkdir()
+    target.write_text("x" * 100_000)
+    link = out / "dying-battery.report.json"
+    link.symlink_to(target)
+    assert run(out, "demo", "dying-battery", "--format", "json") == 0
+    assert link.is_symlink()
+    assert target.read_text() == _json_text(load_report(out, "dying-battery")) + "\n"
+    # a device holds nothing past the new bytes and is not cut
+    link.unlink()
+    link.symlink_to(os.devnull)
+    assert run(out, "demo", "dying-battery", "--format", "json") == 0
+
+
+def test_new_output_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 0
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert mode & 0o777 == 0o640
+    assert (tmp_path / "broadcast.schedule.csv").stat().st_mode == mode
+
+
+def test_output_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    (tmp_path / "broadcast.schedule.csv").mkdir()
+    assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EISDIR}] Is a directory: ")
+    assert "broadcast.schedule.csv" in err
+
+
+def test_failed_write_leaves_no_old_tail(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "broadcast.schedule.csv"
+    target.write_text("old\n" * 100_000)
+    write = os.write
+    calls = []
+
+    def half_then_full_disk(fd, data):
+        if fd <= 2:
+            return write(fd, data)
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(cli.os, "write", half_then_full_disk)
+    assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    solved = _solve_scenario(DEMO_SCENARIOS["broadcast"], 1024)
+    expected = cli._csv_text(solved).encode()
+    assert target.read_bytes() == expected[: len(expected) // 2]
 
 
 @pytest.mark.parametrize("formats", ["", ","])
@@ -638,13 +726,6 @@ def reference_csv(schedules) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _TextSink:
-    """Stands in for a path: keeps what is written to it."""
-
-    def write_text(self, text: str) -> None:
-        self.text = text
-
-
 SEGMENTS = st.lists(
     st.fixed_dictionaries({"t_start": FLOATS, "t_end": FLOATS, "power": FLOATS}),
     max_size=6,
@@ -656,6 +737,4 @@ SEGMENTS = st.lists(
 def test_csv_template_matches_per_value_format(schedules):
     keys = ("schedule", "user1_schedule", "user2_schedule")
     report = {key: {"segments": s} for key, s in zip(keys, schedules)}
-    sink = _TextSink()
-    cli._write_csv(cli._Solved(report, {}, None), sink)
-    assert sink.text == reference_csv(schedules)
+    assert cli._csv_text(cli._Solved(report, {}, None)) == reference_csv(schedules)

@@ -507,6 +507,10 @@ NON_FINITE = {
         lambda: PowerSchedule.constant(1.0, 2.0).energy_curve(NAN),
         "horizon nan shorter than the schedule",
     ),
+    "energy-curve-horizon-inf": (
+        lambda: PowerSchedule.constant(1.0, 2.0).energy_curve(INF),
+        "horizon must be finite, got inf",
+    ),
     "curve-horizon-inf": (
         lambda: CumulativeCurve(((0.0, 0.0, 0.0), (INF, 1.0, 1.0)), INF),
         "horizon must be positive and finite, got inf",

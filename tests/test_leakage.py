@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -377,13 +377,17 @@ def replays(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(replays())
-# a leak too small to empty the battery in floating point: the horizon is inf
-@example((PowerSchedule(((0.0, 1.0, 0.0),)), LeakageProblem(((0.0, 1.0),), 5e-324, None, RATE1)))
 def test_simulate_replay_invariants(case):
     schedule, problem = case
+    expected = reference_simulate(schedule, problem)
+    if expected.transmitted.horizon == math.inf:
+        # the charge left cannot leak out in a finite float time
+        with pytest.raises(ValueError, match="cannot leak out"):
+            simulate(schedule, problem)
+        return
     trace = simulate(schedule, problem)
     # bit for bit, floats and their signs included
-    assert repr(trace) == repr(reference_simulate(schedule, problem))
+    assert repr(trace) == repr(expected)
     assert trace.usable.breakpoints == reference_usable(problem, trace.leaked)
     horizon = trace.transmitted.horizon
     asked = schedule.energy_curve(horizon)
@@ -410,6 +414,24 @@ def test_simulate_replay_invariants(case):
         events = len(schedule.segments) + len(problem.packets) + 2
         threshold = 1e-9 * (horizon + max_power * events)
         assert sent.eval(horizon) >= asked.eval(horizon) - threshold - slack
+
+
+def test_simulate_refuses_a_charge_that_cannot_leak_out():
+    # a leak too small to empty the battery in floating point: the unbounded
+    # replay would end at 1.0 + 1.0 / 5e-324 = inf
+    problem = LeakageProblem(((0.0, 1.0),), 5e-324, UNBOUNDED, RATE1)
+    idle = PowerSchedule(((0.0, 1.0, 0.0),))
+    with pytest.raises(
+        ValueError,
+        match=r"the charge 1\.0 left at t=1\.0 cannot leak out at epsilon=5e-324",
+    ):
+        simulate(idle, problem)
+    # the problem itself stands: the solver's schedule empties the battery
+    # at a finite time, so its replay ends there
+    solution = solve_n_packet(problem)
+    trace = simulate(solution.schedule, problem)
+    assert trace.infeasible_at is None
+    assert trace.transmitted.horizon == solution.schedule.end_time < math.inf
 
 
 def test_simulate_solver_outputs_clean():
