@@ -114,48 +114,15 @@ class PiecewiseCurve:
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def _limits(
-    curve: PiecewiseCurve, times: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """``eval_left`` and ``eval`` of ``curve`` at ``times``, as two lists.
-
-    ``times`` must be sorted and contain every breakpoint time of the curve
-    (as :func:`merge_times` of it and other curves on the same horizon does),
-    so each time either is the next breakpoint or lies strictly inside the
-    piece ending there.  That makes the walk free of the domain and clamp
-    checks of :meth:`PiecewiseCurve.eval`; the interpolation is the same
-    expression, so the values are bit-identical.  :func:`check_feasible`
-    reads its three curves this way; two curves are read together by
-    :func:`_merged_limits`.
-    """
-    bps = curve.breakpoints
-    # the sentinel after the horizon is never reached
-    nxt = iter(bps[1:] + ((math.inf, 0.0, 0.0),))
-    tb, vlb, vrb = bps[0]
-    t0 = v0 = 0.0
-    left: list[float] = []
-    right: list[float] = []
-    for t in times:
-        if t == tb:
-            left.append(vlb)
-            right.append(vrb)
-            t0, v0 = tb, vrb
-            tb, vlb, vrb = next(nxt)
-        else:
-            v = v0 + (vlb - v0) * (t - t0) / (tb - t0)
-            left.append(v)
-            right.append(v)
-    return left, right
-
-
 def _merged_limits(a: PiecewiseCurve, b: PiecewiseCurve):
     """Yield ``(t, a(t^-), a(t), b(t^-), b(t))`` at each time of
     :func:`merge_times` of two curves on one horizon, in one walk over both.
 
     Between its own breakpoints a curve is read by the interpolation of
-    :func:`_limits`, so the values are bit-identical to it.  At a time both
-    curves share, ``t`` is ``a``'s (the one ``merge_times`` keeps of 0.0 and
-    -0.0).
+    :meth:`PiecewiseCurve.eval`, so the values are bit-identical to
+    ``eval_left`` and ``eval``, without their domain check, clamp and
+    bisection.  At a time both curves share, ``t`` is ``a``'s (the one
+    ``merge_times`` keeps of 0.0 and -0.0).
     """
     inf = math.inf
     # sentinels after the horizon, where both walks end together
@@ -560,30 +527,26 @@ def check_feasible(
 ) -> FeasibilityReport:
     """Check ``minimum <= spent <= harvested`` over the whole horizon.
 
-    All three objects are piecewise linear, so comparing left and right
-    limits at the merged breakpoints is exact.  The floor and the harvest
-    must share one horizon.
+    Each difference, ``spent - harvested`` and ``minimum - spent``, is linear
+    between the breakpoints of its own two curves, so comparing left and
+    right limits at those breakpoints is exact; each pair is read in one
+    merged walk.  The floor and the harvest must share one horizon.
     """
     T = harvested.horizon
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
     spent = schedule.energy_curve(T)
-    times = merge_times(spent, minimum, harvested)
-    e_left, e_right = _limits(spent, times)
-    h_left, h_right = _limits(harvested, times)
-    m_left, m_right = _limits(minimum, times)
+    # the left limit first, so the first time a maximum is reached wins
     over, over_t = 0.0, None
-    short, short_t = 0.0, None
-    for t, el, er, hl, hr, ml, mr in zip(
-        times, e_left, e_right, h_left, h_right, m_left, m_right
-    ):
-        # the left limit first, so the first time a maximum is reached wins
+    for t, el, er, hl, hr in _merged_limits(spent, harvested):
         if el - hl > over:
             over, over_t = el - hl, t
-        if ml - el > short:
-            short, short_t = ml - el, t
         if er - hr > over:
             over, over_t = er - hr, t
+    short, short_t = 0.0, None
+    for t, el, er, ml, mr in _merged_limits(spent, minimum):
+        if ml - el > short:
+            short, short_t = ml - el, t
         if mr - er > short:
             short, short_t = mr - er, t
     return FeasibilityReport(

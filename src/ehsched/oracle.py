@@ -255,7 +255,8 @@ def _corridor_knots(
 
 def _inside(curve: PiecewiseCurve, t: float) -> float:
     """``curve.eval(t)`` at a time strictly inside one of its pieces, by the
-    same interpolation."""
+    same interpolation, without ``eval``'s domain check and clamp: with
+    ``eval`` here, certify-sweep ``op_ref_p50`` was about 8% slower."""
     i = bisect_right(curve.times, t) - 1
     t0, _, v0 = curve.breakpoints[i]
     t1, v1, _ = curve.breakpoints[i + 1]

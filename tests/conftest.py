@@ -33,7 +33,7 @@ from ehsched import (
     solar_harvest_rate,
     zero_curve,
 )
-from ehsched.curves import _limits, corridor_gates
+from ehsched.curves import corridor_gates
 
 RATE1 = awgn_rate(1.0)
 
@@ -125,10 +125,11 @@ def chord_certificate(
 # --------------------------------------------------------------------------
 # point-by-point references for the corridor helpers
 #
-# The library reads two curves in one merged walk (curves._merged_limits)
-# and three through merge_times and curves._limits; these are the earlier
-# versions, which evaluate every curve one point at a time.  They must agree
-# with the library exactly.
+# The library reads two curves at a time in one merged walk
+# (curves._merged_limits), and check_feasible reads the spent curve against
+# each envelope in its own walk; these are the earlier versions, which
+# evaluate every curve one point at a time at the merged breakpoints of all
+# of them.  They must agree with the library exactly.
 
 
 def pointwise_min_energy_from_battery(
@@ -375,8 +376,8 @@ def reference_usable(
 ) -> tuple[tuple[float, float, float], ...]:
     """Breakpoints of a replay's harvest minus its leak: the packets'
     staircase and the leak curve read at their merged breakpoints.  The
-    staircase is built by hand because the horizon of a replay whose leak is
-    too small to empty the battery in floating point is infinite."""
+    staircase is built by hand, so the reference uses none of the library's
+    curve builders."""
     horizon = leaked.horizon
     bps = []
     cum = 0.0
@@ -386,15 +387,13 @@ def reference_usable(
     if horizon > bps[-1][0]:
         bps.append((horizon, cum, cum))
     harvested = CumulativeCurve._trusted(tuple(bps), horizon)
-    merged = merge_times(harvested, leaked)
-    h_left, h_right = _limits(harvested, merged)
-    k_left, k_right = _limits(leaked, merged)
     return tuple(
-        zip(
-            merged,
-            [h - k for h, k in zip(h_left, k_left)],
-            [h - k for h, k in zip(h_right, k_right)],
+        (
+            t,
+            harvested.eval_left(t) - leaked.eval_left(t),
+            harvested.eval(t) - leaked.eval(t),
         )
+        for t in merge_times(harvested, leaked)
     )
 
 

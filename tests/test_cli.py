@@ -157,6 +157,14 @@ def test_verify_solar_without_a_grid(tmp_path, resolution):
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
 
 
+TINY_LEAK = {
+    "mode": "leakage",
+    "deadline": "unbounded",
+    "epsilon": 5e-324,
+    "harvest": {"packets": [{"t": 0.0, "e": 1.0}]},
+}
+
+
 @pytest.mark.parametrize("source", ["golden-unbounded", "random-seed-2", "tiny-leak"])
 def test_verify_leakage_scenarios(tmp_path, source):
     # verify refused unbounded deadlines, and its two-grid DP landed 4.4%
@@ -166,12 +174,7 @@ def test_verify_leakage_scenarios(tmp_path, source):
     elif source == "tiny-leak":
         # an idle replay could not end (1 / 5e-324 overflows), but the
         # solver's schedule empties the battery at a finite time
-        scenario = {
-            "mode": "leakage",
-            "deadline": "unbounded",
-            "epsilon": 5e-324,
-            "harvest": {"packets": [{"t": 0.0, "e": 1.0}]},
-        }
+        scenario = TINY_LEAK
     else:
         problem = random_leakage_problem(2)
         scenario = {
@@ -186,6 +189,25 @@ def test_verify_leakage_scenarios(tmp_path, source):
     assert verification["method"] == "dual_bound"
     assert "grid" not in verification
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        DEMO_SCENARIOS["leakage-counterexample"],
+        GOLDEN_SCENARIOS["leakage-train"],
+        GOLDEN_SCENARIOS["leakage-unbounded"],
+        GOLDEN_SCENARIOS["leakage-idle"],
+        TINY_LEAK,
+    ],
+    ids=["demo", "golden-train", "golden-unbounded", "golden-idle", "tiny-leak"],
+)
+def test_leakage_residual_is_zero_to_rounding(scenario):
+    # the optimum spends the whole harvest, so the residual is zero only up
+    # to rounding and may be negative: -6.7e-16 on the demo, -1.4e-13 on the
+    # train, -5.2e-318 on the tiny leak
+    energy = _solve_scenario(scenario, 1024).report["energy"]
+    assert abs(energy["residual"]) <= 1e-12 * energy["harvested"]
 
 
 @pytest.mark.parametrize("n", [1448, 10_000])

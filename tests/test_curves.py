@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_rebuilds,
     assert_schedule_rebuilds,
+    narrow_gate_train,
     pointwise_check_feasible,
     pointwise_corridor_gates,
     pointwise_min_energy_from_battery,
@@ -614,6 +615,23 @@ def _assert_corridor_matches(harvested, minimum, schedules=()):
         )
 
 
+def _scaled_powers(schedule: PowerSchedule, factor) -> PowerSchedule:
+    """``schedule`` with each power times its own ``factor()``."""
+    return PowerSchedule(
+        tuple((t0, t1, p * factor()) for t0, t1, p in schedule.segments)
+    )
+
+
+def _near_schedules(rng: random.Random, string, rival):
+    """The taut string with its powers scaled by U(0.97, 1.03), which
+    overdraws or falls short, and the rival with its powers nudged by
+    +-1e-15 relative, which ties the corridor to within rounding."""
+    return [
+        _scaled_powers(string, lambda: rng.uniform(0.97, 1.03)),
+        _scaled_powers(rival, lambda: 1.0 + rng.choice((-1e-15, 1e-15))),
+    ]
+
+
 def _random_battery(rng: random.Random, horizon: float, scale: float):
     inner = sorted({rng.uniform(0.0, horizon) for _ in range(rng.randint(0, 4))})
     knots = (0.0, *(t for t in inner if 0.0 < t < horizon), horizon)
@@ -621,13 +639,17 @@ def _random_battery(rng: random.Random, horizon: float, scale: float):
 
 
 def test_sampled_helpers_match_references_on_random_corridors():
+    rng = random.Random(4)
     for seed in range(300):
         harvested, minimum = random_corridor(seed)
         T = harvested.horizon
         end = harvested.eval_left(T)
+        string = taut_string(harvested, minimum).schedule
+        rival = random_feasible_schedule(harvested, minimum, seed=seed)
         schedules = [
-            taut_string(harvested, minimum).schedule,
-            random_feasible_schedule(harvested, minimum, seed=seed),
+            string,
+            rival,
+            *_near_schedules(rng, string, rival),
             # straight lines that overdraw or fall short somewhere
             PowerSchedule.constant(end / T, T),
             PowerSchedule.constant(2.0 * end / T, 0.5 * T),
@@ -671,6 +693,20 @@ def test_sampled_helpers_match_references_on_capped_trains():
             pass  # a packet larger than the battery overflows at once
         _assert_corridor_matches(harvested, minimum, schedules)
     assert crossings and touches, (crossings, touches)
+    # long trains with narrow gates; a 2.0 battery is below the largest
+    # packet (3.0), so its corridor is shut and the schedules come from the
+    # uncapped one
+    for n in (100, 1000):
+        packets, horizon = narrow_gate_train(n)
+        harvested = from_packet_arrivals(packets, horizon)
+        for capacity in (2.0, 3.5, 6.0):
+            battery = BatterySchedule.constant(capacity, horizon)
+            minimum = min_energy_from_battery(harvested, battery)
+            floor = minimum if capacity > 3.0 else zero_curve(horizon)
+            string = taut_string(harvested, floor).schedule
+            rival = random_feasible_schedule(harvested, floor, seed=n)
+            schedules = [string, rival, *_near_schedules(rng, string, rival)]
+            _assert_corridor_matches(harvested, minimum, schedules)
 
 
 def _random_stairs_and_ramps(rng: random.Random, times, scale: float, at_zero: float):
