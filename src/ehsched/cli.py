@@ -335,8 +335,14 @@ def _build_minimum(
         times = _numbers(dying.get("t"), "battery.dying.t")
         if len(amounts) != len(times):
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
-        if times[-1] > deadline:
-            raise ValueError("battery death times must not exceed the deadline")
+        for i, (b, t) in enumerate(zip(amounts, times)):
+            if not b > 0.0:
+                raise ValueError(f'"battery.dying.b[{i}]" must be positive, got {b!r}')
+            if not (0.0 <= t <= deadline and (i == 0 or t > times[i - 1])):
+                raise ValueError(
+                    f'"battery.dying.t[{i}]" must strictly increase within '
+                    f"[0, {deadline}], got {t!r}"
+                )
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
     raise ValueError(f'unrecognized battery spec {sorted(spec)!r}')
 
@@ -410,7 +416,7 @@ def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
     """Point-to-point and broadcast: the taut string in the harvest/floor
     corridor, under the composite rate for broadcast."""
     deadline = _deadline(scenario)
-    harvested = _build_harvest(scenario["harvest"], deadline, resolution)
+    harvested = _build_harvest(scenario.get("harvest"), deadline, resolution)
     minimum = _build_minimum(scenario.get("battery"), harvested, deadline)
     if scenario["mode"] == "broadcast":
         spec = scenario.get("broadcast")
@@ -829,7 +835,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--resolution",
         type=int,
         default=1024,
-        help="grid cells for sampled harvest curves (default: 1024)",
+        help="grid cells for the named solar harvest (default: 1024)",
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -207,52 +206,6 @@ def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
     return float(np.max(value + emptied(carries + e, length)))
 
 
-# The corridor of the last random_feasible_schedule call, since a dominance
-# sweep draws many rivals from one corridor: (harvested ref, minimum ref or
-# None, knots, H(T^-)).  The curves are held by weak reference and the entry
-# goes when either of them dies, so no curve or knot list outlives its caller.
-# Each call reads the entry once and returns the corridor of its own curves,
-# so threads that race here at worst build one corridor twice.
-_last_corridor: tuple | None = None
-
-
-def _refers(ref: weakref.ref | None, curve: CumulativeCurve | None) -> bool:
-    return ref is None if curve is None else ref is not None and ref() is curve
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _last_corridor
-    last = _last_corridor
-    if last is not None and (last[0] is ref or last[1] is ref):
-        _last_corridor = None
-
-
-def _corridor_knots(
-    harvested: CumulativeCurve, minimum: CumulativeCurve | None
-) -> tuple[tuple[tuple[float, float, float], ...], float]:
-    """The gates of :func:`corridor_gates` strictly inside the horizon, as
-    ``(t, min(M(t), H(t^-), H(T^-)), min(H(t^-), H(T^-)))``, and ``H(T^-)``.
-
-    Remembers the last corridor by the identity of its curves; a corridor
-    :func:`corridor_gates` refuses is never remembered, so it raises
-    :class:`InfeasibleError` on every call.
-    """
-    global _last_corridor
-    last = _last_corridor
-    if last is not None and _refers(last[0], harvested) and _refers(last[1], minimum):
-        return last[2], last[3]
-    floor = zero_curve(harvested.horizon) if minimum is None else minimum
-    gates, end_value = corridor_gates(harvested, floor)
-    knots = tuple((t, lo, min(hi, end_value)) for t, lo, hi in gates[:-1])
-    _last_corridor = (
-        weakref.ref(harvested, _forget),
-        None if minimum is None else weakref.ref(minimum, _forget),
-        knots,
-        end_value,
-    )
-    return knots, end_value
-
-
 def _inside(curve: PiecewiseCurve, t: float) -> float:
     """``curve.eval(t)`` at a time strictly inside one of its pieces, by the
     same interpolation, without ``eval``'s domain check and clamp: with
@@ -275,11 +228,13 @@ def random_feasible_schedule(
     breakpoints and three random knots, each drawn uniformly between the
     floor (or the previous knot's value) and the ceiling.
     """
-    # raises InfeasibleError if the corridor is unusable
-    corridor, end_value = _corridor_knots(harvested, minimum)
-    rng = random.Random(seed)
     horizon = harvested.horizon
-    knots = list(corridor)
+    # raises InfeasibleError if the corridor is unusable
+    gates, end_value = corridor_gates(
+        harvested, zero_curve(horizon) if minimum is None else minimum
+    )
+    knots = [(t, lo, min(hi, end_value)) for t, lo, hi in gates[:-1]]
+    rng = random.Random(seed)
     for t in {rng.uniform(0.0, horizon) for _ in range(3)}:
         # the path is pinned at both ends
         if not 0.0 < t < horizon:
@@ -300,8 +255,10 @@ def random_feasible_schedule(
         prev = uniform(lo, hi)
         points.append((t, prev))
     points.append((horizon, end_value))
+    # the gate times and the distinct random times that are none of them
+    # strictly increase from 0 to the horizon: only the powers need checking
     segments = tuple(
         (t0, t1, (v1 - v0) / (t1 - t0))
         for (t0, v0), (t1, v1) in zip(points, points[1:])
     )
-    return PowerSchedule(segments)
+    return PowerSchedule._derived(segments)

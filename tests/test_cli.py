@@ -305,9 +305,14 @@ def test_unbounded_leakage_scenario(tmp_path):
 )
 def test_samples_harvest_is_trapezoidal(tmp_path, samples, deadline, expected):
     scenario = {"mode": "p2p", "deadline": deadline, "harvest": {"samples": samples}}
-    assert run(tmp_path, "solve", write_scenario(tmp_path, scenario)) == 0
+    path = write_scenario(tmp_path, scenario)
+    assert run(tmp_path, "solve", path) == 0
     curve = load_report(tmp_path, "scenario")["curves"]["harvested"]
     assert [(b["t"], b["v_right"]) for b in curve["breakpoints"]] == expected
+    # --resolution grids only the named solar harvest, never given samples
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("scenario.*")}
+    assert run(tmp_path, "solve", path, "--resolution", "64") == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("scenario.*")} == written
 
 
 def test_many_samples_are_one_trapezoid_per_cell():
@@ -352,7 +357,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     p2p = {"mode": "p2p", "deadline": 4.0}
     # each payload, and a fragment of the message that names the bad field
     bad = [
-        (p2p, "harvest"),  # no harvest
+        (p2p, '"harvest" must be'),  # no harvest
         ({"mode": "mystery", "deadline": 4.0, "harvest": {"packets": []}}, "mode"),
         ({**p2p, "deadline": "unbounded", "harvest": {"packets": []}}, "deadline"),
         ({**p2p, "harvest": packet, "rate": {"type": "exotic"}}, "rate"),
@@ -386,6 +391,22 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         (
             {**p2p, "harvest": packet, "battery": {"dying": {"b": [2.0]}}},
             "battery.dying.t",
+        ),
+        (
+            {**p2p, "harvest": packet, "battery": {"dying": {"b": [-1], "t": [1]}}},
+            "battery.dying.b[0]",
+        ),
+        (
+            {
+                **p2p,
+                "harvest": packet,
+                "battery": {"dying": {"b": [1, 1], "t": [2, 1]}},
+            },
+            "battery.dying.t",
+        ),
+        (
+            {**p2p, "harvest": packet, "battery": {"dying": {"b": [1], "t": [-1]}}},
+            "battery.dying.t[0]",
         ),
         (
             {

@@ -560,8 +560,8 @@ def test_trusted_curves_equal_their_validating_rebuild():
             random_feasible_schedule(harvested, minimum, seed=seed),
             PowerSchedule.constant(0.0, 0.5 * T),
         ]
-        assert_schedule_rebuilds(schedules[0])
         for schedule in schedules:
+            assert_schedule_rebuilds(schedule)
             for horizon in (None, T, 2.0 * T):
                 assert_rebuilds(schedule.energy_curve(horizon))
     rng = random.Random(9)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import tracemalloc
 import weakref
 
@@ -49,7 +50,6 @@ from ehsched import (
     throughput,
     zero_curve,
 )
-from ehsched import oracle
 from ehsched.curves import corridor_gates
 
 GRID = GridSpec(200, 200, 16.0)
@@ -326,8 +326,7 @@ def test_random_schedules_never_beat_the_string():
 def test_random_schedule_rejects_infeasible_pair():
     harvested = from_packet_arrivals([(0.0, 1.0)], 4.0)
     minimum = from_packet_arrivals([(2.0, 2.0)], 4.0)
-    # on every call: a refused corridor is never remembered, and a feasible
-    # corridor in between changes nothing
+    # on every call, with a feasible corridor in between
     for _ in range(3):
         with pytest.raises(InfeasibleError):
             random_feasible_schedule(harvested, minimum, seed=0)
@@ -348,8 +347,8 @@ def _touching_floor() -> tuple[CumulativeCurve, CumulativeCurve]:
     return harvested, min_energy_from_battery(harvested, battery)
 
 
-# each builder returns a fresh (harvested, minimum) pair, so every call is a
-# corridor the oracle has not seen
+# each builder returns a fresh (harvested, minimum) pair, so no two calls
+# share a curve object
 RIVAL_CORRIDORS = {
     "dying-bank": lambda: dying_battery_scenario(
         [2.0, 1.5, 3.0, 0.5], [1.0, 2.5, 4.0, 6.0]
@@ -397,9 +396,13 @@ def test_rival_stream_is_pinned(name, digest):
 
 def test_rival_knots_clamp_a_touching_floor_to_the_ceiling():
     # the knot floor is the gate's min(M, H^-, H(T^-)), so a rival's path
-    # reaches at most the energy harvested before the jump (up to the
-    # rounding of its segment powers)
-    assert oracle._corridor_knots(*_touching_floor())[0] == ((0.49, 0.46, 0.46),)
+    # reaches at most the energy harvested before the jump, up to one
+    # rounding of its segment powers (with the floor unclamped, two of these
+    # rivals exceed that)
+    harvested, minimum = _touching_floor()
+    for seed in range(64):
+        rival = random_feasible_schedule(harvested, minimum, seed=seed)
+        assert rival.energy_curve().eval(0.49) <= math.nextafter(0.46, 1.0)
 
 
 def test_rival_draw_on_a_breakpoint():
@@ -447,7 +450,6 @@ def test_random_schedule_keeps_no_curve_alive():
     del harvested, minimum
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert oracle._last_corridor is None
 
 
 # --------------------------------------------------------------------------
