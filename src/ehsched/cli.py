@@ -8,7 +8,7 @@ A scenario is a JSON object::
       "deadline": 18.0 | "unbounded",                   # "unbounded": leakage only
       "harvest": {"packets": [{"t": 0.0, "e": 4.0}, ...]}
                | {"samples": [v0, v1, ...]}             # rate at uniform times
-               | {"named": "solar"},
+               | {"named": "solar"},                    # deadline in [6, 24]
       "battery": "none"                                 # optional, default none
                | {"constant": 5.0}
                | {"schedule": [{"t": 0.0, "capacity": 5.0}, ...]}
@@ -18,9 +18,11 @@ A scenario is a JSON object::
     }
 
 Every number must be a finite JSON number: booleans, NaN and Infinity are
-refused.  The ``samples`` and ``dying`` lists must not be empty.  ``samples``
-are harvest-rate values at uniform times from 0 to the deadline, linearly
-interpolated in between.
+refused, and the deadline is positive.  The times of ``packets``, ``schedule``
+and ``dying`` strictly increase within [0, deadline], and a ``schedule`` ends
+at the deadline.  The ``samples`` and ``dying`` lists must not be empty.
+``samples`` are harvest-rate values at uniform times from 0 to the deadline,
+linearly interpolated in between.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
 additionally checks that the schedule is feasible and that its data is within
@@ -37,7 +39,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -64,7 +65,6 @@ from .leakage import (
     drain_bound,
     simulate,
     solve_n_packet,
-    sufficient_condition_holds,
 )
 from .rate import RateFunction, awgn_rate
 from .string_solver import dual_bound, taut_string
@@ -236,24 +236,40 @@ def _numbers(values, where: str) -> list[float]:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-def _records(items, where: str, *keys: str) -> list[tuple[float, ...]]:
-    """A list of objects whose ``keys`` fields are finite numbers."""
+def _increasing(times: list[float], name: str, deadline: float | None) -> None:
+    """Refuse times that do not strictly increase, or leave [0, deadline]
+    when it is bounded; ``name.format(i)`` names the field of ``times[i]``."""
+    span = "" if deadline is None else f" within [0, {deadline}]"
+    for i, t in enumerate(times):
+        inside = deadline is None or 0.0 <= t <= deadline
+        if not (inside and (i == 0 or t > times[i - 1])):
+            raise ValueError(f'"{name.format(i)}" must strictly increase{span}, got {t}')
+
+
+def _timed(items, where: str, key: str, deadline: float | None) -> list[tuple]:
+    """A list of objects whose ``t`` and ``key`` fields are finite numbers, as
+    ``(t, key)`` pairs whose times pass :func:`_increasing`."""
     if not isinstance(items, list):
         raise ValueError(f'"{where}" must be a list of objects')
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f'"{where}[{i}]" must be an object, got {item!r}')
-    return [
-        tuple(_number(item.get(key), f"{where}[{i}].{key}") for key in keys)
+    pairs = [
+        tuple(_number(item.get(k), f"{where}[{i}].{k}") for k in ("t", key))
         for i, item in enumerate(items)
     ]
+    _increasing([t for t, _ in pairs], where + "[{}].t", deadline)
+    return pairs
 
 
 def _deadline(scenario: dict) -> float | None:
     """The scenario's deadline, or ``None`` for "unbounded" (leakage only)."""
     deadline = scenario.get("deadline")
     if deadline != "unbounded":
-        return _number(deadline, "deadline")
+        deadline = _number(deadline, "deadline")
+        if not deadline > 0.0:
+            raise ValueError(f'"deadline" must be positive, got {deadline!r}')
+        return deadline
     if scenario["mode"] != "leakage":
         raise ValueError('"unbounded" deadlines are only valid in leakage mode')
     return None
@@ -278,7 +294,7 @@ def _build_harvest(
             '{"samples": ...}, {"named": ...}'
         )
     if "packets" in spec:
-        packets = _records(spec["packets"], "harvest.packets", "t", "e")
+        packets = _timed(spec["packets"], "harvest.packets", "e", deadline)
         return from_packet_arrivals(packets, deadline)
     if "samples" in spec:
         samples = _numbers(spec["samples"], "harvest.samples")
@@ -299,6 +315,11 @@ def _build_harvest(
     if "named" in spec:
         if spec["named"] != "solar":
             raise ValueError(f'unknown named harvest {spec["named"]!r}')
+        # the rule of solve_solar
+        if not 6.0 <= deadline <= 24.0:
+            raise ValueError(f'solar needs a "deadline" in [6, 24], got {deadline}')
+        if resolution < 64:
+            raise ValueError(f"solar needs --resolution 64 or more, got {resolution}")
         return integrate_rate(solar_harvest_rate, deadline, resolution)
     raise ValueError(f'unrecognized harvest spec {sorted(spec)!r}')
 
@@ -319,14 +340,10 @@ def _build_minimum(
             harvested, BatterySchedule.constant(cap, deadline)
         )
     if "schedule" in spec:
-        knots = _records(spec["schedule"], "battery.schedule", "t", "capacity")
-        profile = BatterySchedule(tuple(knots))
-        if profile.horizon != deadline:
-            raise ValueError(
-                f"battery schedule must end at the deadline {deadline}, "
-                f"got {profile.horizon}"
-            )
-        return min_energy_from_battery(harvested, profile)
+        knots = _timed(spec["schedule"], "battery.schedule", "capacity", deadline)
+        if not knots or knots[-1][0] != deadline:
+            raise ValueError(f'"battery.schedule" must end at the deadline {deadline}')
+        return min_energy_from_battery(harvested, BatterySchedule(tuple(knots)))
     if "dying" in spec:
         dying = spec["dying"]
         if not isinstance(dying, dict):
@@ -335,14 +352,10 @@ def _build_minimum(
         times = _numbers(dying.get("t"), "battery.dying.t")
         if len(amounts) != len(times):
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
-        for i, (b, t) in enumerate(zip(amounts, times)):
+        for i, b in enumerate(amounts):
             if not b > 0.0:
                 raise ValueError(f'"battery.dying.b[{i}]" must be positive, got {b!r}')
-            if not (0.0 <= t <= deadline and (i == 0 or t > times[i - 1])):
-                raise ValueError(
-                    f'"battery.dying.t[{i}]" must strictly increase within '
-                    f"[0, {deadline}], got {t!r}"
-                )
+        _increasing(times, "battery.dying.t[{}]", deadline)
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
     raise ValueError(f'unrecognized battery spec {sorted(spec)!r}')
 
@@ -350,19 +363,8 @@ def _build_minimum(
 # --------------------------------------------------------------------------
 # solving
 
-
-@dataclass(frozen=True)
-class _Solved:
-    """A report, the curves it plots, and what the verifier checks: the
-    taut string's schedule in its corridor ``(schedule, H, M, rate)``, or a
-    leakage problem."""
-
-    report: dict
-    curves: dict[str, PiecewiseCurve]  # name -> curve, drawn in this order
-    problem: (
-        tuple[PowerSchedule, CumulativeCurve, CumulativeCurve, RateFunction]
-        | LeakageProblem
-    )
+#: a report and the curves it plots, name -> curve in drawing order
+_Output = tuple[dict, dict[str, PiecewiseCurve]]
 
 
 def _schedule_json(schedule: PowerSchedule) -> dict:
@@ -412,9 +414,25 @@ def _report(
     }
 
 
-def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
+def _verification(solver_data: float, bound: float, feasible: bool) -> dict:
+    """``verify``'s verdict on a schedule's data against a dual bound."""
+    # weak duality puts every feasible schedule at or below the bound, so a
+    # feasible schedule that meets it is optimal
+    gap = (bound - solver_data) / max(abs(solver_data), 1e-12)
+    return {
+        "method": "dual_bound",
+        "solver_data": solver_data,
+        "oracle_data": bound,
+        "relative_gap": gap,
+        "tolerance": DUAL_GAP_TOLERANCE,
+        "ok": feasible and GAP_FLOOR <= gap <= DUAL_GAP_TOLERANCE,
+    }
+
+
+def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> _Output:
     """Point-to-point and broadcast: the taut string in the harvest/floor
-    corridor, under the composite rate for broadcast."""
+    corridor, under the composite rate for broadcast.  ``verify`` adds the
+    verdict of the string's dual bound and a feasibility check."""
     deadline = _deadline(scenario)
     harvested = _build_harvest(scenario.get("harvest"), deadline, resolution)
     minimum = _build_minimum(scenario.get("battery"), harvested, deadline)
@@ -466,11 +484,18 @@ def _solve_corridor(scenario: dict, resolution: int) -> _Solved:
         departure_time=departure,
         **fields,
     )
-    return _Solved(report, curves, (schedule, harvested, minimum, rate))
+    if verify:
+        report["verification"] = _verification(
+            total_data,
+            dual_bound(schedule, harvested, minimum, rate),
+            check_feasible(schedule, minimum, harvested).feasible,
+        )
+    return report, curves
 
 
-def _solve_leakage(scenario: dict) -> _Solved:
-    """The leaky battery: block decomposition, replayed by ``simulate``."""
+def _solve_leakage(scenario: dict, verify: bool) -> _Output:
+    """The leaky battery: block decomposition, replayed by ``simulate``.
+    ``verify`` adds the verdict of the drain bound and the replay."""
     harvest = scenario.get("harvest")
     if not (isinstance(harvest, dict) and "packets" in harvest):
         raise ValueError('leakage mode needs {"harvest": {"packets": ...}}')
@@ -478,10 +503,11 @@ def _solve_leakage(scenario: dict) -> _Solved:
         raise ValueError("leakage mode does not support battery constraints")
     if "epsilon" not in scenario:
         raise ValueError('leakage mode needs an "epsilon" field')
+    deadline = _deadline(scenario)
     problem = LeakageProblem(
-        packets=_records(harvest["packets"], "harvest.packets", "t", "e"),
+        packets=_timed(harvest["packets"], "harvest.packets", "e", deadline),
         epsilon=_number(scenario["epsilon"], "epsilon"),
-        deadline=_deadline(scenario),
+        deadline=deadline,
         rate=_build_rate(scenario.get("rate")),
     )
     solution = solve_n_packet(problem)
@@ -502,7 +528,8 @@ def _solve_leakage(scenario: dict) -> _Solved:
         fields["comparison"] = {
             "d_nt": solution.total_data,
             "d_st": _upfront_data(problem),
-            "sufficient_condition": sufficient_condition_holds(problem),
+            # the sufficient condition is the case of one block
+            "sufficient_condition": len(solution.block_boundaries) == 2,
         }
     report = _report(
         scenario,
@@ -514,46 +541,24 @@ def _solve_leakage(scenario: dict) -> _Solved:
         solution.leaked_energy,
         **fields,
     )
-    return _Solved(report, curves, problem)
+    if verify:
+        report["verification"] = _verification(
+            solution.total_data, drain_bound(problem), trace.infeasible_at is None
+        )
+    return report, curves
 
 
-def _solve_scenario(scenario: dict, resolution: int) -> _Solved:
+def _solve_scenario(scenario: dict, resolution: int, verify: bool) -> _Output:
     if not isinstance(scenario, dict):
         raise ValueError("a scenario must be a JSON object")
     mode = scenario.get("mode")
     if mode in ("p2p", "broadcast"):
-        return _solve_corridor(scenario, resolution)
+        return _solve_corridor(scenario, resolution, verify)
     if mode == "leakage":
-        return _solve_leakage(scenario)
+        return _solve_leakage(scenario, verify)
     raise ValueError(
         f'unknown mode {mode!r} (expected "p2p", "broadcast", or "leakage")'
     )
-
-
-# --------------------------------------------------------------------------
-# verification
-
-
-def _verify(solved: _Solved) -> dict:
-    solver_data = solved.report["total_data"]
-    if isinstance(solved.problem, LeakageProblem):
-        bound = drain_bound(solved.problem)
-        feasible = solved.report["infeasible_at"] is None
-    else:
-        schedule, harvested, minimum, rate = solved.problem
-        bound = dual_bound(schedule, harvested, minimum, rate)
-        feasible = check_feasible(schedule, minimum, harvested).feasible
-    # weak duality puts every feasible schedule at or below the bound, so a
-    # feasible schedule that meets it is optimal
-    gap = (bound - solver_data) / max(abs(solver_data), 1e-12)
-    return {
-        "method": "dual_bound",
-        "solver_data": solver_data,
-        "oracle_data": bound,
-        "relative_gap": gap,
-        "tolerance": DUAL_GAP_TOLERANCE,
-        "ok": feasible and GAP_FLOOR <= gap <= DUAL_GAP_TOLERANCE,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -649,11 +654,11 @@ def _json_text(obj) -> str:
     return text(obj, "")
 
 
-def _csv_text(solved: _Solved) -> str:
+def _csv_text(report: dict, curves: dict[str, PiecewiseCurve]) -> str:
     schedules = [
-        solved.report[key]["segments"]
+        report[key]["segments"]
         for key in ("schedule", "user1_schedule", "user2_schedule")
-        if key in solved.report
+        if key in report
     ]
     header = ("t_start", "t_end", "power", "power_user1", "power_user2")
     lines = [",".join(header[: 2 + len(schedules)])]
@@ -685,9 +690,8 @@ def _svg_path(curve: PiecewiseCurve, horizon: float, vmax: float) -> str:
     return " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
 
 
-def _svg_text(solved: _Solved) -> str:
+def _svg_text(report: dict, curves: dict[str, PiecewiseCurve]) -> str:
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
-    curves = solved.curves
     horizon = max(c.horizon for c in curves.values())
     vmax = max(
         max(max(vl, vr) for _, vl, vr in c.breakpoints) for c in curves.values()
@@ -727,11 +731,11 @@ def _svg_text(solved: _Solved) -> str:
             f'<polyline class="curve-{name}" '
             f'points="{_svg_path(curve, horizon, vmax)}"/>'
         )
-    for c in solved.report.get("contacts", ()):
+    for c in report.get("contacts", ()):
         if c["kind"] in ("upper", "lower"):
             x, y = to_xy(c["time"], c["value"])
             parts.append(f'<circle class="contact" cx="{x:.2f}" cy="{y:.2f}" r="2"/>')
-    departure = solved.report.get("departure_time")
+    departure = report.get("departure_time")
     if departure is not None:
         v = curves["harvested"].eval_left(departure)
         x, y = to_xy(departure, v)
@@ -744,7 +748,7 @@ def _svg_text(solved: _Solved) -> str:
 
 #: format -> (file suffix, text builder)
 _EMITTERS = {
-    "json": ("report.json", lambda solved: _json_text(solved.report) + "\n"),
+    "json": ("report.json", lambda report, curves: _json_text(report) + "\n"),
     "csv": ("schedule.csv", _csv_text),
     "svg": ("plot.svg", _svg_text),
 }
@@ -779,13 +783,13 @@ def _write_file(path: Path, text: str) -> None:
             os.close(fd)
 
 
-def _emit(solved: _Solved, stem: str, out_dir: Path, formats: list[str]) -> list[Path]:
+def _emit(report, curves, stem: str, out_dir: Path, formats: list[str]) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
         suffix, text = _EMITTERS[fmt]
         target = out_dir / f"{stem}.{suffix}"
-        _write_file(target, text(solved))
+        _write_file(target, text(report, curves))
         written.append(target)
     return written
 
@@ -835,7 +839,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--resolution",
         type=int,
         default=1024,
-        help="grid cells for the named solar harvest (default: 1024)",
+        help="grid cells for the named solar harvest, at least 64 (default: 1024)",
     )
 
 
@@ -880,14 +884,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(
                     f"unknown format {fmt!r} (choose from json, csv, svg)"
                 )
-        solved = _solve_scenario(scenario, args.resolution)
-        verification = None
-        if args.command == "verify":
-            verification = _verify(solved)
-            solved = replace(
-                solved, report={**solved.report, "verification": verification}
-            )
-        written = _emit(solved, stem, Path(args.out), formats)
+        report, curves = _solve_scenario(
+            scenario, args.resolution, args.command == "verify"
+        )
+        written = _emit(report, curves, stem, Path(args.out), formats)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -895,10 +895,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    energy = solved.report["energy"]
+    energy = report["energy"]
+    verification = report.get("verification")
     lines = [
-        f"mode: {solved.report['mode']}",
-        f"total data: {solved.report['total_data']:.9g} bits",
+        f"mode: {report['mode']}",
+        f"total data: {report['total_data']:.9g} bits",
         "energy: harvested {harvested:.9g}, transmitted {transmitted:.9g}, "
         "leaked {leaked:.9g}, residual {residual:.9g}".format(**energy),
     ]

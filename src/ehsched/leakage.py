@@ -194,18 +194,11 @@ def p_star(rate: RateFunction, epsilon: float) -> float:
 def sufficient_condition_holds(problem: LeakageProblem) -> bool:
     """True when every prefix of packets is at least as energy-dense (energy
     per unit time, measured to the next arrival or the deadline) as the whole
-    instance — the regime where packet timing costs nothing."""
+    instance — the regime where packet timing costs nothing — that is, when the
+    block decomposition, whose merges ignore the leak, has one block."""
     if problem.deadline is None:
         raise ValueError("the sufficient condition is defined for bounded deadlines")
-    packets = problem.packets
-    deadline = problem.deadline
-    total_avg = problem.total_energy / deadline
-    cum = 0.0
-    for i, (_, e) in enumerate(packets[:-1]):
-        cum += e
-        if cum / packets[i + 1][0] < total_avg:
-            return False
-    return True
+    return len(_decompose_blocks(problem.packets, problem.deadline, 0.0, 0.0)) == 1
 
 
 def _decompose_blocks(

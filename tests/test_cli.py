@@ -27,9 +27,12 @@ from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 from ehsched import (
     GridSpec,
     PowerSchedule,
+    awgn_rate,
     check_feasible,
+    composite_rate,
     dp_throughput,
     dying_battery_scenario,
+    simulate,
 )
 from ehsched import cli
 from ehsched.cli import (
@@ -206,7 +209,8 @@ def test_leakage_residual_is_zero_to_rounding(scenario):
     # the optimum spends the whole harvest, so the residual is zero only up
     # to rounding and may be negative: -6.7e-16 on the demo, -1.4e-13 on the
     # train, -5.2e-318 on the tiny leak
-    energy = _solve_scenario(scenario, 1024).report["energy"]
+    report, _ = _solve_scenario(scenario, 1024, False)
+    energy = report["energy"]
     assert abs(energy["residual"]) <= 1e-12 * energy["harvested"]
 
 
@@ -229,12 +233,18 @@ def test_verify_long_leaky_trains(tmp_path, n):
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
 
 
-def test_verify_leakage_needs_a_feasible_replay():
+def test_verify_leakage_needs_a_feasible_replay(monkeypatch):
     # a schedule that drew from an empty battery fails at any gap
-    solved = _solve_scenario(DEMO_SCENARIOS["leakage-counterexample"], 1024)
-    assert cli._verify(solved)["ok"] is True
-    broken = replace(solved, report={**solved.report, "infeasible_at": 3.5})
-    verification = cli._verify(broken)
+    scenario = DEMO_SCENARIOS["leakage-counterexample"]
+    report, _ = _solve_scenario(scenario, 1024, True)
+    assert report["verification"]["ok"] is True
+    monkeypatch.setattr(
+        cli,
+        "simulate",
+        lambda schedule, problem: replace(simulate(schedule, problem), infeasible_at=3.5),
+    )
+    report, _ = _solve_scenario(scenario, 1024, True)
+    verification = report["verification"]
     assert verification["relative_gap"] == 0.0
     assert verification["ok"] is False
 
@@ -354,7 +364,12 @@ def test_infeasible_scenario_exits_2(tmp_path):
 
 def test_validation_failures_exit_1(tmp_path, capsys):
     packet = {"packets": [{"t": 0.0, "e": 1.0}]}
+    late_first = {"packets": [{"t": 2.0, "e": 1.0}, {"t": 1.0, "e": 1.0}]}
     p2p = {"mode": "p2p", "deadline": 4.0}
+
+    def knots(*times):
+        return [{"t": t, "capacity": 5.0} for t in times]
+
     # each payload, and a fragment of the message that names the bad field
     bad = [
         (p2p, '"harvest" must be'),  # no harvest
@@ -422,10 +437,49 @@ def test_validation_failures_exit_1(tmp_path, capsys):
             {**p2p, "deadline": 10.0, "harvest": {"samples": [1e308, 1e308]}},
             "the harvest rate integrates to a non-finite inf",
         ),
+        # timed lists strictly increase within [0, deadline], in every mode
+        ({**p2p, "harvest": late_first}, "harvest.packets[1].t"),
+        ({**p2p, "mode": "broadcast", "harvest": late_first}, "harvest.packets[1].t"),
+        (
+            {"mode": "leakage", "deadline": 4.0, "harvest": late_first, "epsilon": 0.5},
+            "harvest.packets[1].t",
+        ),
+        (
+            {
+                "mode": "leakage",
+                "deadline": "unbounded",
+                "harvest": {"packets": [{"t": 0.0, "e": 1.0}, {"t": 0.0, "e": 1.0}]},
+                "epsilon": 0.5,
+            },
+            "harvest.packets[1].t",
+        ),
+        ({**p2p, "harvest": {"packets": [{"t": 5.0, "e": 1.0}]}}, "harvest.packets[0].t"),
+        (
+            {**p2p, "harvest": packet, "battery": {"schedule": knots(0, 3, 2, 4)}},
+            "battery.schedule[2].t",
+        ),
+        (
+            {**p2p, "harvest": packet, "battery": {"schedule": knots(0, 5)}},
+            "battery.schedule[1].t",
+        ),
+        (
+            {**p2p, "harvest": packet, "battery": {"schedule": knots(0)}},
+            '"battery.schedule" must end at the deadline',
+        ),
+        ({**p2p, "deadline": -4.0, "harvest": packet}, '"deadline" must be positive'),
+        ({**p2p, "deadline": 0, "harvest": packet}, '"deadline" must be positive'),
+        # the named solar day takes solve_solar's deadlines
+        ({**p2p, "deadline": 1e100, "harvest": {"named": "solar"}}, '"deadline"'),
+        ({**p2p, "deadline": 3.0, "harvest": {"named": "solar"}}, '"deadline"'),
     ]
     for payload, field in bad:
         assert run(tmp_path, "solve", write_scenario(tmp_path, payload)) == 1, payload
         assert field in capsys.readouterr().err, payload
+    # the named solar day's grid is --resolution, at least 64 pieces as in
+    # solve_solar
+    solar = write_scenario(tmp_path, {**p2p, "deadline": 18.0, "harvest": {"named": "solar"}})
+    assert run(tmp_path, "solve", solar, "--resolution", "32") == 1
+    assert "--resolution" in capsys.readouterr().err
 
 
 def test_overflowing_leakage_block_exits_1(tmp_path, capsys):
@@ -508,7 +562,13 @@ def test_verify_pinched_corridor(tmp_path, mode, grid):
     verification = load_report(tmp_path, "scenario")["verification"]
     assert verification["ok"] is True
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
-    _, harvested, minimum, rate = _solve_scenario(scenario, 1024).problem
+    _, curves = _solve_scenario(scenario, 1024, False)
+    harvested, minimum = curves["harvested"], curves["minimum"]
+    if mode == "broadcast":
+        spec = scenario["broadcast"]
+        rate = composite_rate(spec["mu1"], spec["mu2"], spec["n1"], spec["n2"])
+    else:
+        rate = awgn_rate(1.0)  # the scenario names no rate
     time_slots, levels = map(int, grid.split("x"))
     dp = dp_throughput(harvested, minimum, rate, GridSpec(time_slots, levels, 16.0))
     data = verification["solver_data"]
@@ -641,8 +701,8 @@ def test_failed_write_leaves_no_old_tail(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 1
     monkeypatch.undo()
     assert "No space left on device" in capsys.readouterr().err
-    solved = _solve_scenario(DEMO_SCENARIOS["broadcast"], 1024)
-    expected = cli._csv_text(solved).encode()
+    report, curves = _solve_scenario(DEMO_SCENARIOS["broadcast"], 1024, False)
+    expected = cli._csv_text(report, curves).encode()
     assert target.read_bytes() == expected[: len(expected) // 2]
 
 
@@ -755,7 +815,7 @@ def test_json_text_refuses_unknown_types():
 )
 def test_json_text_on_reports(name):
     scenario = DEMO_SCENARIOS.get(name) or GOLDEN_SCENARIOS[name]
-    report = _solve_scenario(scenario, 1024).report
+    report, _ = _solve_scenario(scenario, 1024, False)
     assert _json_text(report) == reference_json(report)
 
 
@@ -780,4 +840,4 @@ SEGMENTS = st.lists(
 def test_csv_template_matches_per_value_format(schedules):
     keys = ("schedule", "user1_schedule", "user2_schedule")
     report = {key: {"segments": s} for key, s in zip(keys, schedules)}
-    assert cli._csv_text(cli._Solved(report, {}, None)) == reference_csv(schedules)
+    assert cli._csv_text(report, {}) == reference_csv(schedules)
