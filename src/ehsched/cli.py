@@ -321,7 +321,7 @@ def _build_harvest(
         if resolution < 64:
             raise ValueError(f"solar needs --resolution 64 or more, got {resolution}")
         return integrate_rate(solar_harvest_rate, deadline, resolution)
-    raise ValueError(f'unrecognized harvest spec {sorted(spec)!r}')
+    raise ValueError(f'"harvest" has no known kind, got {sorted(spec)!r}')
 
 
 def _build_minimum(
@@ -343,6 +343,8 @@ def _build_minimum(
         knots = _timed(spec["schedule"], "battery.schedule", "capacity", deadline)
         if not knots or knots[-1][0] != deadline:
             raise ValueError(f'"battery.schedule" must end at the deadline {deadline}')
+        if knots[0][0] != 0.0:
+            raise ValueError(f'"battery.schedule[0].t" must be 0, got {knots[0][0]}')
         return min_energy_from_battery(harvested, BatterySchedule(tuple(knots)))
     if "dying" in spec:
         dying = spec["dying"]
@@ -357,7 +359,7 @@ def _build_minimum(
                 raise ValueError(f'"battery.dying.b[{i}]" must be positive, got {b!r}')
         _increasing(times, "battery.dying.t[{}]", deadline)
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
-    raise ValueError(f'unrecognized battery spec {sorted(spec)!r}')
+    raise ValueError(f'"battery" has no known kind, got {sorted(spec)!r}')
 
 
 # --------------------------------------------------------------------------
@@ -504,8 +506,15 @@ def _solve_leakage(scenario: dict, verify: bool) -> _Output:
     if "epsilon" not in scenario:
         raise ValueError('leakage mode needs an "epsilon" field')
     deadline = _deadline(scenario)
+    packets = _timed(harvest["packets"], "harvest.packets", "e", deadline)
+    if not packets:
+        raise ValueError('"harvest.packets" must hold a packet in leakage mode')
+    if packets[0][0] != 0.0:
+        raise ValueError(
+            f'"harvest.packets[0].t" must be 0 in leakage mode, got {packets[0][0]}'
+        )
     problem = LeakageProblem(
-        packets=_timed(harvest["packets"], "harvest.packets", "e", deadline),
+        packets=packets,
         epsilon=_number(scenario["epsilon"], "epsilon"),
         deadline=deadline,
         rate=_build_rate(scenario.get("rate")),

@@ -181,8 +181,10 @@ def p_star(rate: RateFunction, epsilon: float) -> float:
         if hi - lo <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) <= 1e-12 * (1.0 + abs(rate(mid))):
+        # residual(mid), with the rate it reads kept for the tolerance
+        rate_mid = rate(mid)
+        r_mid = rate.deriv(mid) * (mid + epsilon) - rate_mid
+        if abs(r_mid) <= 1e-12 * (1.0 + abs(rate_mid)):
             return mid
         if r_mid > 0.0:
             lo = mid

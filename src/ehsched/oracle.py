@@ -11,6 +11,11 @@ undercuts it, or cannot come within grid error of it, is wrong.
   harvest/floor corridor (while ``power_cap`` covers the optimal powers).
 - :func:`dp_leakage_throughput` quantizes only the charge a leaky battery
   carries from one packet arrival to the next, never the leak.
+
+Both evaluate each step in blocks of rows over the reachable levels only:
+a level no path can reach holds ``-inf`` and adds nothing to a maximum, so
+the values are those of the full level-by-level matrix, to the bit, at a
+fraction of the cells and in blocks of at most 256 kB.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ __all__ = [
 ]
 
 
+#: cells in the largest temporary a DP builds (256 kB of floats): each step
+#: evaluates its rows in blocks of about this many cells
+_BLOCK_CELLS = 32768
+
+
 class GridInfeasibleError(Exception):
     """The quantized problem has no feasible path (grid artifact, not proof
     that the continuous instance is infeasible)."""
@@ -56,7 +66,8 @@ class GridSpec:
     by :func:`dp_throughput`: ``time_slots`` bounds how many corridor pieces
     it takes, and ``power_cap`` bounds the per-slot power it enumerates, which
     must be at least the highest power an optimal schedule uses, or the
-    oracle undershoots.
+    oracle undershoots.  Neither DP builds an ``energy_levels``-square
+    array: both evaluate in row blocks over the reachable levels.
     """
 
     time_slots: int = 400
@@ -116,15 +127,26 @@ def _dp_stretch(
     grid: GridSpec,
 ) -> float:
     """Best data of a quantized path from ``start`` through ``gates`` to the
-    last gate's ceiling, on levels spaced evenly from start to end value."""
+    last gate's ceiling, on levels spaced evenly from start to end value.
+
+    ``value[levels + k]`` is the best data of a path that has spent ``k``
+    levels; the ``levels`` entries below stand for negative levels and stay
+    ``-inf``.  Only the levels ``reach_lo..reach_hi`` can be finite, so each
+    gate's max-plus step ``max_d value[k - d] + gains[d]`` is evaluated only
+    for the rows ``k`` inside both the gate's band and the reach of the last
+    one, and only over the steps ``d`` that can land in the reach.  Every
+    term it leaves out is ``-inf``, so each maximum is the full matrix's.
+    """
     t0, base = start
     top = gates[-1][2] - base
     if top <= DEFAULT_TOL:
         return 0.0
     levels = grid.energy_levels
     de = top / (levels - 1)
-    value = np.full(levels, -np.inf)
-    value[0] = 0.0
+    value = np.full(2 * levels, -np.inf)
+    value[levels] = 0.0
+    reach_lo = reach_hi = 0
+    size = value.itemsize
 
     for t1, lo, hi in gates:
         dt = t1 - t0
@@ -139,18 +161,32 @@ def _dp_stretch(
                     f"(floor {lo:g}, ceiling {hi:g}, level size {de:g})"
                 )
         dmax = min(hi_l, int(math.floor(grid.power_cap * dt / de + 1e-9)))
-        gains = dt * np.asarray(
-            rate(np.arange(dmax + 1) * (de / dt)), dtype=float
-        )
-        padded = np.concatenate([np.full(dmax, -np.inf), value[: hi_l + 1]])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, dmax + 1)
-        new = np.full(levels, -np.inf)
-        new[: hi_l + 1] = np.max(windows + gains[::-1], axis=1)
-        new[:lo_l] = -np.inf
-        value = new
+        k_lo, k_hi = max(lo_l, reach_lo), min(hi_l, reach_hi + dmax)
+        new = np.full(2 * levels, -np.inf)
+        if k_lo > k_hi:
+            # no level is reachable from here on
+            k_lo = levels
+        else:
+            d_lo, d_hi = max(k_lo - reach_hi, 0), min(k_hi - reach_lo, dmax)
+            gains = dt * np.asarray(
+                rate(np.arange(d_lo, d_hi + 1) * (de / dt)), dtype=float
+            )
+            rows = max(_BLOCK_CELLS // (d_hi - d_lo + 1), 1)
+            for k0 in range(k_lo, k_hi + 1, rows):
+                k1 = min(k0 + rows, k_hi + 1)
+                a, b = max(k0 - reach_hi, d_lo), min(k1 - 1 - reach_lo, d_hi)
+                # a view of ``value`` that NumPy checks against its bounds:
+                # window[i, r] is level k0 + r less the step b - i
+                window = np.ndarray(
+                    (b - a + 1, k1 - k0), float, value,
+                    (levels + k0 - b) * size, (size, size),
+                )
+                steps = gains[a - d_lo : b - d_lo + 1][::-1, None]
+                new[levels + k0 : levels + k1] = np.max(window + steps, axis=0)
+        value, reach_lo, reach_hi = new, k_lo, k_hi
         t0 = t1
 
-    best = value[levels - 1]
+    best = value[2 * levels - 1]
     if not np.isfinite(best):
         raise GridInfeasibleError(
             "no quantized path reaches the endpoint (power cap too small or "
@@ -170,7 +206,9 @@ def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
     or it empties at ``p = max(p_star, E/L - epsilon)``, sending
     ``E r(p) / (p + epsilon)``.  The last interval only empties, at ``p_star``
     if there is no deadline.  Every plan replays exactly, so the value is the
-    data of a feasible schedule.
+    data of a feasible schedule.  A carry above the energy harvested so far
+    is unreachable, so each interval reads only the reachable carries in and
+    writes only the carries out that one of them can feed.
     """
     rate, eps = problem.rate, problem.epsilon
     p_opt = p_star(rate, eps)
@@ -183,27 +221,42 @@ def dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
         power = p_opt if length is None else np.maximum(p_opt, energy / length - eps)
         return energy * rate(power) / (power + eps)
 
-    value = np.full(levels, -np.inf)
-    value[0] = 0.0
+    # value[j] is the best data of the plans that carry j levels into the
+    # current arrival; no carry above ``top`` is reachable, so none is kept
+    value, top = np.zeros(1), 0
+    size = value.itemsize
     packets = problem.packets
     for (t0, e), (t1, _) in zip(packets, packets[1:]):
         length = t1 - t0
-        powers = (drops + (e - eps * length)) / length
-        gains = np.full(powers.size, -np.inf)
+        # carry j in and carry k out use the drop j - k, at index
+        # levels - 1 - k + j; the rows k >= 1 read the indices below this
+        powers = (drops[: levels - 1 + top] + (e - eps * length)) / length
         sendable = powers >= 0.0
-        gains[sendable] = length * rate(powers[sendable])
-        # row k holds the gains from every carry j to carry k, in the order of j
-        rows = np.lib.stride_tricks.sliding_window_view(gains, levels)[::-1]
-        new = np.empty(levels)
-        new[0] = np.max(value + emptied(carries + e, length))
-        # 64 rows at a time, so that no levels x levels array is ever built
-        for k in range(1, levels, 64):
-            new[k : k + 64] = np.max(rows[k : k + 64] + value, axis=1)
-        value = new
+        first = int(np.argmax(sendable))
+        # a row k above k_hi reads only indices below ``first``: all -inf
+        k_hi = min(levels - 1 + top - first, levels - 1) if sendable[first] else 0
+        new = np.empty(k_hi + 1)
+        new[0] = np.max(value + emptied(carries[: top + 1] + e, length))
+        if k_hi:
+            # gains[i] is the gain at index levels - 1 - k_hi + i
+            gains = np.full(top + k_hi, -np.inf)
+            usable = sendable[levels - 1 - k_hi :]
+            gains[usable] = length * rate(powers[levels - 1 - k_hi :][usable])
+            rows = max(_BLOCK_CELLS // (top + 1), 1)
+            for k0 in range(1, k_hi + 1, rows):
+                k1 = min(k0 + rows, k_hi + 1)
+                # a view of ``gains`` that NumPy checks against its bounds:
+                # window[r, j] is the gain from carry j to carry k0 + r
+                window = np.ndarray(
+                    (k1 - k0, top + 1), float, gains,
+                    (k_hi - k0) * size, (-size, size),
+                )
+                new[k0:k1] = np.max(window + value, axis=1)
+        value, top = new, k_hi
 
     t, e = packets[-1]
     length = None if problem.deadline is None else problem.deadline - t
-    return float(np.max(value + emptied(carries + e, length)))
+    return float(np.max(value + emptied(carries[: top + 1] + e, length)))
 
 
 def _inside(curve: PiecewiseCurve, t: float) -> float:
@@ -230,13 +283,15 @@ def random_feasible_schedule(
     """
     horizon = harvested.horizon
     # raises InfeasibleError if the corridor is unusable
-    gates, end_value = corridor_gates(
+    knots, end_value = corridor_gates(
         harvested, zero_curve(horizon) if minimum is None else minimum
     )
-    knots = [(t, lo, min(hi, end_value)) for t, lo, hi in gates[:-1]]
+    # the path is pinned at both ends, so the endpoint gate is no knot
+    knots.pop()
     rng = random.Random(seed)
-    for t in {rng.uniform(0.0, horizon) for _ in range(3)}:
-        # the path is pinned at both ends
+    draw = rng.random
+    # horizon * draw() is uniform(0, horizon) to the bit
+    for t in {horizon * draw() for _ in range(3)}:
         if not 0.0 < t < horizon:
             continue
         i = bisect_left(knots, (t,))
@@ -244,21 +299,21 @@ def random_feasible_schedule(
             continue
         # t is no breakpoint of either curve, so both are linear there
         floor = 0.0 if minimum is None else _inside(minimum, t)
-        ceiling = _inside(harvested, t)
-        knots.insert(i, (t, min(floor, end_value), min(ceiling, end_value)))
-    points = [(0.0, 0.0)]
-    prev = 0.0
-    uniform = rng.uniform
-    for t, floor, ceiling in knots:
-        lo = max(floor, prev)
-        hi = max(ceiling, lo)
-        prev = uniform(lo, hi)
-        points.append((t, prev))
-    points.append((horizon, end_value))
+        floor = end_value if end_value < floor else floor
+        knots.insert(i, (t, floor, _inside(harvested, t)))
+    # each comparison picks the value min or max would, ties included
+    segments = []
+    t0 = v0 = 0.0
+    for t1, floor, ceiling in knots:
+        if end_value < ceiling:
+            ceiling = end_value
+        lo = v0 if v0 > floor else floor
+        hi = lo if lo > ceiling else ceiling
+        # uniform(lo, hi) to the bit
+        v1 = lo + (hi - lo) * draw()
+        segments.append((t0, t1, (v1 - v0) / (t1 - t0)))
+        t0, v0 = t1, v1
     # the gate times and the distinct random times that are none of them
     # strictly increase from 0 to the horizon: only the powers need checking
-    segments = tuple(
-        (t0, t1, (v1 - v0) / (t1 - t0))
-        for (t0, v0), (t1, v1) in zip(points, points[1:])
-    )
-    return PowerSchedule._derived(segments)
+    segments.append((t0, horizon, (end_value - v0) / (horizon - t0)))
+    return PowerSchedule._derived(tuple(segments))

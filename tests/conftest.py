@@ -17,6 +17,8 @@ from ehsched import (
     CertificateReport,
     CumulativeCurve,
     FeasibilityReport,
+    GridInfeasibleError,
+    GridSpec,
     InfeasibleError,
     LeakageProblem,
     LeakageTrace,
@@ -467,6 +469,109 @@ def reference_simulate(schedule: PowerSchedule, problem: LeakageProblem) -> Leak
         tuple((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points), horizon
     )
     return LeakageTrace(transmitted, leaked, usable, infeasible_at)
+
+
+def reference_dp_throughput(
+    harvested: CumulativeCurve,
+    minimum: CumulativeCurve,
+    rate: RateFunction,
+    grid: GridSpec,
+) -> float:
+    """``dp_throughput`` with every gate's max-plus step taken over the full
+    ``(hi_l + 1) x (dmax + 1)`` matrix of levels and steps, unreachable
+    levels included, as one array: the bits the blocked DP must match."""
+    gates, _ = corridor_gates(harvested, minimum)
+    if len(gates) > grid.time_slots:
+        raise GridInfeasibleError(
+            f"instance has {len(gates)} corridor pieces, more than the "
+            f"{grid.time_slots} allowed time slots"
+        )
+    total, start, stretch = 0.0, (0.0, 0.0), []
+    for gate in gates:
+        stretch.append(gate)
+        t, lo, hi = gate
+        if hi - lo <= DEFAULT_TOL:
+            total += _reference_dp_stretch(start, stretch, rate, grid)
+            start, stretch = (t, hi), []
+    return total
+
+
+def _reference_dp_stretch(start, gates, rate, grid) -> float:
+    t0, base = start
+    top = gates[-1][2] - base
+    if top <= DEFAULT_TOL:
+        return 0.0
+    levels = grid.energy_levels
+    de = top / (levels - 1)
+    value = np.full(levels, -np.inf)
+    value[0] = 0.0
+
+    for t1, lo, hi in gates:
+        dt = t1 - t0
+        if t1 == gates[-1][0]:
+            lo_l = hi_l = levels - 1
+        else:
+            hi_l = min(int(math.floor((hi - base) / de + 1e-9)), levels - 1)
+            lo_l = max(int(math.ceil((lo - base) / de - 1e-9)), 0)
+            if lo_l > hi_l:
+                raise GridInfeasibleError(
+                    f"quantized corridor is empty at t={t1:g} "
+                    f"(floor {lo:g}, ceiling {hi:g}, level size {de:g})"
+                )
+        dmax = min(hi_l, int(math.floor(grid.power_cap * dt / de + 1e-9)))
+        gains = dt * np.asarray(
+            rate(np.arange(dmax + 1) * (de / dt)), dtype=float
+        )
+        padded = np.concatenate([np.full(dmax, -np.inf), value[: hi_l + 1]])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, dmax + 1)
+        new = np.full(levels, -np.inf)
+        new[: hi_l + 1] = np.max(windows + gains[::-1], axis=1)
+        new[:lo_l] = -np.inf
+        value = new
+        t0 = t1
+
+    best = value[levels - 1]
+    if not np.isfinite(best):
+        raise GridInfeasibleError(
+            "no quantized path reaches the endpoint (power cap too small or "
+            "corridor too tight for the grid)"
+        )
+    return float(best)
+
+
+def reference_dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> float:
+    """``dp_leakage_throughput`` with every interval's step taken over all
+    ``levels x levels`` carry pairs, unreachable carries included, in blocks
+    of 64 rows: the bits the DP over reachable carries must match."""
+    rate, eps = problem.rate, problem.epsilon
+    p_opt = p_star(rate, eps)
+    levels = grid.energy_levels
+    carries = np.linspace(0.0, problem.total_energy, levels)
+    drops = np.arange(1 - levels, levels) * carries[1]
+
+    def emptied(energy: np.ndarray, length: float | None) -> np.ndarray:
+        power = p_opt if length is None else np.maximum(p_opt, energy / length - eps)
+        return energy * rate(power) / (power + eps)
+
+    value = np.full(levels, -np.inf)
+    value[0] = 0.0
+    packets = problem.packets
+    for (t0, e), (t1, _) in zip(packets, packets[1:]):
+        length = t1 - t0
+        powers = (drops + (e - eps * length)) / length
+        gains = np.full(powers.size, -np.inf)
+        sendable = powers >= 0.0
+        gains[sendable] = length * rate(powers[sendable])
+        rows = np.lib.stride_tricks.sliding_window_view(gains, levels)[::-1]
+        new = np.empty(levels)
+        new[0] = np.max(value + emptied(carries + e, length))
+        for k in range(1, levels, 64):
+            new[k : k + 64] = np.max(rows[k : k + 64] + value, axis=1)
+        value = new
+
+    t, e = packets[-1]
+    length = None if problem.deadline is None else problem.deadline - t
+    return float(np.max(value + emptied(carries + e, length)))
 
 
 def assert_rebuilds(curve) -> None:

@@ -482,6 +482,49 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert "--resolution" in capsys.readouterr().err
 
 
+_P2P = {"mode": "p2p", "deadline": 4.0, "harvest": {"packets": [{"t": 0.0, "e": 1.0}]}}
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (
+            {
+                **_P2P,
+                "battery": {"schedule": [{"t": 1, "capacity": 5}, {"t": 4, "capacity": 5}]},
+            },
+            '"battery.schedule[0].t" must be 0',
+        ),
+        ({**_P2P, "battery": {"a": 1}}, '"battery" has no known kind'),
+        ({**_P2P, "harvest": {"a": 1}}, '"harvest" has no known kind'),
+        (
+            {
+                "mode": "leakage",
+                "deadline": 4.0,
+                "epsilon": 0.5,
+                "harvest": {"packets": [{"t": 1.0, "e": 1.0}]},
+            },
+            '"harvest.packets[0].t" must be 0 in leakage mode',
+        ),
+        (
+            {"mode": "leakage", "deadline": 4.0, "epsilon": 0.5, "harvest": {"packets": []}},
+            '"harvest.packets" must hold a packet in leakage mode',
+        ),
+    ],
+    ids=[
+        "late-schedule",
+        "unknown-battery",
+        "unknown-harvest",
+        "late-leakage-packet",
+        "no-leakage-packet",
+    ],
+)
+def test_refusals_name_their_field(tmp_path, capsys, payload, field):
+    # each was refused by the library, in a message that named no field
+    assert run(tmp_path, "verify", write_scenario(tmp_path, payload)) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_overflowing_leakage_block_exits_1(tmp_path, capsys):
     scenario = {
         "mode": "leakage",

@@ -100,6 +100,20 @@ def test_p_star_monotone_in_leak_rate():
     assert values[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "epsilon, bits",
+    [
+        (0.1, "0x1.eaf0690800000p-2"),
+        (0.5, "0x1.27d127b468000p+0"),
+        (0.95, "0x1.aaf59e4ba0000p+0"),
+        (1.5, "0x1.1729e58fe8000p+1"),
+    ],
+)
+def test_p_star_bits_are_pinned(epsilon, bits):
+    # taken from the bisection that evaluated the rate twice per step
+    assert p_star(RATE1, epsilon).hex() == bits
+
+
 def test_p_star_matches_grid_argmax():
     for eps in (0.25, 1.0, 2.0):
         exact = p_star(RATE1, eps)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import random
 import tracemalloc
 import weakref
 
@@ -18,6 +19,8 @@ from conftest import (
     grid_argmax_f,
     random_corridor,
     random_leakage_problem,
+    reference_dp_leakage_throughput,
+    reference_dp_throughput,
     reference_dual_bound,
     solar_harvested_energy,
     tangent_root,
@@ -50,7 +53,7 @@ from ehsched import (
     throughput,
     zero_curve,
 )
-from ehsched.curves import corridor_gates
+from ehsched.curves import DEFAULT_TOL, corridor_gates
 
 GRID = GridSpec(200, 200, 16.0)
 
@@ -120,6 +123,57 @@ def test_dp_instant_forced_spend_infeasible():
     minimum = from_packet_arrivals([(0.0, 1.0)], 4.0)
     with pytest.raises(InfeasibleError):
         dp_throughput(harvested, minimum, RATE1, GRID)
+
+
+def _outcome(dp, *args):
+    """The DP's value, or the type and message of the error it raises."""
+    try:
+        return dp(*args)
+    except (GridInfeasibleError, InfeasibleError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec(400, 400, 64.0), GridSpec(200, 201, 1.5), GridSpec(400, 400, 0.6)],
+    ids=["wide", "capped", "tight"],
+)
+def test_dp_matches_the_full_matrix(grid):
+    # the blocked DP over reachable levels leaves out only -inf terms, so its
+    # value, or its error, is the full matrix's to the bit
+    kinds = {"pinch": 0, "capped step": 0, "grid-infeasible": 0}
+    for seed in range(1000):
+        harvested, minimum = random_corridor(seed)
+        expected = _outcome(reference_dp_throughput, harvested, minimum, RATE1, grid)
+        assert _outcome(dp_throughput, harvested, minimum, RATE1, grid) == expected, seed
+        gates, _ = corridor_gates(harvested, minimum)
+        kinds["pinch"] += any(hi - lo <= DEFAULT_TOL for _, lo, hi in gates[:-1])
+        if isinstance(expected, tuple):
+            kinds["grid-infeasible"] += 1
+        else:
+            # the cap, not the ceiling, bounds the steps of some piece
+            starts = [0.0] + [t for t, _, _ in gates]
+            kinds["capped step"] += any(
+                grid.power_cap * (t - t0) < hi for (t, _, hi), t0 in zip(gates, starts)
+            )
+    assert kinds["pinch"] > 0
+    if grid.power_cap < 64.0:
+        assert kinds["capped step"] > 0 and kinds["grid-infeasible"] > 0, kinds
+
+
+def test_dp_memory_stays_blocked():
+    # eight unit packets under a 64 cap: the full matrix of the step at t=7
+    # is 350 levels by 350 steps, 1 MB, and the DP peaked at 1.43 MB with it;
+    # a block is at most 256 kB, and NumPy buffers 128 kB beside it
+    harvested = from_packet_arrivals([(float(k), 1.0) for k in range(8)], 8.0)
+    grid = GridSpec(400, 400, 64.0)
+    tracemalloc.start()
+    try:
+        dp_throughput(harvested, zero_curve(8.0), RATE1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
 
 
 # --------------------------------------------------------------------------
@@ -224,6 +278,33 @@ def test_dp_leak_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _short_gap_problem(seed: int, bounded: bool) -> LeakageProblem:
+    """2-5 packets, some 0.01 or 0.05 apart: an interval that short carries
+    the most charge the grid allows, the top reachable carry."""
+    rng = random.Random(seed)
+    t, packets = 0.0, []
+    for _ in range(rng.randint(2, 5)):
+        packets.append((t, rng.uniform(0.5, 4.0)))
+        t += rng.choice((0.01, 0.05, 1.0, 2.0))
+    deadline = t + 3.0 if bounded else None
+    return LeakageProblem(tuple(packets), rng.uniform(0.05, 1.0), deadline, RATE1)
+
+
+@pytest.mark.parametrize("levels", [201, 401, 800])
+def test_dp_leak_matches_the_full_matrix(levels):
+    # carries above the energy harvested so far are -inf, and so are the
+    # rows no reachable carry feeds: leaving them out changes no bit
+    grid = GridSpec(energy_levels=levels)
+    for seed in range(300):
+        for bounded in (True, False):
+            problems = [random_leakage_problem(seed, bounded)]
+            if seed < 100:
+                problems.append(_short_gap_problem(seed, bounded))
+            for problem in problems:
+                expected = reference_dp_leakage_throughput(problem, grid)
+                assert dp_leakage_throughput(problem, grid) == expected, problem
 
 
 # --------------------------------------------------------------------------
