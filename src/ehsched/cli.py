@@ -42,7 +42,7 @@ import sys
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .broadcast import BroadcastProblem, solve_broadcast
@@ -67,7 +67,7 @@ from .leakage import (
     solve_n_packet,
 )
 from .rate import RateFunction, awgn_rate
-from .string_solver import dual_bound, taut_string
+from .string_solver import Contact, dual_bound, taut_string
 
 __all__ = ["main", "DEMO_SCENARIOS", "REPORT_SCHEMA"]
 
@@ -254,10 +254,15 @@ def _timed(items, where: str, key: str, deadline: float | None) -> list[tuple]:
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f'"{where}[{i}]" must be an object, got {item!r}')
-    pairs = [
-        tuple(_number(item.get(k), f"{where}[{i}].{k}") for k in ("t", key))
-        for i, item in enumerate(items)
-    ]
+    pairs = [(item.get("t"), item.get(key)) for item in items]
+    values = [*chain.from_iterable(pairs)]
+    # a non-finite value makes the sum non-finite; only a list that is not
+    # all finite floats is read, and its fields named, one by one
+    if {*map(type, values)} - {float} or not math.isfinite(sum(values)):
+        pairs = [
+            (_number(t, f"{where}[{i}].t"), _number(v, f"{where}[{i}].{key}"))
+            for i, (t, v) in enumerate(pairs)
+        ]
     _increasing([t for t, _ in pairs], where + "[{}].t", deadline)
     return pairs
 
@@ -365,30 +370,6 @@ def _build_minimum(
 # --------------------------------------------------------------------------
 # solving
 
-#: a report and the curves it plots, name -> curve in drawing order
-_Output = tuple[dict, dict[str, PiecewiseCurve]]
-
-
-def _schedule_json(schedule: PowerSchedule) -> dict:
-    return {
-        "segments": [
-            {"t_start": t0, "t_end": t1, "power": p}
-            for t0, t1, p in schedule.segments
-        ],
-        "end_time": schedule.end_time,
-        "total_energy": schedule.total_energy,
-    }
-
-
-def _curve_json(curve: PiecewiseCurve) -> dict:
-    return {
-        "horizon": curve.horizon,
-        "breakpoints": [
-            {"t": t, "v_left": vl, "v_right": vr} for t, vl, vr in curve.breakpoints
-        ],
-    }
-
-
 def _report(
     scenario: dict,
     schedule: PowerSchedule,
@@ -399,11 +380,12 @@ def _report(
     leaked: float = 0.0,
     **fields,
 ) -> dict:
-    """The JSON report: the fields every mode shares, plus ``fields``."""
+    """The report: the fields every mode shares, plus ``fields``; schedules,
+    ``curves`` (in drawing order) and contacts stay library objects."""
     return {
         "mode": scenario["mode"],
         "scenario": scenario,
-        "schedule": _schedule_json(schedule),
+        "schedule": schedule,
         "total_data": total_data,
         "energy": {
             "harvested": harvested,
@@ -411,7 +393,7 @@ def _report(
             "leaked": leaked,
             "residual": harvested - transmitted - leaked,
         },
-        "curves": {name: _curve_json(curve) for name, curve in curves.items()},
+        "curves": curves,
         **fields,
     }
 
@@ -431,7 +413,7 @@ def _verification(solver_data: float, bound: float, feasible: bool) -> dict:
     }
 
 
-def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> _Output:
+def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> dict:
     """Point-to-point and broadcast: the taut string in the harvest/floor
     corridor, under the composite rate for broadcast.  ``verify`` adds the
     verdict of the string's dual bound and a feasibility check."""
@@ -454,8 +436,8 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> _Output:
         )
         string, rate, total_data = solution.string, solution.rate, solution.weighted_sum
         fields = {
-            "user1_schedule": _schedule_json(solution.user1_schedule),
-            "user2_schedule": _schedule_json(solution.user2_schedule),
+            "user1_schedule": solution.user1_schedule,
+            "user2_schedule": solution.user2_schedule,
             "user1_data": solution.user1_data,
             "user2_data": solution.user2_data,
             "weighted_sum": solution.weighted_sum,
@@ -467,22 +449,18 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> _Output:
     uppers = [c.time for c in string.contacts if c.kind == "upper"]
     departure = max(uppers) if uppers else None
     schedule = string.schedule
-    curves = {
-        "harvested": harvested,
-        "minimum": minimum,
-        "spent": schedule.energy_curve(deadline),
-    }
     report = _report(
         scenario,
         schedule,
         total_data,
-        curves,
+        {
+            "harvested": harvested,
+            "minimum": minimum,
+            "spent": schedule.energy_curve(deadline),
+        },
         harvested.eval(deadline),
         schedule.total_energy,
-        contacts=[
-            {"time": c.time, "value": c.value, "kind": c.kind}
-            for c in string.contacts
-        ],
+        contacts=string.contacts,
         departure_time=departure,
         **fields,
     )
@@ -492,10 +470,10 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> _Output:
             dual_bound(schedule, harvested, minimum, rate),
             check_feasible(schedule, minimum, harvested).feasible,
         )
-    return report, curves
+    return report
 
 
-def _solve_leakage(scenario: dict, verify: bool) -> _Output:
+def _solve_leakage(scenario: dict, verify: bool) -> dict:
     """The leaky battery: block decomposition, replayed by ``simulate``.
     ``verify`` adds the verdict of the drain bound and the replay."""
     harvest = scenario.get("harvest")
@@ -521,15 +499,9 @@ def _solve_leakage(scenario: dict, verify: bool) -> _Output:
     )
     solution = solve_n_packet(problem)
     trace = simulate(solution.schedule, problem)
-    curves = {
-        "harvested": from_packet_arrivals(problem.packets, trace.usable.horizon),
-        "usable": trace.usable,
-        "spent": trace.transmitted,
-        "leaked": trace.leaked,
-    }
     fields = {
-        "block_powers": list(solution.block_powers),
-        "block_boundaries": list(solution.block_boundaries),
+        "block_powers": solution.block_powers,
+        "block_boundaries": solution.block_boundaries,
         "infeasible_at": trace.infeasible_at,
     }
     if problem.deadline is not None:
@@ -544,7 +516,12 @@ def _solve_leakage(scenario: dict, verify: bool) -> _Output:
         scenario,
         solution.schedule,
         solution.total_data,
-        curves,
+        {
+            "harvested": from_packet_arrivals(problem.packets, trace.usable.horizon),
+            "usable": trace.usable,
+            "spent": trace.transmitted,
+            "leaked": trace.leaked,
+        },
         problem.total_energy,
         solution.transmit_energy,
         solution.leaked_energy,
@@ -554,10 +531,10 @@ def _solve_leakage(scenario: dict, verify: bool) -> _Output:
         report["verification"] = _verification(
             solution.total_data, drain_bound(problem), trace.infeasible_at is None
         )
-    return report, curves
+    return report
 
 
-def _solve_scenario(scenario: dict, resolution: int, verify: bool) -> _Output:
+def _solve_scenario(scenario: dict, resolution: int, verify: bool) -> dict:
     if not isinstance(scenario, dict):
         raise ValueError("a scenario must be a JSON object")
     mode = scenario.get("mode")
@@ -574,31 +551,47 @@ def _solve_scenario(scenario: dict, resolution: int, verify: bool) -> _Output:
 # emission
 
 
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(
-            f"Out of range float values are not JSON compliant: {value!r}"
-        )
-    return float.__repr__(value)
-
-
 class _FloatTexts(dict):
-    """float -> its JSON text, filled on first use.  Zeros are never stored:
-    ``-0.0 == 0.0``, so the two would share one entry."""
+    """float (or float subclass) -> its JSON text, filled on first use.
+    Zeros are never stored: ``-0.0 == 0.0``, so the two would share one."""
 
     def __missing__(self, value: float) -> str:
-        text = _float_text(value)
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        text = float.__repr__(value)
         if value:
             self[value] = text
         return text
 
 
-def _record_rows(items, indent: str, floats: _FloatTexts) -> str | None:
-    """The rows of a list of dicts that share one set of str keys and hold
-    only floats (curve breakpoints, schedule segments), filled into one row
-    template; ``None`` for any other list."""
+class _Table(tuple):
+    """``(keys, values)``: a JSON list of objects with the sorted str
+    ``keys``, whose scalar ``values`` come row by row, in key order."""
+
+
+def _schema_object(o) -> dict:
+    """A report's library object as the object ``REPORT_SCHEMA`` names, its
+    rows read straight from the object's tuples."""
+    if isinstance(o, PowerSchedule):
+        segments = chain.from_iterable(map(itemgetter(2, 1, 0), o.segments))
+        rows = _Table((("power", "t_end", "t_start"), segments))
+        return {"segments": rows, "end_time": o.end_time, "total_energy": o.total_energy}
+    if isinstance(o, PiecewiseCurve):
+        rows = _Table((("t", "v_left", "v_right"), chain.from_iterable(o.breakpoints)))
+        return {"horizon": o.horizon, "breakpoints": rows}
+    return {"time": o.time, "value": o.value, "kind": o.kind}
+
+
+def _record_rows(items) -> _Table | None:
+    """The rows of a list of contacts, or of dicts that share one set of str
+    keys and hold only floats (a scenario's packets); ``None`` for any other
+    list."""
+    types = {*map(type, items)}
+    if types == {Contact}:
+        keys = ("kind", "time", "value")
+        return _Table((keys, chain.from_iterable(map(attrgetter(*keys), items))))
     first = items[0]
-    if {*map(type, items)} != {dict} or not first or {*map(type, first)} != {str}:
+    if types != {dict} or not first or {*map(type, first)} != {str}:
         return None
     if not all(map(first.keys().__eq__, map(dict.keys, items))):
         return None
@@ -607,23 +600,33 @@ def _record_rows(items, indent: str, floats: _FloatTexts) -> str | None:
     values = tuple(rows if len(keys) == 1 else chain.from_iterable(rows))
     if {*map(type, values)} != {float}:
         return None
-    inner = indent + "  "
-    members = ",\n".join(
-        inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    )
-    row = "{\n" + members + "\n" + indent + "}"
-    template = (",\n" + indent).join([row] * len(items))
-    return template % tuple(map(floats.__getitem__, values))
+    return _Table((keys, values))
 
 
 def _json_text(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
     for an acyclic ``obj`` whose keys are all str (any other key raises
-    ``TypeError``), made fast for reports: each distinct float is rendered
-    once (curves share their breakpoint times, and continuous ones have
-    ``v_left == v_right``), and a uniform list of float records is filled
-    into one row template."""
+    ``TypeError``), with a ``default=`` that expands a schedule, a curve or
+    a contact into the object :func:`_schema_object` gives.  Made fast for
+    reports: each distinct float is rendered once (curves share their
+    breakpoint times, and continuous ones have ``v_left == v_right``), and
+    each list of rows (``_Table`` or :func:`_record_rows`) is filled into
+    one row template."""
     floats = _FloatTexts()
+
+    def table(keys, values, indent: str) -> str:
+        values = tuple(values)
+        if {*map(type, values)} == {float}:
+            texts = map(floats.__getitem__, values)
+        else:
+            texts = [text(v, "") for v in values]
+        inner, cell = indent + "  ", indent + "    "
+        members = ",\n".join(
+            cell + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+        )
+        row = "{\n" + members + "\n" + inner + "}"
+        rows = (",\n" + inner).join([row] * (len(values) // len(keys)))
+        return f"[\n{inner}{rows % tuple(texts)}\n{indent}]" if values else "[]"
 
     def text(o, indent: str) -> str:
         if isinstance(o, str):
@@ -637,23 +640,25 @@ def _json_text(obj) -> str:
         if isinstance(o, int):
             return int.__repr__(o)
         if isinstance(o, float):
-            return floats[o] if type(o) is float else _float_text(o)
+            return floats[o]
+        if type(o) is _Table:
+            return table(*o, indent)
         inner = indent + "  "
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            body = _record_rows(o, inner, floats)
-            if body is None:
-                body = (",\n" + inner).join([text(item, inner) for item in o])
+            if rows := _record_rows(o):
+                return table(*rows, indent)
+            body = (",\n" + inner).join([text(item, inner) for item in o])
             return f"[\n{inner}{body}\n{indent}]"
+        if isinstance(o, (PowerSchedule, PiecewiseCurve, Contact)):
+            o = _schema_object(o)
         if isinstance(o, dict):
             if not o:
                 return "{}"
+            items = sorted(o.items())
             body = (",\n" + inner).join(
-                [
-                    f"{encode_basestring_ascii(k)}: {text(v, inner)}"
-                    for k, v in sorted(o.items())
-                ]
+                [f"{encode_basestring_ascii(k)}: {text(v, inner)}" for k, v in items]
             )
             return f"{{\n{inner}{body}\n{indent}}}"
         raise TypeError(
@@ -663,21 +668,20 @@ def _json_text(obj) -> str:
     return text(obj, "")
 
 
-def _csv_text(report: dict, curves: dict[str, PiecewiseCurve]) -> str:
+def _csv_text(report: dict) -> str:
     schedules = [
-        report[key]["segments"]
+        report[key].segments
         for key in ("schedule", "user1_schedule", "user2_schedule")
         if key in report
     ]
     header = ("t_start", "t_end", "power", "power_user1", "power_user2")
     lines = [",".join(header[: 2 + len(schedules)])]
-    # "%.12g" formats a float as f"{v:.12g}" does
+    # "%.12g" formats a float as f"{v:.12g}" does; other schedules add powers
     template = ",".join(["%.12g"] * (2 + len(schedules)))
-    for row in zip(*schedules):
-        lines.append(
-            template
-            % (row[0]["t_start"], row[0]["t_end"], *(s["power"] for s in row))
-        )
+    rows = schedules[0]
+    if len(schedules) > 1:
+        rows = [(*seg, *[s[2] for s in rest]) for seg, *rest in zip(*schedules)]
+    lines += map(template.__mod__, rows)
     return "\n".join(lines) + "\n"
 
 
@@ -699,13 +703,12 @@ def _svg_path(curve: PiecewiseCurve, horizon: float, vmax: float) -> str:
     return " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
 
 
-def _svg_text(report: dict, curves: dict[str, PiecewiseCurve]) -> str:
+def _svg_text(report: dict) -> str:
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
+    curves = report["curves"]
     horizon = max(c.horizon for c in curves.values())
-    vmax = max(
-        max(max(vl, vr) for _, vl, vr in c.breakpoints) for c in curves.values()
-    )
-    vmax = max(vmax, 1e-9)
+    bps = [c.breakpoints for c in curves.values()]
+    vmax = max(1e-9, *(max(map(itemgetter(col), b)) for b in bps for col in (1, 2)))
 
     def to_xy(t: float, v: float) -> tuple[float, float]:
         x = margin + (t / horizon) * (width - 2 * margin)
@@ -741,23 +744,20 @@ def _svg_text(report: dict, curves: dict[str, PiecewiseCurve]) -> str:
             f'points="{_svg_path(curve, horizon, vmax)}"/>'
         )
     for c in report.get("contacts", ()):
-        if c["kind"] in ("upper", "lower"):
-            x, y = to_xy(c["time"], c["value"])
+        if c.kind in ("upper", "lower"):
+            x, y = to_xy(c.time, c.value)
             parts.append(f'<circle class="contact" cx="{x:.2f}" cy="{y:.2f}" r="2"/>')
     departure = report.get("departure_time")
     if departure is not None:
-        v = curves["harvested"].eval_left(departure)
-        x, y = to_xy(departure, v)
-        parts.append(
-            f'<circle class="departure" cx="{x:.2f}" cy="{y:.2f}" r="6"/>'
-        )
+        x, y = to_xy(departure, curves["harvested"].eval_left(departure))
+        parts.append(f'<circle class="departure" cx="{x:.2f}" cy="{y:.2f}" r="6"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 #: format -> (file suffix, text builder)
 _EMITTERS = {
-    "json": ("report.json", lambda report, curves: _json_text(report) + "\n"),
+    "json": ("report.json", lambda report: _json_text(report) + "\n"),
     "csv": ("schedule.csv", _csv_text),
     "svg": ("plot.svg", _svg_text),
 }
@@ -792,13 +792,13 @@ def _write_file(path: Path, text: str) -> None:
             os.close(fd)
 
 
-def _emit(report, curves, stem: str, out_dir: Path, formats: list[str]) -> list[Path]:
+def _emit(report: dict, stem: str, out_dir: Path, formats: list[str]) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
         suffix, text = _EMITTERS[fmt]
         target = out_dir / f"{stem}.{suffix}"
-        _write_file(target, text(report, curves))
+        _write_file(target, text(report))
         written.append(target)
     return written
 
@@ -893,10 +893,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(
                     f"unknown format {fmt!r} (choose from json, csv, svg)"
                 )
-        report, curves = _solve_scenario(
-            scenario, args.resolution, args.command == "verify"
-        )
-        written = _emit(report, curves, stem, Path(args.out), formats)
+        report = _solve_scenario(scenario, args.resolution, args.command == "verify")
+        written = _emit(report, stem, Path(args.out), formats)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

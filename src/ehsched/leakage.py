@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +103,7 @@ class LeakageProblem:
                 "schedule (slower is always better); use a bounded deadline"
             )
 
-    @property
+    @cached_property
     def total_energy(self) -> float:
         return sum(e for _, e in self.packets)
 

@@ -22,10 +22,12 @@ from conftest import (
     random_leakage_problem,
     tangent_root,
 )
-from test_golden import SCENARIOS as GOLDEN_SCENARIOS
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS, _train
 
 from ehsched import (
+    Contact,
     GridSpec,
+    PiecewiseCurve,
     PowerSchedule,
     awgn_rate,
     check_feasible,
@@ -209,7 +211,7 @@ def test_leakage_residual_is_zero_to_rounding(scenario):
     # the optimum spends the whole harvest, so the residual is zero only up
     # to rounding and may be negative: -6.7e-16 on the demo, -1.4e-13 on the
     # train, -5.2e-318 on the tiny leak
-    report, _ = _solve_scenario(scenario, 1024, False)
+    report = _solve_scenario(scenario, 1024, False)
     energy = report["energy"]
     assert abs(energy["residual"]) <= 1e-12 * energy["harvested"]
 
@@ -236,14 +238,14 @@ def test_verify_long_leaky_trains(tmp_path, n):
 def test_verify_leakage_needs_a_feasible_replay(monkeypatch):
     # a schedule that drew from an empty battery fails at any gap
     scenario = DEMO_SCENARIOS["leakage-counterexample"]
-    report, _ = _solve_scenario(scenario, 1024, True)
+    report = _solve_scenario(scenario, 1024, True)
     assert report["verification"]["ok"] is True
     monkeypatch.setattr(
         cli,
         "simulate",
         lambda schedule, problem: replace(simulate(schedule, problem), infeasible_at=3.5),
     )
-    report, _ = _solve_scenario(scenario, 1024, True)
+    report = _solve_scenario(scenario, 1024, True)
     verification = report["verification"]
     assert verification["relative_gap"] == 0.0
     assert verification["ok"] is False
@@ -525,6 +527,36 @@ def test_refusals_name_their_field(tmp_path, capsys, payload, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        # every item must be an object before any number is read
+        ([{"t": "x", "e": 1.0}, 5], '"p[1]" must be an object, got 5'),
+        # then each item's t, then its value, item by item
+        ([{"t": math.nan, "e": None}], '"p[0].t" must be a finite number, got nan'),
+        (
+            [{"t": 0.0, "e": None}, {"t": "x", "e": 1.0}],
+            '"p[0].e" must be a finite number, got None',
+        ),
+        ([{"t": 0, "e": 2**1024}], '"p[0].e" must be a finite number, got ' + repr(2**1024)),
+        # then the order of the times
+        (
+            [{"t": 2.0, "e": 1.0}, {"t": 1.0, "e": True}],
+            '"p[1].e" must be a finite number, got True',
+        ),
+        (
+            [{"t": 2.0, "e": 1.0}, {"t": 1.0, "e": 1.0}],
+            '"p[1].t" must strictly increase within [0, 4.0], got 1.0',
+        ),
+    ],
+    ids=["object-first", "t-first", "item-by-item", "big-int", "numbers-first", "order"],
+)
+def test_timed_refusals_keep_their_order(items, message):
+    with pytest.raises(ValueError) as raised:
+        cli._timed(items, "p", "e", 4.0)
+    assert str(raised.value) == message
+
+
 def test_overflowing_leakage_block_exits_1(tmp_path, capsys):
     scenario = {
         "mode": "leakage",
@@ -605,7 +637,7 @@ def test_verify_pinched_corridor(tmp_path, mode, grid):
     verification = load_report(tmp_path, "scenario")["verification"]
     assert verification["ok"] is True
     assert -1e-12 <= verification["relative_gap"] <= 1e-9
-    _, curves = _solve_scenario(scenario, 1024, False)
+    curves = _solve_scenario(scenario, 1024, False)["curves"]
     harvested, minimum = curves["harvested"], curves["minimum"]
     if mode == "broadcast":
         spec = scenario["broadcast"]
@@ -744,8 +776,8 @@ def test_failed_write_leaves_no_old_tail(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "demo", "broadcast", "--format", "csv") == 1
     monkeypatch.undo()
     assert "No space left on device" in capsys.readouterr().err
-    report, curves = _solve_scenario(DEMO_SCENARIOS["broadcast"], 1024, False)
-    expected = cli._csv_text(report, curves).encode()
+    report = _solve_scenario(DEMO_SCENARIOS["broadcast"], 1024, False)
+    expected = cli._csv_text(report).encode()
     assert target.read_bytes() == expected[: len(expected) // 2]
 
 
@@ -852,14 +884,112 @@ def test_json_text_refuses_unknown_types():
         _json_text({1: 1.0})
 
 
+def expand(o):
+    """The objects REPORT_SCHEMA names for a report's library objects."""
+    if isinstance(o, PowerSchedule):
+        return {
+            "segments": [
+                {"t_start": t0, "t_end": t1, "power": p} for t0, t1, p in o.segments
+            ],
+            "end_time": o.end_time,
+            "total_energy": o.total_energy,
+        }
+    if isinstance(o, PiecewiseCurve):
+        return {
+            "horizon": o.horizon,
+            "breakpoints": [
+                {"t": t, "v_left": vl, "v_right": vr} for t, vl, vr in o.breakpoints
+            ],
+        }
+    if isinstance(o, Contact):
+        return {"time": o.time, "value": o.value, "kind": o.kind}
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def reference_report_json(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=expand)
+
+
+_LONG, _LONG_DEADLINE = _train(1448)
+_LONG_LEAKY, _LONG_LEAKY_DEADLINE = _train(1448, trend=0.5)
+#: reports far larger than the golden ones: 1448-packet trains, 8192 pieces
+LARGE_SCENARIOS = {
+    "capped-1448": {
+        "mode": "p2p",
+        "deadline": _LONG_DEADLINE,
+        "harvest": {"packets": _LONG},
+        "battery": {"constant": 3.5},
+    },
+    "leakage-1448": {
+        "mode": "leakage",
+        "deadline": _LONG_LEAKY_DEADLINE,
+        "harvest": {"packets": _LONG_LEAKY},
+        "epsilon": 0.95,
+    },
+    "solar-8192": DEMO_SCENARIOS["solar"],
+}
+
+
 @pytest.mark.parametrize(
     "name",
-    [*DEMOS, "capped-train", "leakage-train", "leakage-unbounded", "leakage-idle"],
+    [
+        *DEMOS,
+        "capped-train",
+        "leakage-train",
+        "leakage-unbounded",
+        "leakage-idle",
+        *LARGE_SCENARIOS,
+    ],
 )
 def test_json_text_on_reports(name):
-    scenario = DEMO_SCENARIOS.get(name) or GOLDEN_SCENARIOS[name]
-    report, _ = _solve_scenario(scenario, 1024, False)
-    assert _json_text(report) == reference_json(report)
+    scenario = (
+        DEMO_SCENARIOS.get(name) or GOLDEN_SCENARIOS.get(name) or LARGE_SCENARIOS[name]
+    )
+    resolution = 8192 if name == "solar-8192" else 1024
+    for verify in (False, True):
+        report = _solve_scenario(scenario, resolution, verify)
+        assert _json_text(report) == reference_report_json(report)
+
+
+#: a report's library objects, with floats the writer must render as json
+#: does (small enough that no total energy overflows), and now and then an
+#: int where the library keeps floats
+NUMBERS = (
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, 1e-7, 5e-324])
+    | st.floats(-1e9, 1e9)
+    | st.integers(-5, 5)
+)
+LIBRARY_OBJECTS = (
+    st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=5).map(
+        lambda segments: PowerSchedule._trusted(tuple(segments))
+    )
+    | st.builds(
+        PiecewiseCurve._trusted,
+        st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=5).map(
+            tuple
+        ),
+        NUMBERS,
+    )
+    | st.builds(Contact, NUMBERS, NUMBERS, TEXT)
+)
+#: the contacts of a report come as one tuple
+CONTACTS = st.lists(st.builds(Contact, NUMBERS, NUMBERS, TEXT), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.recursive(
+        SCALARS
+        | LIBRARY_OBJECTS
+        | CONTACTS.map(tuple)
+        | st.lists(LIBRARY_OBJECTS, max_size=4).map(tuple),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(TEXT, children, max_size=4),
+        max_leaves=12,
+    )
+)
+def test_json_text_writes_library_objects_as_the_schema(obj):
+    assert _json_text(obj) == reference_report_json(obj)
 
 
 def reference_csv(schedules) -> str:
@@ -882,5 +1012,10 @@ SEGMENTS = st.lists(
 @given(st.lists(SEGMENTS, min_size=1, max_size=3))
 def test_csv_template_matches_per_value_format(schedules):
     keys = ("schedule", "user1_schedule", "user2_schedule")
-    report = {key: {"segments": s} for key, s in zip(keys, schedules)}
-    assert cli._csv_text(report, {}) == reference_csv(schedules)
+    report = {
+        key: PowerSchedule._trusted(
+            tuple((d["t_start"], d["t_end"], d["power"]) for d in s)
+        )
+        for key, s in zip(keys, schedules)
+    }
+    assert cli._csv_text(report) == reference_csv(schedules)
