@@ -233,7 +233,16 @@ def _numbers(values, where: str) -> list[float]:
     """A scenario field that must be a non-empty list of finite numbers."""
     if not isinstance(values, list) or not values:
         raise ValueError(f'"{where}" must be a non-empty list of numbers')
+    if _finite_floats(values):
+        return values[:]
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _finite_floats(values: list) -> bool:
+    """Whether every value is a float and none is infinite or NaN: a list
+    that passes needs no value read one by one."""
+    # a non-finite value makes the sum non-finite
+    return not {*map(type, values)} - {float} and math.isfinite(sum(values))
 
 
 def _increasing(times: list[float], name: str, deadline: float | None) -> None:
@@ -255,10 +264,9 @@ def _timed(items, where: str, key: str, deadline: float | None) -> list[tuple]:
         if not isinstance(item, dict):
             raise ValueError(f'"{where}[{i}]" must be an object, got {item!r}')
     pairs = [(item.get("t"), item.get(key)) for item in items]
-    values = [*chain.from_iterable(pairs)]
-    # a non-finite value makes the sum non-finite; only a list that is not
-    # all finite floats is read, and its fields named, one by one
-    if {*map(type, values)} - {float} or not math.isfinite(sum(values)):
+    # only a list that is not all finite floats is read, and its fields
+    # named, one by one
+    if not _finite_floats([*chain.from_iterable(pairs)]):
         pairs = [
             (_number(t, f"{where}[{i}].t"), _number(v, f"{where}[{i}].{key}"))
             for i, (t, v) in enumerate(pairs)

@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -91,7 +92,7 @@ class PiecewiseCurve:
 
     @cached_property
     def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _, _ in self.breakpoints)
+        return tuple(map(itemgetter(0), self.breakpoints))
 
     def eval(self, t: float) -> float:
         """Value at ``t`` (the right limit at a jump)."""
@@ -301,19 +302,17 @@ def from_packet_arrivals(
     horizon = float(horizon)
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
-    pts = [(float(t), float(e)) for t, e in packets]
-    for (t0, _), (t1, _) in zip(pts, pts[1:]):
-        if not t1 > t0:
-            raise ValueError(f"packet arrival times must strictly increase at t={t1}")
+    packets = tuple(packets)
     bps: list[tuple[float, float, float]] = []
     total = 0.0
-    for t, e in pts:
-        if not 0.0 < e < math.inf:
-            raise ValueError(f"packet energy must be positive and finite, got {e} at t={t}")
-        if not 0.0 <= t <= horizon:
-            raise ValueError(f"packet at t={t} outside [0, {horizon}]")
+    last = -math.inf
+    for t, e in packets:
+        t, e = float(t), float(e)
+        if not (last < t <= horizon and 0.0 <= t and 0.0 < e < math.inf):
+            _refuse_packets(packets, horizon)
         bps.append((t, total, total + e))
         total += e
+        last = t
     if not bps or bps[0][0] > 0.0:
         bps.insert(0, (0.0, 0.0, 0.0))
     if bps[-1][0] < horizon:
@@ -325,6 +324,22 @@ def from_packet_arrivals(
     # float times strictly increasing from 0 to the horizon, and a running
     # sum of positive energies that ends finite
     return CumulativeCurve._trusted(tuple(bps), horizon)
+
+
+def _refuse_packets(packets: tuple, horizon: float) -> None:
+    """Raise the refusal of packets one of which fails the test of
+    :func:`from_packet_arrivals`, a test that fails exactly where one of the
+    checks here does: every number is converted first, then the times are
+    checked for order, then each packet's energy and time."""
+    pts = [(float(t), float(e)) for t, e in packets]
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if not t1 > t0:
+            raise ValueError(f"packet arrival times must strictly increase at t={t1}")
+    for t, e in pts:
+        if not 0.0 < e < math.inf:
+            raise ValueError(f"packet energy must be positive and finite, got {e} at t={t}")
+        if not 0.0 <= t <= horizon:
+            raise ValueError(f"packet at t={t} outside [0, {horizon}]")
 
 
 def zero_curve(horizon: float) -> CumulativeCurve:
@@ -473,36 +488,57 @@ def corridor_gates(
     and ends with the pinned endpoint gate ``(T, H(T^-), H(T^-))``.  Both
     curves are read in one merged walk of their breakpoints.
     """
+    walk, end_value = _corridor_walk(harvested, minimum)
+    T = harvested.horizon
+    tol = DEFAULT_TOL
+    gates: list[tuple[float, float, float]] = []
+    for t, hi, h_post, m_pre, lo in walk:
+        if m_pre > hi + tol or lo > h_post + tol or lo > hi + tol:
+            _refuse_pinch(t, hi, h_post, m_pre, lo)
+        if t == T:
+            continue
+        # min(lo, hi, end_value), in two comparisons
+        if hi < lo:
+            lo = hi
+        if end_value < lo:
+            lo = end_value
+        gates.append((t, lo, hi))
+    gates.append((T, end_value, end_value))
+    return gates, end_value
+
+
+def _corridor_walk(harvested: CumulativeCurve, minimum: CumulativeCurve):
+    """The :func:`_merged_limits` walk of a corridor's two curves past t=0,
+    where a path is pinned, and ``H(T^-)``.  Raises ``ValueError`` when the
+    horizons differ and :class:`InfeasibleError` when the floor forces
+    energy out at t=0."""
     T = harvested.horizon
     if minimum.horizon != T:
         raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
     walk = _merged_limits(harvested, minimum)
-    # t=0, where the path is pinned
     floor0 = next(walk)[4]
-    end_value = harvested.breakpoints[-1][1]
-    tol = DEFAULT_TOL
-
-    if floor0 > tol:
+    if floor0 > DEFAULT_TOL:
         raise InfeasibleError(
             f"the floor forces {floor0:g} energy to be spent "
             "instantaneously at t=0"
         )
-    gates: list[tuple[float, float, float]] = []
-    for t, hi, h_post, m_pre, lo in walk:
-        if m_pre > hi + tol:
-            raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
-        if lo > h_post + tol:
-            raise InfeasibleError(f"floor exceeds ceiling at t={t}")
-        if lo > hi + tol:
-            raise InfeasibleError(
-                f"floor {lo:g} at t={t} exceeds the energy {hi:g} available "
-                "before the jump there"
-            )
-        if t == T:
-            continue
-        gates.append((t, min(lo, hi, end_value), hi))
-    gates.append((T, end_value, end_value))
-    return gates, end_value
+    return walk, harvested.breakpoints[-1][1]
+
+
+def _refuse_pinch(t: float, hi: float, h_post: float, m_pre: float, lo: float) -> None:
+    """Raise the :class:`InfeasibleError` of a gate of :func:`_merged_limits`
+    (``t``, ``H(t^-)``, ``H(t)``, ``M(t^-)``, ``M(t)``) where the floor
+    exceeds the ceiling by more than ``DEFAULT_TOL``, naming the first of
+    the three tests it fails: ``M(t^-) > H(t^-)``, ``M(t) > H(t)`` and
+    ``M(t) > H(t^-)``."""
+    if m_pre > hi + DEFAULT_TOL:
+        raise InfeasibleError(f"floor exceeds ceiling just before t={t}")
+    if lo > h_post + DEFAULT_TOL:
+        raise InfeasibleError(f"floor exceeds ceiling at t={t}")
+    raise InfeasibleError(
+        f"floor {lo:g} at t={t} exceeds the energy {hi:g} available "
+        "before the jump there"
+    )
 
 
 # --------------------------------------------------------------------------

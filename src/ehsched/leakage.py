@@ -259,39 +259,59 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
     overflows).
     """
     p_opt = p_star(problem.rate, problem.epsilon)
+    eps = problem.epsilon
     packets = problem.packets
-    blocks = _decompose_blocks(packets, problem.deadline, problem.epsilon, p_opt)
+    blocks = _decompose_blocks(packets, problem.deadline, eps, p_opt)
     tol = 1e-12 * max(1.0, problem.total_energy)
 
-    segments: list[tuple[float, float, float]] = []
-
-    def emit(t0: float, t1: float, power: float) -> None:
-        if not t1 > t0:
-            return
-        if segments and segments[-1][1] == t0 and segments[-1][2] == power:
-            segments[-1] = (segments[-1][0], t1, power)
-        else:
-            segments.append((t0, t1, power))
-
-    block_powers = [0.0] * len(packets)
+    # the schedule in columns: the start and power of each segment, one
+    # more each time the power changes; a segment ends where the next starts
+    starts: list[float] = []
+    powers: list[float] = []
+    sp = None  # the power of the last segment
+    block_powers: list[float] = []
     boundaries = [0.0]
-    for first, last, power, start_t, end_t in blocks:
-        for j in range(first, last + 1):
-            block_powers[j] = power
-        drain = power + problem.epsilon
-        cur = start_t
-        charge = 0.0
-        for j in range(first, last + 1):
-            t_arrive = packets[j][0]
-            cur, charge = _advance(emit, cur, t_arrive, charge, power, drain, tol)
-            charge += packets[j][1]
+    for first, last, power, cur, end_t in blocks:
+        block_powers += [power] * (last + 1 - first)
+        drain = power + eps
+        # from the block's first arrival the battery runs at the block power
+        # until it empties at t_off, then stays silent until the next arrival
+        charge = packets[first][1]
+        steps = packets[first + 1 : last + 1]
+        if end_t is not None:
+            steps += ((end_t, 0.0),)
+        for until, energy in steps:
+            if charge <= tol:
+                t_off = cur
+                charge = 0.0
+            else:
+                t_off = cur + charge / drain
+                if t_off < until:
+                    charge = 0.0
+                else:
+                    t_off = until
+                    charge -= (until - cur) * drain
+                    if charge < 0.0:
+                        charge = 0.0
+            if t_off > cur and sp != power:
+                starts.append(cur)
+                powers.append(power)
+                sp = power
+            if until > t_off and sp != 0.0:
+                starts.append(t_off)
+                powers.append(0.0)
+                sp = 0.0
+            cur = until
+            charge += energy
         if end_t is None:
-            t_empty = cur + charge / drain
-            emit(cur, t_empty, power)
-            boundaries.append(t_empty)
-        else:
-            cur, charge = _advance(emit, cur, end_t, charge, power, drain, tol)
-            boundaries.append(end_t)
+            # no deadline: the battery runs until it empties
+            end_t = cur + charge / drain
+            if end_t > cur and sp != power:
+                starts.append(cur)
+                powers.append(power)
+            cur = end_t
+        boundaries.append(end_t)
+    segments = tuple(zip(starts, starts[1:] + [cur], powers))
 
     for k, (first, last, power, _, _) in enumerate(blocks):
         # a block power is at least p_star >= 0; an average that overflows
@@ -301,13 +321,13 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
                 f"leakage block {k} (packets {first} to {last}) has a power "
                 f"that is not finite: {power!r}"
             )
-    if segments and math.isfinite(segments[-1][1]):
+    if segments and math.isfinite(cur):
         # contiguous from the first arrival at t=0, each piece non-empty, at
         # the finite block powers or idle
-        schedule = PowerSchedule._trusted(tuple(segments))
+        schedule = PowerSchedule._trusted(segments)
     else:
         # the constructor refuses an empty or endless schedule
-        schedule = PowerSchedule(tuple(segments))
+        schedule = PowerSchedule(segments)
     transmit_duration = sum(t1 - t0 for t0, t1, p in schedule.segments if p > 0.0)
     return LeakageSolution(
         schedule=schedule,
@@ -319,29 +339,15 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
     )
 
 
-def _advance(emit, cur, until, charge, power, drain, tol):
-    """Run the battery from ``cur`` to ``until`` at the block power, going
-    silent when it empties; returns the new (time, charge)."""
-    if not until > cur:
-        return cur, charge
-    if charge <= tol:
-        emit(cur, until, 0.0)
-        return until, 0.0
-    t_empty = cur + charge / drain
-    if t_empty < until:
-        emit(cur, t_empty, power)
-        emit(t_empty, until, 0.0)
-        return until, 0.0
-    emit(cur, until, power)
-    return until, max(charge - (until - cur) * drain, 0.0)
-
-
 def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     """Replay a schedule against the leakage dynamics, exactly.
 
-    Event-driven: between consecutive packet arrivals and schedule
-    breakpoints the power is constant, so the battery drains linearly,
-    crosses empty at most once (solved in closed form) and then idles.
+    Event-driven: the events are the schedule's segment ends (and the
+    horizon, where a silent stretch follows the schedule) and, inside each
+    segment, the packet arrivals before its end, walked in order with one
+    pointer each.  Between consecutive events the power is constant, so the
+    battery drains linearly, crosses empty at most once (solved in closed
+    form) and then idles.
     Arrivals are credited before the empty-battery check at the same instant,
     and leakage runs exactly while the battery holds charge.  Demand from an
     empty battery is recorded (first time only) and ignored rather than
@@ -357,18 +363,15 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     tol = 1e-15 * max(1.0, total)
 
     segments = schedule.segments
-    n_segments = len(segments)
     end = schedule.end_time
     if problem.deadline is not None:
         horizon = max(problem.deadline, end)
     else:
         # cover every arrival; extended below if charge remains after that
         horizon = max(end, packets[-1][0])
-    times = sorted(
-        {0.0, horizon}
-        | {t for t, _ in packets}
-        | {t for seg in segments for t in seg[:2]}
-    )
+    if horizon > end:
+        # silent after the schedule ends
+        segments += ((end, horizon, 0.0),)
     # the next arrival after t=0, from the packets and a sentinel after them
     arrivals = packets + ((math.inf, 0.0),)
     i = 1
@@ -383,40 +386,42 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     lk = 0.0
     infeasible_at: float | None = None
 
-    k = 0  # the segment in effect at ``cur``
-    for nxt in times[1:]:
-        while k < n_segments and segments[k][1] <= cur:
-            k += 1
-        power = segments[k][2] if cur < end else 0.0
-        if charge > tol:
-            rate_out = power + eps
-            t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
-            stop = nxt if nxt < t_empty else t_empty
-            dt = stop - cur
-            tx += power * dt
-            lk += eps * dt
-            charge = 0.0 if stop == t_empty else charge - rate_out * dt
-            if cur < stop < nxt:
-                # the battery empties between two events
-                ts.append(stop)
-                txs.append(tx)
-                lks.append(lk)
-                hs.append(harvested)
-            cur = stop
-        if cur < nxt:
-            if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
-                infeasible_at = cur
-            charge = 0.0
-            cur = nxt
-        if nxt == t_arrival:
-            charge += energy
-            harvested += energy
-            i += 1
-            t_arrival, energy = arrivals[i]
-        ts.append(nxt)
-        txs.append(tx)
-        lks.append(lk)
-        hs.append(harvested)
+    # the events are the segment ends and, inside each segment, the arrivals
+    # before its end; every arrival comes by the horizon, the last end
+    for _, seg_end, power in segments:
+        rate_out = power + eps
+        while True:
+            nxt = t_arrival if t_arrival < seg_end else seg_end
+            if charge > tol:
+                t_empty = cur + charge / rate_out if rate_out > 0.0 else math.inf
+                stop = nxt if nxt < t_empty else t_empty
+                dt = stop - cur
+                tx += power * dt
+                lk += eps * dt
+                charge = 0.0 if stop == t_empty else charge - rate_out * dt
+                if cur < stop < nxt:
+                    # the battery empties between two events
+                    ts.append(stop)
+                    txs.append(tx)
+                    lks.append(lk)
+                    hs.append(harvested)
+                cur = stop
+            if cur < nxt:
+                if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
+                    infeasible_at = cur
+                charge = 0.0
+                cur = nxt
+            if nxt == t_arrival:
+                charge += energy
+                harvested += energy
+                i += 1
+                t_arrival, energy = arrivals[i]
+            ts.append(nxt)
+            txs.append(tx)
+            lks.append(lk)
+            hs.append(harvested)
+            if nxt == seg_end:
+                break
     if problem.deadline is None and charge > tol and eps > 0.0:
         # no deadline: the charge left after the last event leaks away
         horizon = cur + charge / eps

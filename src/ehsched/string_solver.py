@@ -9,7 +9,11 @@ works purely on the corridor and evaluates throughput afterwards.
 Because the spending curve is continuous while the envelopes may jump, the
 binding constraints are the gates of :func:`~ehsched.curves.corridor_gates`
 at the merged breakpoints.  The solver sweeps them left to right with a
-funnel of two convex chains.
+funnel of two convex chains, reading each gate from the one merged walk of
+the two curves as it goes, with the pinch checks of ``corridor_gates``.  It
+tests the bend condition inline, calls ``settle`` only when a bend is due,
+and keeps the path's vertices in three columns (time, value, kind) until
+the end.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .curves import (
     DEFAULT_TOL,
     CumulativeCurve,
     PowerSchedule,
+    _corridor_walk,
+    _refuse_pinch,
     check_feasible,
-    corridor_gates,
     integrate_rate,
     solar_harvest_rate,
     zero_curve,
@@ -73,84 +78,104 @@ def taut_string(
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
-    gates, end_value = corridor_gates(harvested, minimum)
+    walk, end_value = _corridor_walk(harvested, minimum)
+    T = harvested.horizon
+    tol = DEFAULT_TOL
 
-    apex = (0.0, 0.0)
-    contacts: list[Contact] = [Contact(0.0, 0.0, "start")]
+    o0 = o1 = 0.0  # the apex, the last vertex of the path
+    # the vertices in columns: time, value and the kind of contact
+    times, values, kinds = [0.0], [0.0], ["start"]
     upper: deque[tuple[float, float]] = deque()  # ceiling chain, slopes increasing
     lower: deque[tuple[float, float]] = deque()  # floor chain, slopes decreasing
 
     def settle() -> None:
-        # While the tightest floor direction exceeds the tightest ceiling
-        # direction, the string must bend around the earlier of the two chain
-        # fronts.  A violation can only appear when the newest gate point
-        # collapsed its own chain to a singleton (appending at the back never
-        # changes a surviving front), so the sweep calls this only then: the
-        # singleton side holds the newest point and the bend is at the other
-        # side's front.
-        nonlocal apex
-        while upper and lower:
-            o0, o1 = apex
+        # The tightest floor direction exceeds the tightest ceiling direction,
+        # so the string bends around the earlier of the two chain fronts, and
+        # again while that holds from the new apex.  A violation can only
+        # appear when the newest gate point collapsed its own chain to a
+        # singleton (appending at the back never changes a surviving front),
+        # so the sweep tests for one only then, inline: the singleton side
+        # holds the newest point and the bend is at the other side's front.
+        nonlocal o0, o1
+        while True:
+            if len(upper) == 1:
+                o0, o1 = lower.popleft()
+                kinds.append("lower")
+            else:
+                o0, o1 = upper.popleft()
+                kinds.append("upper")
+            times.append(o0)
+            values.append(o1)
+            while upper and upper[0][0] <= o0:
+                upper.popleft()
+            while lower and lower[0][0] <= o0:
+                lower.popleft()
+            if not (upper and lower):
+                return
             a0, a1 = upper[0]
             b0, b1 = lower[0]
-            # positive iff the floor front's slope from the apex exceeds the
-            # ceiling front's
             if (a0 - o0) * (b1 - o1) - (a1 - o1) * (b0 - o0) <= 0:
                 return
-            if len(upper) == 1:
-                bend = lower.popleft()
-                kind = "lower"
-            else:
-                bend = upper.popleft()
-                kind = "upper"
-            contacts.append(Contact(bend[0], bend[1], kind))
-            apex = bend
-            while upper and upper[0][0] <= apex[0]:
-                upper.popleft()
-            while lower and lower[0][0] <= apex[0]:
-                lower.popleft()
 
-    for t, lo, hi in gates:
+    # the gates of corridor_gates, read from the walk as the funnel takes them
+    for t, hi, h_post, m_pre, lo in walk:
+        if m_pre > hi + tol or lo > h_post + tol or lo > hi + tol:
+            _refuse_pinch(t, hi, h_post, m_pre, lo)
+        if t == T:
+            # the path is pinned at (T, H(T^-))
+            lo = hi = end_value
+        else:
+            if hi < lo:
+                lo = hi
+            if end_value < lo:
+                lo = end_value
+
         # pop the back of each chain while the new point does not turn the
-        # right way from it: the same cross product as in settle, with the
-        # point before the back (or the apex) as origin
+        # right way from it: the cross product of settle's bend test, with
+        # the point before the back (or the apex) as origin
         while upper:
-            p0, p1 = upper[-2] if len(upper) > 1 else apex
+            p0, p1 = upper[-2] if len(upper) > 1 else (o0, o1)
             a0, a1 = upper[-1]
             if (a0 - p0) * (hi - p1) - (a1 - p1) * (t - p0) <= 0:
                 upper.pop()
             else:
                 break
         upper.append((t, hi))
-        if len(upper) == 1:
-            settle()
+        if len(upper) == 1 and lower:
+            # settle's bend test: not <= 0 (positive, or NaN where products
+            # overflow) iff the floor front's slope from the apex exceeds
+            # the ceiling front's
+            b0, b1 = lower[0]
+            if not (t - o0) * (b1 - o1) - (hi - o1) * (b0 - o0) <= 0:
+                settle()
 
         while lower:
-            p0, p1 = lower[-2] if len(lower) > 1 else apex
+            p0, p1 = lower[-2] if len(lower) > 1 else (o0, o1)
             a0, a1 = lower[-1]
             if (a0 - p0) * (lo - p1) - (a1 - p1) * (t - p0) >= 0:
                 lower.pop()
             else:
                 break
         lower.append((t, lo))
-        if len(lower) == 1:
-            settle()
+        if len(lower) == 1 and upper:
+            a0, a1 = upper[0]
+            if not (a0 - o0) * (lo - o1) - (a1 - o1) * (t - o0) <= 0:
+                settle()
 
-    end = (harvested.horizon, end_value)
-    if apex != end:
-        contacts.append(Contact(end[0], end[1], "end"))
+    if (o0, o1) != (T, end_value):
+        times.append(T)
+        values.append(end_value)
+        kinds.append("end")
     else:
-        contacts[-1] = Contact(end[0], end[1], "end")
+        times[-1], values[-1], kinds[-1] = T, end_value, "end"
 
-    vertices = tuple((c.time, c.value) for c in contacts)
-    segments = tuple(
-        (t0, t1, (v1 - v0) / (t1 - t0))
-        for (t0, v0), (t1, v1) in zip(vertices, vertices[1:])
-    )
+    ends = times[1:]
+    slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(times, ends, values, values[1:])]
     # the vertex times strictly increase from 0 to the horizon
-    schedule = PowerSchedule._derived(segments)
+    schedule = PowerSchedule._derived(tuple(zip(times, ends, slopes)))
     total = throughput(schedule, rate) if rate is not None else None
-    return StringSolution(schedule, vertices, tuple(contacts), total)
+    contacts = tuple(map(Contact, times, values, kinds))
+    return StringSolution(schedule, tuple(zip(times, values)), contacts, total)
 
 
 def solve_solar(

@@ -21,6 +21,7 @@ from ehsched import (
     GridSpec,
     InfeasibleError,
     LeakageProblem,
+    LeakageSolution,
     LeakageTrace,
     PiecewiseCurve,
     PowerSchedule,
@@ -32,10 +33,12 @@ from ehsched import (
     merge_times,
     min_energy_from_battery,
     p_star,
+    throughput,
     solar_harvest_rate,
     zero_curve,
 )
 from ehsched.curves import corridor_gates
+from ehsched.leakage import _decompose_blocks
 
 RATE1 = awgn_rate(1.0)
 
@@ -371,6 +374,70 @@ def reference_decompose_blocks(
         blocks.append((i, best_k, max(p_opt, best_avg - epsilon), start_t, end_t))
         i = best_k + 1
     return blocks
+
+
+def reference_solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
+    """The schedule of :func:`ehsched.solve_n_packet` by its earlier walk: a
+    call of ``_advance`` per arrival and block end, and an ``emit`` closure
+    per piece that merges it into the last segment at the same power."""
+    p_opt = p_star(problem.rate, problem.epsilon)
+    packets = problem.packets
+    blocks = _decompose_blocks(packets, problem.deadline, problem.epsilon, p_opt)
+    tol = 1e-12 * max(1.0, problem.total_energy)
+
+    segments: list[tuple[float, float, float]] = []
+
+    def emit(t0: float, t1: float, power: float) -> None:
+        if not t1 > t0:
+            return
+        if segments and segments[-1][1] == t0 and segments[-1][2] == power:
+            segments[-1] = (segments[-1][0], t1, power)
+        else:
+            segments.append((t0, t1, power))
+
+    def advance(cur, until, charge, power, drain):
+        if not until > cur:
+            return cur, charge
+        if charge <= tol:
+            emit(cur, until, 0.0)
+            return until, 0.0
+        t_empty = cur + charge / drain
+        if t_empty < until:
+            emit(cur, t_empty, power)
+            emit(t_empty, until, 0.0)
+            return until, 0.0
+        emit(cur, until, power)
+        return until, max(charge - (until - cur) * drain, 0.0)
+
+    block_powers = [0.0] * len(packets)
+    boundaries = [0.0]
+    for first, last, power, start_t, end_t in blocks:
+        for j in range(first, last + 1):
+            block_powers[j] = power
+        drain = power + problem.epsilon
+        cur = start_t
+        charge = 0.0
+        for j in range(first, last + 1):
+            cur, charge = advance(cur, packets[j][0], charge, power, drain)
+            charge += packets[j][1]
+        if end_t is None:
+            t_empty = cur + charge / drain
+            emit(cur, t_empty, power)
+            boundaries.append(t_empty)
+        else:
+            cur, charge = advance(cur, end_t, charge, power, drain)
+            boundaries.append(end_t)
+
+    schedule = PowerSchedule(tuple(segments))
+    transmit_duration = sum(t1 - t0 for t0, t1, p in schedule.segments if p > 0.0)
+    return LeakageSolution(
+        schedule=schedule,
+        block_powers=tuple(block_powers),
+        block_boundaries=tuple(boundaries),
+        total_data=throughput(schedule, problem.rate),
+        transmit_energy=schedule.total_energy,
+        leaked_energy=problem.epsilon * transmit_duration,
+    )
 
 
 def reference_usable(

@@ -557,6 +557,34 @@ def test_timed_refusals_keep_their_order(items, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("k", [0, 3, 8191])
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(True, "True"), (math.nan, "nan"), (-math.inf, "-inf"), ("1.5", "'1.5'"), (None, "None")],
+)
+def test_numbers_name_the_bad_value(k, bad, shown):
+    # the values of a list are read one by one only when it is not all
+    # finite floats; that read names the first bad one
+    values = [0.5 * (i % 7) for i in range(8192)]
+    values[k] = bad
+    for where in ("harvest.samples", "battery.dying.b"):
+        with pytest.raises(ValueError) as raised:
+            cli._numbers(values, where)
+        assert str(raised.value) == f'"{where}[{k}]" must be a finite number, got {shown}'
+
+
+def test_numbers_take_ints_and_floats():
+    assert cli._numbers([0, 1.5, 2, 10**20], "harvest.samples") == [0.0, 1.5, 2.0, 1e20]
+    values = [0.0, -0.0, 2.5]
+    numbers = cli._numbers(values, "harvest.samples")
+    assert numbers == values and numbers is not values
+    assert repr(numbers) == "[0.0, -0.0, 2.5]"
+    # finite floats whose sum overflows are still finite numbers
+    assert cli._numbers([1e308, 1e308], "harvest.samples") == [1e308, 1e308]
+    with pytest.raises(ValueError, match=r'"harvest.samples\[1\]" must be a finite number'):
+        cli._numbers([1.0, 10**400], "harvest.samples")
+
+
 def test_overflowing_leakage_block_exits_1(tmp_path, capsys):
     scenario = {
         "mode": "leakage",

@@ -198,6 +198,41 @@ def test_packet_validation_errors():
         from_packet_arrivals([(5.0, 1.0)], 4.0)  # past the horizon
 
 
+@pytest.mark.parametrize(
+    "packets, message",
+    [
+        # every number is converted before any check
+        ([(2.0, 1.0), (1.0, 1.0), (3.0, "x")], "could not convert string to float: 'x'"),
+        # the order of all times before any packet's energy or time
+        ([(0.0, -1.0), (2.0, 1.0), (1.0, 1.0)], "packet arrival times must strictly increase at t=1.0"),
+        ([(1.0, 1.0), (1.0, 1.0)], "packet arrival times must strictly increase at t=1.0"),
+        # then packet by packet, its energy before its time
+        ([(0.0, 1.0), (5.0, -1.0)], "packet energy must be positive and finite, got -1.0 at t=5.0"),
+        ([(5.0, 1.0), (6.0, -1.0)], "packet at t=5.0 outside [0, 4.0]"),
+        ([(-1.0, 1.0)], "packet at t=-1.0 outside [0, 4.0]"),
+        ([(-0.0, 1.0), (1.0, 0.0)], "packet energy must be positive and finite, got 0.0 at t=1.0"),
+    ],
+)
+def test_packet_refusals_keep_their_precedence(packets, message):
+    for given in (packets, iter(packets)):
+        with pytest.raises(ValueError) as raised:
+            from_packet_arrivals(given, 4.0)
+        assert str(raised.value) == message
+
+
+def test_packets_from_an_iterator_build_the_same_curve():
+    packets = [(0.0, 1.5), (1, 2), (2.5, 0.25)]
+    curve = from_packet_arrivals(iter(packets), 4)
+    assert curve == from_packet_arrivals(packets, 4.0)
+    assert curve.breakpoints == (
+        (0.0, 0.0, 1.5),
+        (1.0, 1.5, 3.5),
+        (2.5, 3.5, 3.75),
+        (4.0, 3.75, 3.75),
+    )
+    assert_rebuilds(curve)
+
+
 # --------------------------------------------------------------------------
 # integrate_rate
 

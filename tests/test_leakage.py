@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,10 +17,12 @@ from conftest import (
     assert_schedule_rebuilds,
     battery_content,
     grid_argmax_f,
+    leaky_train,
     random_leakage_problem,
     random_packets,
     reference_decompose_blocks,
     reference_simulate,
+    reference_solve_n_packet,
     reference_usable,
 )
 
@@ -303,6 +306,80 @@ def test_unbounded_all_blocks_at_p_star():
         assert sol.transmit_energy + sol.leaked_energy == pytest.approx(
             problem.total_energy, rel=1e-12
         )
+
+
+@st.composite
+def walk_trains(draw):
+    """Leakage problems for the block walk: gaps long enough for the battery
+    to empty and go silent before the next arrival, packets at or below the
+    walk's empty-battery tolerance, zero leakage, and no deadline."""
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.05, 6.0), min_size=n, max_size=n))
+    energies = draw(
+        st.lists(st.one_of(st.floats(0.01, 4.0), st.just(1e-13)), min_size=n, max_size=n)
+    )
+    epsilon = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    times = [0.0]
+    for gap in gaps[:-1]:
+        times.append(times[-1] + gap)
+    unbounded = epsilon > 0.0 and draw(st.booleans())
+    deadline = None if unbounded else times[-1] + gaps[-1]
+    return LeakageProblem(tuple(zip(times, energies)), epsilon, deadline, RATE1)
+
+
+def _walk_outputs(solution):
+    return (
+        solution.schedule.segments,
+        solution.block_powers,
+        solution.block_boundaries,
+        solution.total_data,
+        solution.transmit_energy,
+        solution.leaked_energy,
+    )
+
+
+# an idle gap, a packet below the tolerance, no deadline, and zero leakage;
+# a charge exactly at the tolerance (1e-12 of a total below 1), and a
+# battery that empties at the next arrival with a charge rounded below 0
+@example(LeakageProblem(((0.0, 0.2), (5.0, 3.0), (5.5, 1e-13)), 0.5, 6.0, RATE1))
+@example(LeakageProblem(((0.0, 0.5), (3.0, 1e-12), (4.0, 0.4)), 0.5, 5.0, RATE1))
+@example(
+    LeakageProblem(((0.0, 0.5), (0.75, 0.5), (2.5, 0.5), (3.75, 1.125)), 0.0, 4.25, RATE1)
+)
+@example(LeakageProblem(((0.0, 2.0), (1.0, 0.1), (7.0, 1.0)), 0.9, UNBOUNDED, RATE1))
+@example(LeakageProblem(((0.0, 1.0), (2.0, 3.0), (3.0, 0.5)), 0.0, 5.0, RATE1))
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(walk_trains())
+def test_block_walk_matches_reference(problem):
+    solution = solve_n_packet(problem)
+    expected = reference_solve_n_packet(problem)
+    # bit for bit, floats and their signs included
+    assert repr(_walk_outputs(solution)) == repr(_walk_outputs(expected))
+
+
+def test_block_walk_examples_cover_idle_gaps():
+    # the examples above reach each branch of the walk
+    idle, unbounded, no_leak = (
+        LeakageProblem(((0.0, 0.2), (5.0, 3.0), (5.5, 1e-13)), 0.5, 6.0, RATE1),
+        LeakageProblem(((0.0, 2.0), (1.0, 0.1), (7.0, 1.0)), 0.9, UNBOUNDED, RATE1),
+        LeakageProblem(((0.0, 1.0), (2.0, 3.0), (3.0, 0.5)), 0.0, 5.0, RATE1),
+    )
+    powers = [p for _, _, p in solve_n_packet(idle).schedule.segments]
+    assert powers[0] > 0.0 and powers[1] == 0.0 and powers[2] > 0.0
+    segments = solve_n_packet(unbounded).schedule.segments
+    # silent after the first two packets, then running until the battery empties
+    assert [p == 0.0 for _, _, p in segments] == [False, True, False, True, False]
+    assert segments[-1][1] > 7.0
+    assert solve_n_packet(no_leak).leaked_energy == 0.0
+
+
+def test_block_walk_matches_reference_on_long_trains():
+    for problem in (leaky_train(1448), replace(leaky_train(724, seed=1), deadline=UNBOUNDED)):
+        solution = solve_n_packet(problem)
+        assert repr(_walk_outputs(solution)) == repr(
+            _walk_outputs(reference_solve_n_packet(problem))
+        )
+        assert sum(p == 0.0 for _, _, p in solution.schedule.segments) > 10
 
 
 def test_zero_leak_matches_taut_string():

@@ -29,14 +29,17 @@ from ehsched import (
     dual_bound,
     dying_battery_scenario,
     from_packet_arrivals,
+    integrate_rate,
     min_energy_from_battery,
     optimality_certificate,
     random_feasible_schedule,
+    solar_harvest_rate,
     solve_solar,
     taut_string,
     throughput,
     zero_curve,
 )
+from ehsched.curves import corridor_gates
 
 RATE = awgn_rate(1.0)
 
@@ -129,6 +132,46 @@ def test_instant_forced_spend_raises():
         taut_string(harvested, minimum)
 
 
+@pytest.mark.parametrize(
+    "harvested, minimum, message",
+    [
+        (
+            from_packet_arrivals([(0.0, 4.0)], 4.0),
+            from_packet_arrivals([(0.0, 1.0)], 4.0),
+            "the floor forces 1 energy to be spent instantaneously at t=0",
+        ),
+        (
+            from_packet_arrivals([(0.0, 1.0)], 4.0),
+            CumulativeCurve(((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (4.0, 2.0, 2.0)), 4.0),
+            "floor exceeds ceiling just before t=2.0",
+        ),
+        (
+            from_packet_arrivals([(0.0, 1.0)], 4.0),
+            from_packet_arrivals([(2.0, 2.0)], 4.0),
+            "floor exceeds ceiling at t=2.0",
+        ),
+        (
+            from_packet_arrivals([(0.0, 1.0), (2.0, 2.0)], 4.0),
+            from_packet_arrivals([(2.0, 2.0)], 4.0),
+            "floor 2 at t=2.0 exceeds the energy 1 available before the jump there",
+        ),
+        (
+            from_packet_arrivals([(0.0, 1.0)], 4.0),
+            zero_curve(5.0),
+            "horizon mismatch: 5.0 != 4.0",
+        ),
+    ],
+)
+def test_pinches_are_refused_as_corridor_gates_refuses_them(harvested, minimum, message):
+    with pytest.raises(ValueError) as gates:
+        corridor_gates(harvested, minimum)
+    with pytest.raises(ValueError) as string:
+        taut_string(harvested, minimum)
+    assert type(string.value) is type(gates.value)
+    assert str(string.value) == str(gates.value) == message
+    assert isinstance(string.value, InfeasibleError) == ("horizon" not in message)
+
+
 def test_overflowing_slope_is_refused_as_the_schedule_refuses_it():
     # the floor forces one unit of energy out over the first 5e-324 seconds
     harvested = CumulativeCurve(((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0), (1.0, 1.0, 1.0)), 1.0)
@@ -163,14 +206,26 @@ def test_funnel_matches_reference_on_long_trains():
             t += rng.uniform(0.3, 2.0)
         harvested = from_packet_arrivals(packets, t)
         capacity = max(e for _, e in packets) + 0.5
-        for minimum in (
-            zero_curve(t),
-            min_energy_from_battery(harvested, BatterySchedule.constant(capacity, t)),
+        amounts = [rng.uniform(0.5, 3.0) for _ in range(n)]
+        deaths = [0.0]
+        for _ in range(n):
+            deaths.append(deaths[-1] + rng.uniform(0.5, 2.0))
+        for corridor in (
+            (harvested, zero_curve(t)),
+            (
+                harvested,
+                min_energy_from_battery(harvested, BatterySchedule.constant(capacity, t)),
+            ),
+            # the corridor-ladder's other two families: a dying bank and the
+            # solar day
+            dying_battery_scenario(amounts, deaths[1:]),
+            (integrate_rate(solar_harvest_rate, 18.0, n), zero_curve(18.0)),
         ):
-            sol = taut_string(harvested, minimum)
-            vertices, contacts = reference_taut_string(harvested, minimum)
+            sol = taut_string(*corridor)
+            vertices, contacts = reference_taut_string(*corridor)
             assert sol.vertices == vertices
             assert tuple((c.time, c.value, c.kind) for c in sol.contacts) == contacts
+            assert len(vertices) > 3
 
 
 def test_solar_departure_and_endpoint():
@@ -470,9 +525,10 @@ def test_dual_bound_reads_no_corridor_gates(monkeypatch):
     solution = taut_string(harvested, floor, rate=RATE)
 
     def refuse(*args):
-        raise AssertionError("corridor_gates called")
+        raise AssertionError("the corridor walked")
 
-    monkeypatch.setattr("ehsched.string_solver.corridor_gates", refuse)
+    # every walk of a corridor, corridor_gates' and taut_string's, is this one
+    monkeypatch.setattr("ehsched.curves._merged_limits", refuse)
     assert dual_bound(solution.schedule, harvested, floor, RATE) == pytest.approx(
         solution.total_data, rel=1e-12
     )
