@@ -221,30 +221,49 @@ def _decompose_blocks(
     cumulative energy over the arrival times, so one left-to-right pass
     finds them: each packet's interval joins a stack of blocks and merges
     into the block below while that does not raise the block's average.
+    The top block is kept in locals and the blocks below it in three
+    columns (first packet, start, energy), read in place and popped only on
+    a merge, so a packet costs no tuple; each block's power is then taken
+    from its energy re-summed packet by packet, left to right, as the
+    rescanning definition sums it.
     """
     n = len(packets)
     if deadline is None:
         return [(0, n - 1, p_opt, packets[0][0], None)]
-    stack: list[tuple[int, float, float]] = []  # (first, start, energy)
-    for i, (start, e) in enumerate(packets):
+    firsts: list[int] = []
+    starts: list[float] = []
+    sums: list[float] = []
+    f0 = 0
+    s0, e0 = packets[0]
+    for i in range(1, n):
+        start, e = packets[i]
         end = packets[i + 1][0] if i + 1 < n else deadline
-        first = i
-        while stack:
-            first0, s0, e0 = stack[-1]
-            if (e0 + e) / (end - s0) <= e0 / (start - s0):
-                stack.pop()
-                first, start, e = first0, s0, e0 + e
-            else:
-                break
-        stack.append((first, start, e))
+        if (e0 + e) / (end - s0) <= e0 / (start - s0):
+            first, start, e = f0, s0, e0 + e
+            while sums:
+                s1 = starts[-1]
+                e1 = sums[-1]
+                if (e1 + e) / (end - s1) <= e1 / (start - s1):
+                    first = firsts.pop()
+                    del starts[-1], sums[-1]
+                    start, e = s1, e1 + e
+                else:
+                    break
+            f0, s0, e0 = first, start, e
+        else:
+            firsts.append(f0)
+            starts.append(s0)
+            sums.append(e0)
+            f0, s0, e0 = i, start, e
+    firsts.append(f0)
+    starts.append(s0)
     blocks: list[tuple[int, int, float, float, float | None]] = []
-    for k, (first, start, _) in enumerate(stack):
-        last = stack[k + 1][0] - 1 if k + 1 < len(stack) else n - 1
-        end = packets[last + 1][0] if last + 1 < n else deadline
+    for first, nxt, start in zip(firsts, firsts[1:] + [n], starts):
+        end = packets[nxt][0] if nxt < n else deadline
         cum_e = 0.0
-        for _, e in packets[first : last + 1]:
+        for _, e in packets[first:nxt]:
             cum_e += e
-        blocks.append((first, last, max(p_opt, cum_e / (end - start) - epsilon), start, end))
+        blocks.append((first, nxt - 1, max(p_opt, cum_e / (end - start) - epsilon), start, end))
     return blocks
 
 

@@ -14,6 +14,20 @@ the two curves as it goes, with the pinch checks of ``corridor_gates``.  It
 tests the bend condition inline, calls ``settle`` only when a bend is due,
 and keeps the path's vertices in three columns (time, value, kind) until
 the end.
+
+The power rises only on the ceiling and falls only on the floor, so a gate
+whose ceiling point lies above the chord of its neighbours' ceiling points
+and whose floor point lies below the chord of their floor points holds no
+vertex, and the string through the other gates is the same.  When one
+envelope is flat (two end breakpoints at one value: the zero floor of a
+packet train or the solar day, the constant ceiling of a dying bank) and the
+other has at least ``PRUNE_MIN_BREAKPOINTS``, :func:`_binding_gates` builds
+the gates with NumPy and drops such gates in passes, each beyond its chords
+by more than the funnel's rounding can reach, and the funnel sweeps the
+rest: the same vertices and contacts, bit for bit.  Every other corridor
+takes the walk: a capped train's, whose two envelopes both bend, keeps most
+of its gates, and a sloped line's gates lie on their chords to within
+rounding, so the passes would drop almost nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -79,9 +94,26 @@ def taut_string(
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
     walk, end_value = _corridor_walk(harvested, minimum)
-    T = harvested.horizon
-    tol = DEFAULT_TOL
+    h, m = harvested.breakpoints, minimum.breakpoints
+    if max(len(h), len(m)) >= PRUNE_MIN_BREAKPOINTS and any(
+        len(b) == 2 and b[0][2] == b[1][1] for b in (h, m)
+    ):
+        # one envelope is flat: drop the gates the string cannot touch
+        walk = _binding_gates(harvested, minimum, end_value)
+    times, values, kinds = _funnel(walk, harvested.horizon, end_value)
+    ends = times[1:]
+    slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(times, ends, values, values[1:])]
+    # the vertex times strictly increase from 0 to the horizon
+    schedule = PowerSchedule._derived(tuple(zip(times, ends, slopes)))
+    total = throughput(schedule, rate) if rate is not None else None
+    contacts = tuple(map(Contact, times, values, kinds))
+    return StringSolution(schedule, tuple(zip(times, values)), contacts, total)
 
+
+def _funnel(walk, T: float, end_value: float) -> tuple[list, list, list]:
+    """The taut string's vertices, as time, value and contact-kind columns,
+    from the gates of a corridor walk past t=0 ending at ``T``."""
+    tol = DEFAULT_TOL
     o0 = o1 = 0.0  # the apex, the last vertex of the path
     # the vertices in columns: time, value and the kind of contact
     times, values, kinds = [0.0], [0.0], ["start"]
@@ -168,14 +200,131 @@ def taut_string(
         kinds.append("end")
     else:
         times[-1], values[-1], kinds[-1] = T, end_value, "end"
+    return times, values, kinds
 
-    ends = times[1:]
-    slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(times, ends, values, values[1:])]
-    # the vertex times strictly increase from 0 to the horizon
-    schedule = PowerSchedule._derived(tuple(zip(times, ends, slopes)))
-    total = throughput(schedule, rate) if rate is not None else None
-    contacts = tuple(map(Contact, times, values, kinds))
-    return StringSolution(schedule, tuple(zip(times, values)), contacts, total)
+
+#: Breakpoints of a corridor's long envelope from which :func:`taut_string`
+#: runs :func:`_binding_gates` when the other envelope is flat: below about
+#: 150 the NumPy passes cost more than the funnel they save.
+PRUNE_MIN_BREAKPOINTS = 256
+
+#: A pass of :func:`_binding_gates` that drops fewer gates than this is its
+#: last: the funnel takes the rest for about what one more pass costs.
+PRUNE_MIN_DROPS = 32
+
+
+def _columns(curve: CumulativeCurve) -> np.ndarray:
+    """A curve's breakpoints as three float columns: t, v(t^-) and v(t)."""
+    bps = curve.breakpoints
+    return np.fromiter(chain.from_iterable(bps), float, 3 * len(bps)).reshape(-1, 3).T
+
+
+def _limits_at(columns: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(v(t^-), v(t))`` of a curve at sorted times in ``(0, T]``, with the
+    interpolation of :func:`~ehsched.curves._merged_limits` between its own
+    breakpoints, so bit-identical to that walk."""
+    bt, bl, br = columns
+    if len(bt) == len(t) + 1:
+        # every time is one of the curve's own breakpoints
+        return bl[1:], br[1:]
+    # the first breakpoint at or after t: i >= 1, and 1 on a curve of two
+    i = np.searchsorted(bt, t) if len(bt) > 2 else 1
+    own = bt[i] == t
+    t0, v0 = bt[i - 1], br[i - 1]
+    v = v0 + (bl[i] - v0) * (t - t0) / (bt[i] - t0)
+    return np.where(own, bl[i], v), np.where(own, br[i], v)
+
+
+@np.errstate(all="ignore")  # overflow gives inf, as in Python floats
+def _binding_gates(
+    harvested: CumulativeCurve, minimum: CumulativeCurve, end_value: float
+):
+    """The gates of ``corridor_gates`` past t=0 that a taut string can touch,
+    as the ``(t, H(t^-), H(t), M(t^-), M(t))`` walk ``taut_string`` reads,
+    with the floor clamped and the pinch checks made.
+
+    The gates come from NumPy columns of the two curves' breakpoints, with
+    the expressions of ``_merged_limits``, the pinch tests of the walk
+    (refused through ``_refuse_pinch`` at the first gate that fails one) and
+    its clamp (``np.where``: ``np.minimum`` turns (-0.0, 0.0) into 0.0 where
+    the comparisons keep -0.0).  Then, in passes, every gate goes whose
+    ceiling point lies over the chord of its neighbours' ceiling points and
+    whose floor point lies under the chord of their floor points; the start
+    (0, 0) and the last gate stay.  Such a gate holds no vertex: the power
+    rises only on the ceiling and falls only on the floor, so neither point
+    is a vertex of the hull the funnel keeps of its envelope.  A run of such
+    gates is concave over its ceiling points and convex under its floor
+    points, so each lies beyond the chord of the gates left around the run
+    by at least its local margin, and a whole run can go in one pass.
+
+    With ``u = 2^-53`` and every gate value in ``[-W, W]``, the funnel's
+    cross product ``(a0-p0)(q1-p1) - (a1-p1)(q0-p0)`` on points ``p, a, q``
+    in time order errs by at most
+    ``4u (|a0-p0| |q1-p1| + |a1-p1| |q0-p0|) <= 16 u W (q0-p0)`` (three
+    roundings per product, one in the difference), and ``-cross / (q0-p0)``
+    is how far ``a`` lies over the chord ``pq``: the funnel sides every
+    point more than ``16 u W`` off its chord as exact arithmetic does.  The
+    passes form the same product as ``dt0 dv1 - dv0 dt1`` from the steps
+    around the middle gate, to within ``8 u W`` times the span, and drop a
+    gate only when it clears the chord by ``2^-40 W = 8192 u W``, 500 times
+    what the funnel needs: the chords the funnel tests a gate against start
+    at its chains and apex, not at the gate's neighbours, and keep the local
+    margin only in exact arithmetic.  A value equal to both neighbours' (the
+    flat floor of a train, the flat ceiling of a dying bank) also counts as
+    beyond: the funnel's products on three equal values are exact.  The
+    bound assumes normal floats, so a drop must also clear ``2^-1000``, and
+    the passes run only where ``4 T W``, which bounds their products, is
+    finite.  The funnel on the survivors gives the walk's vertices and
+    contacts bit for bit.
+
+    Each pass shrinks the gates, but the run up to a tangent point, such as
+    the solar day's, loses one gate a pass (684 passes on the 4096-piece
+    day), so the passes stop at the first that drops fewer than
+    ``PRUNE_MIN_DROPS``.
+    """
+    hc = _columns(harvested)
+    mc = _columns(minimum)
+    # the merged times past t=0, where the path is pinned; a curve with just
+    # its two end breakpoints adds none
+    t = hc[0] if len(mc[0]) == 2 else mc[0] if len(hc[0]) == 2 else np.union1d(hc[0], mc[0])
+    t = t[1:]
+    hi, h_post = _limits_at(hc, t)
+    m_pre, lo = _limits_at(mc, t)
+    tol = DEFAULT_TOL
+    pinched = (m_pre > hi + tol) | (lo > h_post + tol) | (lo > hi + tol)
+    if pinched.any():
+        k = int(pinched.argmax())
+        _refuse_pinch(*(float(c[k]) for c in (t, hi, h_post, m_pre, lo)))
+    lo = np.where(hi < lo, hi, lo)
+    lo = np.where(end_value < lo, end_value, lo)
+    # the path is pinned at (T, H(T^-)), and starts at (0, 0)
+    hi[-1] = lo[-1] = end_value
+    t, hi, lo = (np.concatenate(((0.0,), c)) for c in (t, hi, lo))
+    scale = max(float(np.abs(hi).max()), float(np.abs(lo).max()))
+    margin = 2.0**-40 * scale
+    passes = 4.0 * float(t[-1]) * scale < math.inf
+
+    while passes and len(t) > 2:
+        dt, dh, dl = np.diff(t), np.diff(hi), np.diff(lo)
+        dt0, dt1 = dt[:-1], dt[1:]
+        slack = margin * (dt0 + dt1) + 2.0**-1000
+        # cross(l, m, r) of each envelope, as dt0 dv1 - dv0 dt1: below 0
+        # where m lies over the chord lr
+        over = dt0 * dh[1:] - dh[:-1] * dt1 < -slack
+        under = dt0 * dl[1:] - dl[:-1] * dt1 > slack
+        # or exactly flat
+        over |= (dh[:-1] == 0.0) & (dh[1:] == 0.0)
+        under |= (dl[:-1] == 0.0) & (dl[1:] == 0.0)
+        drop = over & under
+        dropped = int(np.count_nonzero(drop))
+        if dropped:
+            keep = np.concatenate(((True,), ~drop, (True,)))
+            t, hi, lo = t[keep], hi[keep], lo[keep]
+        if dropped < PRUNE_MIN_DROPS:
+            break
+    hi = hi[1:].tolist()
+    lo = lo[1:].tolist()
+    return zip(t[1:].tolist(), hi, hi, lo, lo)
 
 
 def solve_solar(

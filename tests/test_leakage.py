@@ -43,7 +43,7 @@ from ehsched import (
     throughput,
     zero_curve,
 )
-from ehsched import leakage
+from ehsched import leakage, string_solver
 from ehsched.leakage import _decompose_blocks
 
 E = math.e
@@ -661,6 +661,23 @@ def test_drain_bound_reads_only_the_packets(monkeypatch):
     monkeypatch.setattr(leakage, "_decompose_blocks", refuse)
     monkeypatch.setattr(leakage, "solve_n_packet", refuse)
     assert drain_bound(problem) == expected
+
+
+@pytest.mark.parametrize("n", [1448, 10000])
+def test_drain_bound_on_pruned_gates_equals_the_walk(monkeypatch, n):
+    # the staircase of a long train takes the gates _binding_gates keeps;
+    # the bound priced on the schedule of the unpruned funnel has the same bits
+    problem = leaky_train(n)
+    calls = []
+    pruned = string_solver._binding_gates
+    monkeypatch.setattr(
+        string_solver, "_binding_gates", lambda *a: calls.append(a) or pruned(*a)
+    )
+    bound = drain_bound(problem)
+    assert len(calls) == 1
+    monkeypatch.setattr(string_solver, "PRUNE_MIN_BREAKPOINTS", math.inf)
+    assert drain_bound(problem) == bound
+    assert len(calls) == 1
 
 
 def test_drain_bound_caps_slower_feasible_schedules():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -40,6 +41,8 @@ from ehsched import (
     zero_curve,
 )
 from ehsched.curves import corridor_gates
+from ehsched import string_solver
+from ehsched.string_solver import PRUNE_MIN_BREAKPOINTS, _binding_gates, _funnel
 
 RATE = awgn_rate(1.0)
 
@@ -198,8 +201,10 @@ def test_funnel_matches_reference_on_random_corridors():
 
 
 def test_funnel_matches_reference_on_long_trains():
+    # from PRUNE_MIN_BREAKPOINTS on, a train, a dying bank and the solar day
+    # take the gates _binding_gates keeps; capped trains keep the walk
     rng = random.Random(3)
-    for n in (200, 800):
+    for n in (200, 800, 2000, 10000):
         t, packets = 0.0, []
         for _ in range(n):
             packets.append((t, rng.uniform(0.3, 3.0)))
@@ -210,22 +215,251 @@ def test_funnel_matches_reference_on_long_trains():
         deaths = [0.0]
         for _ in range(n):
             deaths.append(deaths[-1] + rng.uniform(0.5, 2.0))
-        for corridor in (
+        corridors = [
             (harvested, zero_curve(t)),
-            (
-                harvested,
-                min_energy_from_battery(harvested, BatterySchedule.constant(capacity, t)),
-            ),
             # the corridor-ladder's other two families: a dying bank and the
             # solar day
             dying_battery_scenario(amounts, deaths[1:]),
-            (integrate_rate(solar_harvest_rate, 18.0, n), zero_curve(18.0)),
-        ):
+            (integrate_rate(solar_harvest_rate, 18.0, min(n, 8192)), zero_curve(18.0)),
+        ]
+        if n <= 800:
+            capped = min_energy_from_battery(harvested, BatterySchedule.constant(capacity, t))
+            corridors.append((harvested, capped))
+        for corridor in corridors:
             sol = taut_string(*corridor)
             vertices, contacts = reference_taut_string(*corridor)
             assert sol.vertices == vertices
             assert tuple((c.time, c.value, c.kind) for c in sol.contacts) == contacts
             assert len(vertices) > 3
+
+
+def _line(horizon: float, start: float, end: float) -> CumulativeCurve:
+    return CumulativeCurve(((0.0, 0.0, start), (horizon, end, end)), horizon)
+
+
+def _tiled_reproducer(tiles: int) -> list[tuple[float, float]]:
+    # packets 1, 1, 2, 2 scaled by the factor at which the funnel's cross
+    # product on collinear gate points rounds to either sign
+    a = 0.5396341818022085
+    return [(4.0 * k + j, e * a) for k in range(tiles) for j, e in enumerate((1, 1, 2, 2))]
+
+
+def _falling_ceiling() -> tuple[CumulativeCurve, CumulativeCurve]:
+    # the ceiling falls by 5e-10, within the curves' tolerance, so the floor
+    # before its last tiny step lies over H(T^-) and is clamped to it
+    minimum = from_packet_arrivals(
+        [(k + 1.0, 1e-3) for k in range(399)] + [(400.0, 1e-12)], 400.0
+    )
+    total = minimum.breakpoints[-1][2]
+    return _line(400.0, total, total - 5e-10), minimum
+
+
+#: Corridors past PRUNE_MIN_BREAKPOINTS whose gates sit on or near their
+#: neighbours' chords, where a pre-pass that dropped too much would show.
+ADVERSARIAL_CORRIDORS = {
+    "collinear staircase": lambda: (
+        from_packet_arrivals([(float(k), 1.0) for k in range(400)], 400.0),
+        zero_curve(400.0),
+    ),
+    "collinear staircase, inexact steps": lambda: (
+        from_packet_arrivals([(0.1 * k, 0.1) for k in range(400)], 40.0),
+        zero_curve(40.0),
+    ),
+    "collinear dying bank": lambda: dying_battery_scenario(
+        [3.0] * 400, [0.7 * (k + 1) for k in range(400)]
+    ),
+    "tiled reproducer": lambda: (
+        from_packet_arrivals(_tiled_reproducer(100), 400.0),
+        zero_curve(400.0),
+    ),
+    "tiled reproducer, dying": lambda: dying_battery_scenario(
+        [e for _, e in _tiled_reproducer(100)], [t + 1.0 for t, _ in _tiled_reproducer(100)]
+    ),
+    "first packet after t=0": lambda: (
+        from_packet_arrivals([(2.5 + k, 1.0 + k % 3) for k in range(400)], 403.0),
+        zero_curve(403.0),
+    ),
+    "flat floor above zero": lambda: (
+        from_packet_arrivals([(3.0 + k, 1.0 + k % 3) for k in range(400)], 404.0),
+        _line(404.0, 5e-10, 5e-10),
+    ),
+    "rising floor line": lambda: (
+        from_packet_arrivals([(float(k), 1.0 + k % 3) for k in range(400)], 400.0),
+        _line(400.0, 0.0, 300.0),
+    ),
+    "ceiling line": lambda: (
+        _line(400.0, 0.0, 800.0),
+        from_packet_arrivals([(k + 0.5, 1.0 + k % 2) for k in range(400)], 400.0),
+    ),
+    "ceiling falling below its start": _falling_ceiling,
+    # products of the passes past the float range, and below normal floats
+    "huge scales": lambda: (
+        from_packet_arrivals([(k * 1e303, 1e303 * (1 + k % 3)) for k in range(400)], 4e305),
+        zero_curve(4e305),
+    ),
+    "tiny scales": lambda: (
+        from_packet_arrivals([(k * 1e-160, 1e-160 * (1 + k % 3)) for k in range(400)], 4e-158),
+        zero_curve(4e-158),
+    ),
+    # a ceiling line whose interpolation overflows to inf, as in the walk
+    "ceiling line past the float range": lambda: (
+        _line(1e300, 0.0, 1e300),
+        from_packet_arrivals([(k * 2.5e297, 1.0) for k in range(1, 400)], 1e300),
+    ),
+    "solar day": lambda: (integrate_rate(solar_harvest_rate, 18.0, 600), zero_curve(18.0)),
+}
+
+
+def _long_corridor(seed: int) -> tuple[CumulativeCurve, CumulativeCurve]:
+    """A one-sided corridor of up to 700 pieces: a train under a zero floor
+    or a dying bank under a constant ceiling, with whole or random numbers
+    (whole ones put many gates exactly on their neighbours' chords)."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 700)
+    whole = rng.random() < 0.5
+
+    def draw(low, high):
+        return float(rng.randint(1, 3)) if whole else rng.uniform(low, high)
+
+    if rng.random() < 0.5:
+        amounts, times, t = [], [], 0.0
+        for _ in range(n):
+            t += draw(0.3, 2.0)
+            amounts.append(draw(0.3, 3.0))
+            times.append(t)
+        return dying_battery_scenario(amounts, times)
+    t = 0.0 if rng.random() < 0.7 else draw(0.3, 2.0)
+    packets = []
+    for _ in range(n):
+        packets.append((t, draw(0.3, 3.0)))
+        t += draw(0.3, 2.0)
+    return from_packet_arrivals(packets, t), zero_curve(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(0, 2**32 - 1).map(random_corridor),
+        st.integers(0, 2**32 - 1).map(_long_corridor),
+        st.sampled_from(sorted(ADVERSARIAL_CORRIDORS)).map(
+            lambda name: ADVERSARIAL_CORRIDORS[name]()
+        ),
+    )
+)
+@example(ADVERSARIAL_CORRIDORS["collinear staircase"]())
+@example(ADVERSARIAL_CORRIDORS["collinear staircase, inexact steps"]())
+@example(ADVERSARIAL_CORRIDORS["collinear dying bank"]())
+@example(ADVERSARIAL_CORRIDORS["tiled reproducer"]())
+@example(ADVERSARIAL_CORRIDORS["tiled reproducer, dying"]())
+@example(ADVERSARIAL_CORRIDORS["first packet after t=0"]())
+@example(ADVERSARIAL_CORRIDORS["flat floor above zero"]())
+@example(ADVERSARIAL_CORRIDORS["rising floor line"]())
+@example(ADVERSARIAL_CORRIDORS["ceiling line"]())
+@example(ADVERSARIAL_CORRIDORS["ceiling falling below its start"]())
+@example(ADVERSARIAL_CORRIDORS["huge scales"]())
+@example(ADVERSARIAL_CORRIDORS["tiny scales"]())
+@example(ADVERSARIAL_CORRIDORS["ceiling line past the float range"]())
+@example(ADVERSARIAL_CORRIDORS["solar day"]())
+def test_binding_gates_keep_the_string(corridor):
+    """The funnel on the gates _binding_gates keeps bends at the points of
+    the reference funnel on every gate, and the path meets every gate the
+    pre-pass dropped."""
+    harvested, minimum = corridor
+    gates, end_value = corridor_gates(harvested, minimum)
+    with warnings.catch_warnings():
+        # NumPy overflows quietly, as the walk's Python floats do
+        warnings.simplefilter("error")
+        kept = list(_binding_gates(harvested, minimum, end_value))
+    kept_times = {t for t, *_ in kept}
+    # the kept gates are corridor_gates' own, bit for bit, the last included
+    assert [(t, lo, hi) for t, hi, _, _, lo in kept] == [g for g in gates if g[0] in kept_times]
+    assert kept[-1][0] == harvested.horizon
+    times, values, kinds = _funnel(iter(kept), harvested.horizon, end_value)
+    vertices, contacts = reference_taut_string(harvested, minimum)
+    assert tuple(zip(times, values)) == vertices
+    assert tuple(zip(times, values, kinds)) == contacts
+    slack = 1e-9 * max(1.0, end_value)
+    for t, lo, hi in gates:
+        if t not in kept_times:
+            v = float(np.interp(t, times, values))
+            assert lo - slack <= v <= hi + slack, (t, lo, v, hi)
+
+
+def test_binding_gates_drop_most_gates_of_one_sided_ladders():
+    # the pre-pass is worth its cost: a long train and a dying bank keep
+    # only the gates near their strings
+    rng = random.Random(7)
+    amounts = [rng.uniform(0.5, 3.0) for _ in range(4096)]
+    deaths = [float(k + 1) for k in range(4096)]
+    packets, horizon = narrow_gate_train(4096)
+    for harvested, minimum in (
+        (from_packet_arrivals(packets, horizon), zero_curve(horizon)),
+        dying_battery_scenario(amounts, deaths),
+    ):
+        end_value = harvested.breakpoints[-1][1]
+        assert len(list(_binding_gates(harvested, minimum, end_value))) < 200
+
+
+def test_only_a_flat_envelope_past_the_size_drops_gates(monkeypatch):
+    calls = []
+    pruned = string_solver._binding_gates
+    monkeypatch.setattr(
+        string_solver, "_binding_gates", lambda *a: calls.append(a) or pruned(*a)
+    )
+    packets, horizon = narrow_gate_train(1448)
+    harvested = from_packet_arrivals(packets, horizon)
+    half = harvested.breakpoints[-1][1] / 2
+    # flat: the zero floor, and a floor at zero until it jumps at the horizon
+    taut_string(harvested)
+    taut_string(harvested, CumulativeCurve(((0.0, 0.0, 0.0), (horizon, 0.0, half)), horizon))
+    assert len(calls) == 2
+    # a sloped floor line, a capped train and a short train take the walk
+    taut_string(harvested, _line(horizon, 0.0, half))
+    taut_string(harvested, min_energy_from_battery(harvested, BatterySchedule.constant(3.5, horizon)))
+    taut_string(from_packet_arrivals(packets[:200], horizon))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "harvested, minimum, message",
+    [
+        (
+            from_packet_arrivals([(float(k), 1.0) for k in range(300)], 300.0),
+            _line(300.0, 0.0, 450.0),
+            "floor exceeds ceiling just before t=1.0",
+        ),
+        (
+            from_packet_arrivals([(0.0, 100.0)], 300.0),
+            from_packet_arrivals([(k + 1.0, 1.0) for k in range(300)], 300.0),
+            "floor exceeds ceiling at t=101.0",
+        ),
+        (
+            from_packet_arrivals([(float(k), 1.0) for k in range(301)], 300.0),
+            CumulativeCurve(((0.0, 0.0, 0.0), (300.0, 0.0, 300.5)), 300.0),
+            "floor 300.5 at t=300.0 exceeds the energy 300 available before the jump there",
+        ),
+        (
+            from_packet_arrivals([(float(k), 1.0) for k in range(300)], 300.0),
+            from_packet_arrivals([(0.0, 1.0)], 300.0),
+            "the floor forces 1 energy to be spent instantaneously at t=0",
+        ),
+        (
+            from_packet_arrivals([(float(k), 1.0) for k in range(300)], 300.0),
+            zero_curve(301.0),
+            "horizon mismatch: 301.0 != 300.0",
+        ),
+    ],
+)
+def test_pinches_past_the_pruning_size_are_refused_as_corridor_gates_refuses_them(
+    harvested, minimum, message
+):
+    assert max(len(harvested.breakpoints), len(minimum.breakpoints)) >= PRUNE_MIN_BREAKPOINTS
+    with pytest.raises(ValueError) as gates:
+        corridor_gates(harvested, minimum)
+    with pytest.raises(ValueError) as string:
+        taut_string(harvested, minimum)
+    assert type(string.value) is type(gates.value)
+    assert str(string.value) == str(gates.value) == message
 
 
 def test_solar_departure_and_endpoint():
