@@ -61,7 +61,6 @@ from .string_solver import (
     StringSolution,
     dual_bound,
     optimality_certificate,
-    solve_solar,
     taut_string,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "StringSolution",
     "dual_bound",
     "optimality_certificate",
-    "solve_solar",
     "taut_string",
     # broadcast
     "BroadcastProblem",

@@ -130,7 +130,7 @@ class BroadcastSolution:
     ``user1_data`` and ``user2_data`` are unweighted bits; ``weighted_sum``
     is ``mu1 * user1_data + mu2 * user2_data``, the maximized objective.
     ``threshold`` is the ``power_threshold`` the powers were split at, and
-    ``rate`` the composite rate of total power the string was solved under.
+    ``rate`` the composite rate of total power the schedule is optimal under.
     """
 
     total_schedule: PowerSchedule
@@ -155,7 +155,7 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
     weights = (problem.mu1, problem.mu2, problem.noise1, problem.noise2)
     threshold = power_threshold(*weights)
     effective = composite_rate(*weights)
-    string = taut_string(problem.harvested, problem.minimum, rate=effective)
+    string = taut_string(problem.harvested, problem.minimum)
 
     user1_segments = []
     user2_segments = []

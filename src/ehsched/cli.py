@@ -66,7 +66,7 @@ from .leakage import (
     simulate,
     solve_n_packet,
 )
-from .rate import RateFunction, awgn_rate
+from .rate import RateFunction, awgn_rate, throughput
 from .string_solver import Contact, dual_bound, taut_string
 
 __all__ = ["main", "DEMO_SCENARIOS", "REPORT_SCHEMA"]
@@ -328,7 +328,7 @@ def _build_harvest(
     if "named" in spec:
         if spec["named"] != "solar":
             raise ValueError(f'unknown named harvest {spec["named"]!r}')
-        # the rule of solve_solar
+        # a deadline from sunrise to midnight, on 64 or more pieces
         if not 6.0 <= deadline <= 24.0:
             raise ValueError(f'solar needs a "deadline" in [6, 24], got {deadline}')
         if resolution < 64:
@@ -452,8 +452,8 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> dict:
         }
     else:
         rate = _build_rate(scenario.get("rate"))
-        string = taut_string(harvested, minimum, rate=rate)
-        total_data, fields = string.total_data, {}
+        string = taut_string(harvested, minimum)
+        total_data, fields = throughput(string.schedule, rate), {}
     uppers = [c.time for c in string.contacts if c.kind == "upper"]
     departure = max(uppers) if uppers else None
     schedule = string.schedule

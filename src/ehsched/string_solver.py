@@ -4,7 +4,7 @@ The optimal spending curve between a minimum floor ``M`` and a harvested
 ceiling ``H`` is the shortest path from ``(0, 0)`` to ``(T, H(T^-))`` that
 stays inside the corridor — a string pulled taut between the two envelopes.
 Its geometry is independent of the (strictly concave) rate law, so the solver
-works purely on the corridor and evaluates throughput afterwards.
+works purely on the corridor; ``throughput`` prices its schedule under a rate.
 
 Because the spending curve is continuous while the envelopes may jump, the
 binding constraints are the gates of :func:`~ehsched.curves.corridor_gates`
@@ -46,18 +46,15 @@ from .curves import (
     _corridor_walk,
     _refuse_pinch,
     check_feasible,
-    integrate_rate,
-    solar_harvest_rate,
     zero_curve,
 )
-from .rate import RateFunction, awgn_rate, throughput
+from .rate import RateFunction
 
 __all__ = [
     "Contact",
     "StringSolution",
     "CertificateReport",
     "taut_string",
-    "solve_solar",
     "optimality_certificate",
     "dual_bound",
 ]
@@ -77,19 +74,16 @@ class StringSolution:
     schedule: PowerSchedule
     vertices: tuple[tuple[float, float], ...]
     contacts: tuple[Contact, ...]
-    total_data: float | None
 
 
 def taut_string(
-    harvested: CumulativeCurve,
-    minimum: CumulativeCurve | None = None,
-    rate: RateFunction | None = None,
+    harvested: CumulativeCurve, minimum: CumulativeCurve | None = None
 ) -> StringSolution:
     """Shortest feasible spending curve from (0, 0) to (T, H(T^-)).
 
     The path is unique and maximizes throughput for every strictly concave
-    increasing rate law.  When ``rate`` is given, ``total_data`` is filled in.
-    Raises ``ValueError`` when a slope of the path overflows to infinity.
+    increasing rate law.  Raises ``ValueError`` when a slope of the path
+    overflows to infinity.
     """
     if minimum is None:
         minimum = zero_curve(harvested.horizon)
@@ -105,9 +99,8 @@ def taut_string(
     slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(times, ends, values, values[1:])]
     # the vertex times strictly increase from 0 to the horizon
     schedule = PowerSchedule._derived(tuple(zip(times, ends, slopes)))
-    total = throughput(schedule, rate) if rate is not None else None
     contacts = tuple(map(Contact, times, values, kinds))
-    return StringSolution(schedule, tuple(zip(times, values)), contacts, total)
+    return StringSolution(schedule, tuple(zip(times, values)), contacts)
 
 
 def _funnel(walk, T: float, end_value: float) -> tuple[list, list, list]:
@@ -219,20 +212,16 @@ def _columns(curve: CumulativeCurve) -> np.ndarray:
     return np.fromiter(chain.from_iterable(bps), float, 3 * len(bps)).reshape(-1, 3).T
 
 
-def _limits_at(columns: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(v(t^-), v(t))`` of a curve at sorted times in ``(0, T]``, with the
-    interpolation of :func:`~ehsched.curves._merged_limits` between its own
-    breakpoints, so bit-identical to that walk."""
-    bt, bl, br = columns
-    if len(bt) == len(t) + 1:
-        # every time is one of the curve's own breakpoints
-        return bl[1:], br[1:]
-    # the first breakpoint at or after t: i >= 1, and 1 on a curve of two
-    i = np.searchsorted(bt, t) if len(bt) > 2 else 1
-    own = bt[i] == t
-    t0, v0 = bt[i - 1], br[i - 1]
-    v = v0 + (bl[i] - v0) * (t - t0) / (bt[i] - t0)
-    return np.where(own, bl[i], v), np.where(own, br[i], v)
+def _limits(columns: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(v(t^-), v(t))`` at the ``n`` gate times of :func:`_binding_gates`:
+    a curve's own limits past t=0, or, on the flat curve, ``v + 0.0`` (the
+    walk's interpolation, which reads -0.0 as 0.0) before its limits at T."""
+    _, left, right = columns
+    if len(left) > 2:
+        return left[1:], right[1:]
+    pre, post = np.full((2, n), right[0] + 0.0)
+    pre[-1], post[-1] = left[1], right[1]
+    return pre, post
 
 
 @np.errstate(all="ignore")  # overflow gives inf, as in Python floats
@@ -243,19 +232,21 @@ def _binding_gates(
     as the ``(t, H(t^-), H(t), M(t^-), M(t))`` walk ``taut_string`` reads,
     with the floor clamped and the pinch checks made.
 
-    The gates come from NumPy columns of the two curves' breakpoints, with
-    the expressions of ``_merged_limits``, the pinch tests of the walk
-    (refused through ``_refuse_pinch`` at the first gate that fails one) and
-    its clamp (``np.where``: ``np.minimum`` turns (-0.0, 0.0) into 0.0 where
-    the comparisons keep -0.0).  Then, in passes, every gate goes whose
-    ceiling point lies over the chord of its neighbours' ceiling points and
-    whose floor point lies under the chord of their floor points; the start
-    (0, 0) and the last gate stay.  Such a gate holds no vertex: the power
-    rises only on the ceiling and falls only on the floor, so neither point
-    is a vertex of the hull the funnel keeps of its envelope.  A run of such
-    gates is concave over its ceiling points and convex under its floor
-    points, so each lies beyond the chord of the gates left around the run
-    by at least its local margin, and a whole run can go in one pass.
+    One curve is flat (two breakpoints at one value), so the gates sit at
+    the other curve's own times.  They come from NumPy columns of the two
+    curves' breakpoints, with the values of ``_merged_limits``, the pinch
+    tests of the walk (refused through ``_refuse_pinch`` at the first gate
+    that fails one) and its clamp (``np.where``: ``np.minimum`` turns
+    ``(-0.0, 0.0)`` into 0.0 where the comparisons keep -0.0).  Then, in
+    passes, every gate goes whose ceiling point lies over the chord of its
+    neighbours' ceiling points and whose floor point lies under the chord of
+    their floor points; the start (0, 0) and the last gate stay.  Such a
+    gate holds no vertex: the power rises only on the ceiling and falls only
+    on the floor, so neither point is a vertex of the hull the funnel keeps
+    of its envelope.  A run of such gates is concave over its ceiling points
+    and convex under its floor points, so each lies beyond the chord of the
+    gates left around the run by at least its local margin, and a whole run
+    can go in one pass.
 
     With ``u = 2^-53`` and every gate value in ``[-W, W]``, the funnel's
     cross product ``(a0-p0)(q1-p1) - (a1-p1)(q0-p0)`` on points ``p, a, q``
@@ -282,14 +273,11 @@ def _binding_gates(
     day), so the passes stop at the first that drops fewer than
     ``PRUNE_MIN_DROPS``.
     """
-    hc = _columns(harvested)
-    mc = _columns(minimum)
-    # the merged times past t=0, where the path is pinned; a curve with just
-    # its two end breakpoints adds none
-    t = hc[0] if len(mc[0]) == 2 else mc[0] if len(hc[0]) == 2 else np.union1d(hc[0], mc[0])
-    t = t[1:]
-    hi, h_post = _limits_at(hc, t)
-    m_pre, lo = _limits_at(mc, t)
+    hc, mc = _columns(harvested), _columns(minimum)
+    # the long curve's times past t=0, where the path is pinned
+    t = (mc if len(hc[0]) == 2 else hc)[0][1:]
+    hi, h_post = _limits(hc, len(t))
+    m_pre, lo = _limits(mc, len(t))
     tol = DEFAULT_TOL
     pinched = (m_pre > hi + tol) | (lo > h_post + tol) | (lo > hi + tol)
     if pinched.any():
@@ -325,25 +313,6 @@ def _binding_gates(
     hi = hi[1:].tolist()
     lo = lo[1:].tolist()
     return zip(t[1:].tolist(), hi, hi, lo, lo)
-
-
-def solve_solar(
-    deadline: float,
-    resolution: int = 1024,
-    rate: RateFunction | None = None,
-) -> StringSolution:
-    """Optimal schedule for the bell-shaped solar harvest model.
-
-    The continuous harvest curve is its exact integral at ``resolution + 1``
-    uniform times, linear in between, and is solved with no spending floor.
-    Defaults to the unit-noise Gaussian rate law for throughput reporting.
-    """
-    if not 6.0 <= deadline <= 24.0:
-        raise ValueError(f"deadline must lie in [6, 24], got {deadline}")
-    if resolution < 64:
-        raise ValueError(f"resolution must be at least 64, got {resolution}")
-    harvested = integrate_rate(solar_harvest_rate, deadline, resolution)
-    return taut_string(harvested, rate=rate if rate is not None else awgn_rate(1.0))
 
 
 @dataclass(frozen=True)

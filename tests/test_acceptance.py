@@ -44,7 +44,6 @@ from ehsched import (
     solar_harvest_rate,
     solve_broadcast,
     solve_n_packet,
-    solve_solar,
     sufficient_condition_holds,
     taut_string,
     throughput,
@@ -78,13 +77,15 @@ def _p2p_gap(harvested, minimum, solution, grid=None) -> float:
         max_power = max(p for _, _, p in solution.schedule.segments)
         grid = GridSpec(400, 400, 4.0 * max(max_power, 0.25) + 1.0)
     oracle = dp_throughput(harvested, minimum, RATE1, grid)
-    return (solution.total_data - oracle) / max(solution.total_data, 1e-12)
+    data = throughput(solution.schedule, RATE1)
+    return (data - oracle) / max(data, 1e-12)
 
 
 def test_criterion_01_constant_power():
     failures: list[str] = []
     harvested = from_packet_arrivals([(0.0, 4.0)], 4.0)
-    solution = taut_string(harvested, rate=RATE1)
+    solution = taut_string(harvested)
+    data = throughput(solution.schedule, RATE1)
     exact = 4.0 * float(RATE1(1.0))
     _check(
         failures,
@@ -93,8 +94,8 @@ def test_criterion_01_constant_power():
     )
     _check(
         failures,
-        solution.total_data == exact,
-        f"throughput {solution.total_data!r} != 4*r(1) = {exact!r}",
+        data == exact,
+        f"throughput {data!r} != 4*r(1) = {exact!r}",
     )
     worst = -math.inf
     for seed in range(1000):
@@ -108,7 +109,7 @@ def test_criterion_01_constant_power():
     _criterion(
         "C01",
         failures,
-        f"constant power: data {solution.total_data:.9f}, "
+        f"constant power: data {data:.9f}, "
         f"best of 1000 rivals {worst:.9f}",
     )
 
@@ -117,7 +118,7 @@ def test_criterion_02_certificate():
     failures: list[str] = []
     for seed in range(200):
         harvested, minimum = random_corridor(seed)
-        solution = taut_string(harvested, minimum, rate=RATE1)
+        solution = taut_string(harvested, minimum)
         report = optimality_certificate(solution, minimum, harvested)
         _check(
             failures,
@@ -132,7 +133,7 @@ def test_criterion_03_dp_equivalence():
     worst = 0.0
     for seed in range(200):
         harvested, minimum = random_corridor(seed)
-        solution = taut_string(harvested, minimum, rate=RATE1)
+        solution = taut_string(harvested, minimum)
         gap = _p2p_gap(harvested, minimum, solution)
         worst = max(worst, gap)
         _check(
@@ -151,8 +152,9 @@ def test_criterion_04_solar():
         f"analytic harvest total {solar_harvested_energy(18.0)} != 40",
     )
     root = tangent_root(18.0)
-    coarse = solve_solar(18.0, resolution=1024, rate=RATE1)
-    fine = solve_solar(18.0, resolution=8192, rate=RATE1)
+    harvested = integrate_rate(solar_harvest_rate, 18.0, 1024)
+    coarse = taut_string(harvested)
+    fine = taut_string(integrate_rate(solar_harvest_rate, 18.0, 8192))
     _check(
         failures,
         abs(_departure(coarse) - root) <= 0.05,
@@ -163,7 +165,6 @@ def test_criterion_04_solar():
         abs(_departure(fine) - root) <= 0.005,
         f"departure {_departure(fine)} at resolution 8192 vs root {root}",
     )
-    harvested = integrate_rate(solar_harvest_rate, 18.0, 1024)
     gap = _p2p_gap(
         harvested, zero_curve(18.0), coarse, grid=GridSpec(1100, 8192, 16.0)
     )
@@ -204,7 +205,7 @@ def test_criterion_05_broadcast():
 
     harvested = from_packet_arrivals([(0.0, 3.0), (1.5, 2.0)], 4.0)
     minimum = zero_curve(4.0)
-    reference = taut_string(harvested, minimum, rate=RATE1)
+    reference = taut_string(harvested, minimum)
     for mu2, noises in ((0.8, (1.0, 3.0)), (3.5, (1.0, 3.0))):
         problem = BroadcastProblem(
             noise1=noises[0], noise2=noises[1], mu1=1.0, mu2=mu2,
@@ -309,7 +310,7 @@ def test_criterion_08_n_packet():
         problem = random_leakage_problem(seed, epsilon=0.0)
         leakfree = solve_n_packet(problem).total_data
         harvested = from_packet_arrivals(problem.packets, problem.deadline)
-        plain = taut_string(harvested, rate=problem.rate).total_data
+        plain = throughput(taut_string(harvested).schedule, problem.rate)
         _check(
             failures,
             abs(leakfree - plain) <= 1e-9,

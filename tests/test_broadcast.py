@@ -193,11 +193,13 @@ def _single_packet_problem(mu1, mu2):
 def test_degenerate_weights_reduce_to_point_to_point():
     problem = _single_packet_problem(1.0, 1.0)
     solution = solve_broadcast(problem)
-    p2p = taut_string(problem.harvested, rate=awgn_rate(1.0))
+    p2p = taut_string(problem.harvested)
     assert solution.total_schedule.segments == p2p.schedule.segments
     assert solution.string.vertices == p2p.vertices
     assert solution.user2_data == 0.0
-    assert solution.user1_data == pytest.approx(p2p.total_data, abs=1e-12)
+    assert solution.user1_data == pytest.approx(
+        throughput(p2p.schedule, awgn_rate(1.0)), abs=1e-12
+    )
 
 
 def test_single_packet_split_and_data():

@@ -25,6 +25,8 @@ from conftest import (
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS, _train
 
 from ehsched import (
+    BatterySchedule,
+    BroadcastProblem,
     Contact,
     GridSpec,
     PiecewiseCurve,
@@ -34,7 +36,13 @@ from ehsched import (
     composite_rate,
     dp_throughput,
     dying_battery_scenario,
+    from_packet_arrivals,
+    min_energy_from_battery,
     simulate,
+    solve_broadcast,
+    taut_string,
+    throughput,
+    zero_curve,
 )
 from ehsched import cli
 from ehsched.cli import (
@@ -295,6 +303,77 @@ def test_solve_scenario_file_round_trip(tmp_path):
     assert check_feasible(PowerSchedule(segments), minimum, harvested).feasible
 
 
+@st.composite
+def corridor_scenarios(draw):
+    """A small p2p or broadcast scenario (a packet train with no battery or
+    a constant one, a dying bank, or a broadcast train) and the data the
+    library gives it: ``throughput`` of the taut string under the rate, or
+    ``solve_broadcast``'s weighted sum."""
+    kind = draw(st.sampled_from(("train", "capped", "dying", "broadcast")))
+    n = draw(st.integers(1, 6))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    packets = []
+    for _ in range(n):
+        packets.append((t, draw(st.floats(0.1, 3.0))))
+        t += draw(st.floats(0.1, 2.0))
+    deadline = t
+    harvested = from_packet_arrivals(packets, deadline)
+    minimum = zero_curve(deadline)
+    scenario = {
+        "mode": "p2p",
+        "deadline": deadline,
+        "harvest": {"packets": [{"t": t, "e": e} for t, e in packets]},
+    }
+    if kind == "broadcast":
+        n1 = draw(st.floats(0.1, 2.0))
+        spec = {
+            "n1": n1,
+            "n2": n1 + draw(st.floats(0.1, 4.0)),
+            "mu1": draw(st.floats(0.1, 3.0)),
+            "mu2": draw(st.floats(0.1, 3.0)),
+        }
+        problem = BroadcastProblem(
+            spec["n1"], spec["n2"], spec["mu1"], spec["mu2"], harvested, minimum
+        )
+        scenario.update(mode="broadcast", broadcast=spec)
+        return scenario, solve_broadcast(problem).weighted_sum
+    if kind == "capped":
+        largest = max(e for _, e in packets)
+        capacity = max(draw(st.floats(0.4, 0.9)) * harvested.breakpoints[-1][2], largest + 0.1)
+        minimum = min_energy_from_battery(harvested, BatterySchedule.constant(capacity, deadline))
+        scenario["battery"] = {"constant": capacity}
+    elif kind == "dying":
+        # the bank holds every packet at t=0 and loses each at its time
+        shift = draw(st.floats(0.1, 1.0))
+        deaths = [t + shift for t, _ in packets]
+        amounts = [e for _, e in packets]
+        deadline = deaths[-1] + draw(st.floats(0.0, 1.0))
+        total = sum(amounts)
+        harvested = from_packet_arrivals([(0.0, total)], deadline)
+        minimum = from_packet_arrivals(list(zip(deaths, amounts)), deadline)
+        scenario.update(
+            deadline=deadline,
+            harvest={"packets": [{"t": 0.0, "e": total}]},
+            battery={"dying": {"b": amounts, "t": deaths}},
+        )
+    noise = draw(st.sampled_from((None, 0.5, 2.0)))
+    if noise is not None:
+        scenario["rate"] = {"type": "awgn", "noise": noise}
+    rate = awgn_rate(1.0 if noise is None else noise)
+    return scenario, throughput(taut_string(harvested, minimum).schedule, rate)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(corridor_scenarios())
+def test_solve_reports_the_library_data(tmp_path_factory, case):
+    # the report's total_data is the library's number, bit for bit
+    scenario, expected = case
+    out = tmp_path_factory.mktemp("solve")
+    argv = ["solve", write_scenario(out, scenario), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert load_report(out, "scenario")["total_data"].hex() == expected.hex()
+
+
 def test_unbounded_leakage_scenario(tmp_path):
     scenario = {
         "mode": "leakage",
@@ -470,15 +549,14 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ),
         ({**p2p, "deadline": -4.0, "harvest": packet}, '"deadline" must be positive'),
         ({**p2p, "deadline": 0, "harvest": packet}, '"deadline" must be positive'),
-        # the named solar day takes solve_solar's deadlines
+        # the named solar day takes a deadline in [6, 24]
         ({**p2p, "deadline": 1e100, "harvest": {"named": "solar"}}, '"deadline"'),
         ({**p2p, "deadline": 3.0, "harvest": {"named": "solar"}}, '"deadline"'),
     ]
     for payload, field in bad:
         assert run(tmp_path, "solve", write_scenario(tmp_path, payload)) == 1, payload
         assert field in capsys.readouterr().err, payload
-    # the named solar day's grid is --resolution, at least 64 pieces as in
-    # solve_solar
+    # the named solar day's grid is --resolution, at least 64 pieces
     solar = write_scenario(tmp_path, {**p2p, "deadline": 18.0, "harvest": {"named": "solar"}})
     assert run(tmp_path, "solve", solar, "--resolution", "32") == 1
     assert "--resolution" in capsys.readouterr().err

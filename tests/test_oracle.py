@@ -397,7 +397,7 @@ def test_random_schedules_never_beat_the_string():
     corridors += [build() for build in RIVAL_CORRIDORS.values()]
     for harvested, minimum in corridors:
         floor = zero_curve(harvested.horizon) if minimum is None else minimum
-        best = taut_string(harvested, floor, rate=RATE1).total_data
+        best = throughput(taut_string(harvested, floor).schedule, RATE1)
         for seed in range(200):
             sched = random_feasible_schedule(harvested, minimum, seed=seed)
             assert check_feasible(sched, floor, harvested).feasible
@@ -556,7 +556,7 @@ def _rival_bounds(name):
     harvested, minimum = RIVAL_CORRIDORS[name]()
     floor = zero_curve(harvested.horizon) if minimum is None else minimum
     gates, _ = corridor_gates(harvested, floor)
-    best = taut_string(harvested, floor, rate=RATE1).total_data
+    best = throughput(taut_string(harvested, floor).schedule, RATE1)
     for seed in range(200):
         rival = random_feasible_schedule(harvested, minimum, seed=seed)
         moved = _on_gate_pieces(rival, gates)
@@ -598,7 +598,7 @@ def test_dual_bound_of_raw_rivals_bounds_the_optimum_and_the_rival(name):
     # multipliers, and weak duality holds at any prices and any times
     harvested, minimum = RIVAL_CORRIDORS[name]()
     floor = zero_curve(harvested.horizon) if minimum is None else minimum
-    best = taut_string(harvested, floor, rate=RATE1).total_data
+    best = throughput(taut_string(harvested, floor).schedule, RATE1)
     for seed in range(200):
         rival = random_feasible_schedule(harvested, minimum, seed=seed)
         bound = dual_bound(rival, harvested, floor, RATE1)
@@ -612,8 +612,8 @@ def test_dp_string_and_dual_bound_are_ordered():
     # certificate agrees that the string is optimal
     for seed in range(40):
         harvested, minimum = random_corridor(seed)
-        solution = taut_string(harvested, minimum, rate=RATE1)
-        data = solution.total_data
+        solution = taut_string(harvested, minimum)
+        data = throughput(solution.schedule, RATE1)
         assert optimality_certificate(solution, minimum, harvested).ok
         oracle = dp_throughput(harvested, minimum, RATE1, GRID)
         bound = dual_bound(solution.schedule, harvested, minimum, RATE1)
