@@ -128,8 +128,7 @@ class BroadcastSolution:
     """Per-user schedules and data for a solved broadcast instance.
 
     ``user1_data`` and ``user2_data`` are unweighted bits; ``weighted_sum``
-    is ``mu1 * user1_data + mu2 * user2_data``, the maximized objective.
-    ``threshold`` is the ``power_threshold`` the powers were split at, and
+    is ``mu1 * user1_data + mu2 * user2_data``, the maximized objective, and
     ``rate`` the composite rate of total power the schedule is optimal under.
     """
 
@@ -139,7 +138,6 @@ class BroadcastSolution:
     user1_data: float
     user2_data: float
     weighted_sum: float
-    threshold: float
     string: StringSolution
     rate: RateFunction
 
@@ -176,7 +174,6 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
         user1_data=data1,
         user2_data=data2,
         weighted_sum=problem.mu1 * data1 + problem.mu2 * data2,
-        threshold=threshold,
         string=string,
         rate=effective,
     )

@@ -21,6 +21,10 @@ Every number must be a finite JSON number: booleans, NaN and Infinity are
 refused, and the deadline is positive.  The times of ``packets``, ``schedule``
 and ``dying`` strictly increase within [0, deadline], and a ``schedule`` ends
 at the deadline.  The ``samples`` and ``dying`` lists must not be empty.
+Packet energies, ``dying`` amounts, ``noise`` and ``n1`` are positive, ``n2``
+exceeds ``n1``, and capacities, ``epsilon`` and the weights are non-negative;
+the weights are not both zero, ``epsilon`` is positive under an unbounded
+deadline, and a bounded leakage deadline comes after the last packet.
 ``samples`` are harvest-rate values at uniform times from 0 to the deadline,
 linearly interpolated in between.
 
@@ -255,6 +259,15 @@ def _increasing(times: list[float], name: str, deadline: float | None) -> None:
             raise ValueError(f'"{name.format(i)}" must strictly increase{span}, got {t}')
 
 
+def _positive(values, name: str, or_zero: bool = False) -> None:
+    """Refuse a value that is not positive, or that is negative when
+    ``or_zero``; ``name.format(i)`` names the field of the ``i``-th value."""
+    for i, v in enumerate(values):
+        if not (v > 0.0 or or_zero and v == 0.0):
+            rule = "non-negative" if or_zero else "positive"
+            raise ValueError(f'"{name.format(i)}" must be {rule}, got {v!r}')
+
+
 def _timed(items, where: str, key: str, deadline: float | None) -> list[tuple]:
     """A list of objects whose ``t`` and ``key`` fields are finite numbers, as
     ``(t, key)`` pairs whose times pass :func:`_increasing`."""
@@ -295,7 +308,9 @@ def _build_rate(spec: dict | None) -> RateFunction:
         raise ValueError('"rate" must be an object with a "type" field')
     if spec["type"] != "awgn":
         raise ValueError(f'unknown rate type {spec["type"]!r} (supported: "awgn")')
-    return awgn_rate(_number(spec.get("noise", 1.0), "rate.noise"))
+    noise = _number(spec.get("noise", 1.0), "rate.noise")
+    _positive([noise], "rate.noise")
+    return awgn_rate(noise)
 
 
 def _build_harvest(
@@ -308,6 +323,7 @@ def _build_harvest(
         )
     if "packets" in spec:
         packets = _timed(spec["packets"], "harvest.packets", "e", deadline)
+        _positive(map(itemgetter(1), packets), "harvest.packets[{}].e")
         return from_packet_arrivals(packets, deadline)
     if "samples" in spec:
         samples = _numbers(spec["samples"], "harvest.samples")
@@ -349,6 +365,7 @@ def _build_minimum(
         )
     if "constant" in spec:
         cap = _number(spec["constant"], "battery.constant")
+        _positive([cap], "battery.constant", or_zero=True)
         return min_energy_from_battery(
             harvested, BatterySchedule.constant(cap, deadline)
         )
@@ -358,6 +375,7 @@ def _build_minimum(
             raise ValueError(f'"battery.schedule" must end at the deadline {deadline}')
         if knots[0][0] != 0.0:
             raise ValueError(f'"battery.schedule[0].t" must be 0, got {knots[0][0]}')
+        _positive(map(itemgetter(1), knots), "battery.schedule[{}].capacity", or_zero=True)
         return min_energy_from_battery(harvested, BatterySchedule(tuple(knots)))
     if "dying" in spec:
         dying = spec["dying"]
@@ -367,9 +385,7 @@ def _build_minimum(
         times = _numbers(dying.get("t"), "battery.dying.t")
         if len(amounts) != len(times):
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
-        for i, b in enumerate(amounts):
-            if not b > 0.0:
-                raise ValueError(f'"battery.dying.b[{i}]" must be positive, got {b!r}')
+        _positive(amounts, "battery.dying.b[{}]")
         _increasing(times, "battery.dying.t[{}]", deadline)
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
     raise ValueError(f'"battery" has no known kind, got {sorted(spec)!r}')
@@ -432,15 +448,16 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> dict:
         spec = scenario.get("broadcast")
         if not isinstance(spec, dict):
             raise ValueError('broadcast mode needs a "broadcast" object')
+        keys = ("n1", "n2", "mu1", "mu2")
+        n1, n2, mu1, mu2 = [_number(spec.get(k), f"broadcast.{k}") for k in keys]
+        _positive([n1], "broadcast.n1")
+        if not n2 > n1:
+            raise ValueError(f'"broadcast.n2" must exceed "broadcast.n1" {n1}, got {n2}')
+        _positive([mu1], "broadcast.mu1", or_zero=True)
+        # the weights must not both be zero
+        _positive([mu2], "broadcast.mu2", or_zero=mu1 > 0.0)
         solution = solve_broadcast(
-            BroadcastProblem(
-                noise1=_number(spec.get("n1"), "broadcast.n1"),
-                noise2=_number(spec.get("n2"), "broadcast.n2"),
-                mu1=_number(spec.get("mu1"), "broadcast.mu1"),
-                mu2=_number(spec.get("mu2"), "broadcast.mu2"),
-                harvested=harvested,
-                minimum=minimum,
-            )
+            BroadcastProblem(n1, n2, mu1, mu2, harvested=harvested, minimum=minimum)
         )
         string, rate, total_data = solution.string, solution.rate, solution.weighted_sum
         fields = {
@@ -493,15 +510,21 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
         raise ValueError('leakage mode needs an "epsilon" field')
     deadline = _deadline(scenario)
     packets = _timed(harvest["packets"], "harvest.packets", "e", deadline)
+    _positive(map(itemgetter(1), packets), "harvest.packets[{}].e")
     if not packets:
         raise ValueError('"harvest.packets" must hold a packet in leakage mode')
     if packets[0][0] != 0.0:
         raise ValueError(
             f'"harvest.packets[0].t" must be 0 in leakage mode, got {packets[0][0]}'
         )
+    if deadline is not None and not deadline > packets[-1][0]:
+        raise ValueError(f'"deadline" must come after the last packet, got {deadline}')
+    epsilon = _number(scenario["epsilon"], "epsilon")
+    # with no deadline and no leak, slower is always better
+    _positive([epsilon], "epsilon", or_zero=deadline is not None)
     problem = LeakageProblem(
         packets=packets,
-        epsilon=_number(scenario["epsilon"], "epsilon"),
+        epsilon=epsilon,
         deadline=deadline,
         rate=_build_rate(scenario.get("rate")),
     )
@@ -531,7 +554,7 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
             "leaked": trace.leaked,
         },
         problem.total_energy,
-        solution.transmit_energy,
+        solution.schedule.total_energy,
         solution.leaked_energy,
         **fields,
     )

@@ -350,25 +350,23 @@ def integrate_rate(
     rate_fn: Callable[[float], float],
     horizon: float,
     resolution: int = 1024,
-    subsamples: int = 32,
 ) -> CumulativeCurve:
     """Cumulative integral of a non-negative rate function on a uniform grid.
 
     Each of the ``resolution`` cells is integrated by a composite trapezoid
-    rule over ``subsamples`` sub-intervals, so grid-point values are accurate
-    to O((horizon/(resolution*subsamples))^2).  The built-in
-    :func:`solar_harvest_rate` itself (not a wrapper around it) is integrated
-    exactly instead, on the same grid, and ``subsamples`` is unused there.
+    rule over 32 sub-intervals, so grid-point values are accurate to
+    O((horizon/(32*resolution))^2).  The built-in :func:`solar_harvest_rate`
+    itself (not a wrapper around it) is integrated exactly instead, on the
+    same grid.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-    if subsamples < 1:
-        raise ValueError("subsamples must be at least 1")
     if rate_fn is solar_harvest_rate:
         return _solar_harvest_curve(horizon, resolution)
+    subsamples = 32
     n = resolution * subsamples
     width = horizon / n
     bps = [(0.0, 0.0, 0.0)]
@@ -507,14 +505,19 @@ def corridor_gates(
     return gates, end_value
 
 
+def _horizon(harvested: CumulativeCurve, minimum: CumulativeCurve) -> float:
+    """The horizon the two curves of a corridor share; ``ValueError`` if not."""
+    if minimum.horizon != harvested.horizon:
+        raise ValueError(f"horizon mismatch: {minimum.horizon} != {harvested.horizon}")
+    return harvested.horizon
+
+
 def _corridor_walk(harvested: CumulativeCurve, minimum: CumulativeCurve):
     """The :func:`_merged_limits` walk of a corridor's two curves past t=0,
     where a path is pinned, and ``H(T^-)``.  Raises ``ValueError`` when the
     horizons differ and :class:`InfeasibleError` when the floor forces
     energy out at t=0."""
-    T = harvested.horizon
-    if minimum.horizon != T:
-        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    _horizon(harvested, minimum)
     walk = _merged_limits(harvested, minimum)
     floor0 = next(walk)[4]
     if floor0 > DEFAULT_TOL:
@@ -556,6 +559,20 @@ class FeasibilityReport:
     shortfall_time: float | None
 
 
+def _largest_excess(a: PiecewiseCurve, b: PiecewiseCurve) -> tuple[float, float | None]:
+    """The largest excess of ``b`` over ``a`` at the left and right limits of
+    :func:`_merged_limits`, and the first time it is reached (the left limit
+    first, and ``a``'s time where both curves share one); ``(0.0, None)``
+    when ``b`` never exceeds ``a``."""
+    most, at = 0.0, None
+    for t, al, ar, bl, br in _merged_limits(a, b):
+        if bl - al > most:
+            most, at = bl - al, t
+        if br - ar > most:
+            most, at = br - ar, t
+    return most, at
+
+
 def check_feasible(
     schedule: PowerSchedule,
     minimum: CumulativeCurve,
@@ -568,23 +585,9 @@ def check_feasible(
     right limits at those breakpoints is exact; each pair is read in one
     merged walk.  The floor and the harvest must share one horizon.
     """
-    T = harvested.horizon
-    if minimum.horizon != T:
-        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
-    spent = schedule.energy_curve(T)
-    # the left limit first, so the first time a maximum is reached wins
-    over, over_t = 0.0, None
-    for t, el, er, hl, hr in _merged_limits(spent, harvested):
-        if el - hl > over:
-            over, over_t = el - hl, t
-        if er - hr > over:
-            over, over_t = er - hr, t
-    short, short_t = 0.0, None
-    for t, el, er, ml, mr in _merged_limits(spent, minimum):
-        if ml - el > short:
-            short, short_t = ml - el, t
-        if mr - er > short:
-            short, short_t = mr - er, t
+    spent = schedule.energy_curve(_horizon(harvested, minimum))
+    over, over_t = _largest_excess(harvested, spent)
+    short, short_t = _largest_excess(spent, minimum)
     return FeasibilityReport(
         feasible=(over <= DEFAULT_TOL and short <= DEFAULT_TOL),
         max_overdraw=over,

@@ -115,15 +115,14 @@ class LeakageSolution:
     ``block_powers[n]`` is the transmit power used while packet ``n``'s
     interarrival interval is active (packets in the same block share it);
     ``block_boundaries`` are the block start times followed by the final end
-    time, and the battery is empty at each of them.  ``transmit_energy`` and
-    ``leaked_energy`` sum to the total harvested energy.
+    time, and the battery is empty at each of them.  ``leaked_energy`` and
+    the schedule's ``total_energy`` sum to the total harvested energy.
     """
 
     schedule: PowerSchedule
     block_powers: tuple[float, ...]
     block_boundaries: tuple[float, ...]
     total_data: float
-    transmit_energy: float
     leaked_energy: float
 
 
@@ -353,7 +352,6 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
         block_powers=tuple(block_powers),
         block_boundaries=tuple(boundaries),
         total_data=throughput(schedule, problem.rate),
-        transmit_energy=schedule.total_energy,
         leaked_energy=problem.epsilon * transmit_duration,
     )
 

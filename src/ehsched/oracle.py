@@ -33,7 +33,6 @@ from .curves import (
     PiecewiseCurve,
     PowerSchedule,
     corridor_gates,
-    zero_curve,
 )
 from .leakage import LeakageProblem, p_star
 from .rate import RateFunction
@@ -271,7 +270,7 @@ def _inside(curve: PiecewiseCurve, t: float) -> float:
 
 def random_feasible_schedule(
     harvested: CumulativeCurve,
-    minimum: CumulativeCurve | None = None,
+    minimum: CumulativeCurve,
     seed: int = 0,
 ) -> PowerSchedule:
     """Seeded random feasible schedule spending everything by the horizon.
@@ -283,9 +282,7 @@ def random_feasible_schedule(
     """
     horizon = harvested.horizon
     # raises InfeasibleError if the corridor is unusable
-    knots, end_value = corridor_gates(
-        harvested, zero_curve(horizon) if minimum is None else minimum
-    )
+    knots, end_value = corridor_gates(harvested, minimum)
     # the path is pinned at both ends, so the endpoint gate is no knot
     knots.pop()
     rng = random.Random(seed)
@@ -298,7 +295,7 @@ def random_feasible_schedule(
         if i < len(knots) and knots[i][0] == t:
             continue
         # t is no breakpoint of either curve, so both are linear there
-        floor = 0.0 if minimum is None else _inside(minimum, t)
+        floor = _inside(minimum, t)
         floor = end_value if end_value < floor else floor
         knots.insert(i, (t, floor, _inside(harvested, t)))
     # each comparison picks the value min or max would, ties included

@@ -44,6 +44,7 @@ from .curves import (
     CumulativeCurve,
     PowerSchedule,
     _corridor_walk,
+    _horizon,
     _refuse_pinch,
     check_feasible,
     zero_curve,
@@ -345,9 +346,7 @@ def optimality_certificate(
     ``check_feasible`` call plus one pass over the path: O(V + G) curve
     evaluations for V vertices and G breakpoints.
     """
-    T = harvested.horizon
-    if minimum.horizon != T:
-        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    T = _horizon(harvested, minimum)
     end_value = harvested.eval_left(T)
     slack = DEFAULT_TOL * max(1.0, end_value)
     verts = solution.vertices
@@ -463,9 +462,7 @@ def dual_bound(
     not depend on the platform's summation order.  Raises ``ValueError``
     when the horizons differ or the schedule does not end at the horizon.
     """
-    T = harvested.horizon
-    if minimum.horizon != T:
-        raise ValueError(f"horizon mismatch: {minimum.horizon} != {T}")
+    T = _horizon(harvested, minimum)
     starts, ends, p = np.array(schedule.segments).T
     if ends[-1] != T:
         raise ValueError(

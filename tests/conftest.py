@@ -435,7 +435,6 @@ def reference_solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
         block_powers=tuple(block_powers),
         block_boundaries=tuple(boundaries),
         total_data=throughput(schedule, problem.rate),
-        transmit_energy=schedule.total_energy,
         leaked_energy=problem.epsilon * transmit_duration,
     )
 

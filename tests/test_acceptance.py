@@ -99,7 +99,7 @@ def test_criterion_01_constant_power():
     )
     worst = -math.inf
     for seed in range(1000):
-        rival = random_feasible_schedule(harvested, seed=seed)
+        rival = random_feasible_schedule(harvested, zero_curve(4.0), seed=seed)
         worst = max(worst, throughput(rival, RATE1))
     _check(
         failures,

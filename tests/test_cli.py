@@ -563,6 +563,12 @@ def test_validation_failures_exit_1(tmp_path, capsys):
 
 
 _P2P = {"mode": "p2p", "deadline": 4.0, "harvest": {"packets": [{"t": 0.0, "e": 1.0}]}}
+_LEAKY = {**_P2P, "mode": "leakage", "epsilon": 0.5}
+_BROADCAST = {
+    **_P2P,
+    "mode": "broadcast",
+    "broadcast": {"n1": 1.0, "n2": 3.0, "mu1": 1.0, "mu2": 2.0},
+}
 
 
 @pytest.mark.parametrize(
@@ -590,6 +596,26 @@ _P2P = {"mode": "p2p", "deadline": 4.0, "harvest": {"packets": [{"t": 0.0, "e": 
             {"mode": "leakage", "deadline": 4.0, "epsilon": 0.5, "harvest": {"packets": []}},
             '"harvest.packets" must hold a packet in leakage mode',
         ),
+        # signs and orders the library checks, named where the CLI reads them
+        ({**_P2P, "harvest": {"packets": [{"t": 0, "e": 0}]}}, '"harvest.packets[0].e"'),
+        ({**_LEAKY, "harvest": {"packets": [{"t": 0, "e": -1}]}}, '"harvest.packets[0].e"'),
+        (
+            {**_LEAKY, "harvest": {"packets": [{"t": 0, "e": 1}, {"t": 4.0, "e": 1}]}},
+            '"deadline"',
+        ),
+        ({**_LEAKY, "epsilon": -0.5}, '"epsilon"'),
+        ({**_LEAKY, "deadline": "unbounded", "epsilon": 0}, '"epsilon"'),
+        ({**_P2P, "battery": {"constant": -1}}, '"battery.constant"'),
+        (
+            {
+                **_P2P,
+                "battery": {"schedule": [{"t": 0, "capacity": -1}, {"t": 4, "capacity": 1}]},
+            },
+            '"battery.schedule[0].capacity"',
+        ),
+        ({**_P2P, "rate": {"type": "awgn", "noise": 0}}, '"rate.noise"'),
+        ({**_BROADCAST, "broadcast": {"n1": 3, "n2": 1, "mu1": 1, "mu2": 2}}, '"broadcast.n2"'),
+        ({**_BROADCAST, "broadcast": {"n1": 1, "n2": 3, "mu1": -1, "mu2": 2}}, '"broadcast.mu1"'),
     ],
     ids=[
         "late-schedule",
@@ -597,6 +623,16 @@ _P2P = {"mode": "p2p", "deadline": 4.0, "harvest": {"packets": [{"t": 0.0, "e": 
         "unknown-harvest",
         "late-leakage-packet",
         "no-leakage-packet",
+        "zero-energy-packet",
+        "negative-leakage-packet",
+        "leakage-packet-at-deadline",
+        "negative-epsilon",
+        "unbounded-without-leak",
+        "negative-constant-battery",
+        "negative-schedule-capacity",
+        "zero-noise",
+        "noise-order",
+        "negative-weight",
     ],
 )
 def test_refusals_name_their_field(tmp_path, capsys, payload, field):

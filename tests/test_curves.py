@@ -273,11 +273,9 @@ def test_integrate_rate_last_edge_is_the_horizon():
 @pytest.mark.parametrize("resolution", [64, 861, 1024, 8192])
 def test_solar_harvest_is_integrated_exactly(horizon, resolution):
     curve = integrate_rate(solar_harvest_rate, horizon, resolution)
-    # the grid times do not depend on the subsamples
-    quadrature = integrate_rate(
-        lambda t: solar_harvest_rate(t), horizon, resolution, subsamples=1
-    )
-    assert curve.times == quadrature.times
+    # the quadrature's grid: T*k/n, the last at T
+    grid = tuple(horizon * k / resolution for k in range(resolution)) + (horizon,)
+    assert curve.times == grid
     previous = 0.0
     for t, vl, vr in curve.breakpoints:
         assert vl == vr
@@ -290,6 +288,7 @@ def test_solar_harvest_is_integrated_exactly(horizon, resolution):
 def test_exact_solar_harvest_is_the_limit_of_the_quadrature():
     exact = integrate_rate(solar_harvest_rate, 18.0, 1024)
     quadrature = integrate_rate(lambda t: solar_harvest_rate(t), 18.0, 1024)
+    assert exact.times == quadrature.times
     gaps = [
         abs(e - q)
         for (_, _, e), (_, _, q) in zip(exact.breakpoints, quadrature.breakpoints)
@@ -300,7 +299,7 @@ def test_exact_solar_harvest_is_the_limit_of_the_quadrature():
 
 
 def test_integrate_rate_single_cell():
-    curve = integrate_rate(lambda t: 2.0, 3.0, resolution=1, subsamples=1)
+    curve = integrate_rate(lambda t: 2.0, 3.0, resolution=1)
     assert curve.breakpoints == ((0.0, 0.0, 0.0), (3.0, 6.0, 6.0))
 
 
@@ -503,6 +502,11 @@ def test_shortfall_detected():
     assert not report.feasible
     assert report.max_shortfall == pytest.approx(1.0, abs=1e-9)
     assert report.shortfall_time == pytest.approx(1.0, abs=1e-12)
+    # a floor that jumps at t=-0.0 shares t=0 with the spent curve, whose
+    # time the report keeps
+    floor = from_packet_arrivals([(-0.0, 1.0)], 4.0)
+    report = check_feasible(PowerSchedule.constant(0.5, 4.0), floor, harvested)
+    assert (report.max_shortfall, repr(report.shortfall_time)) == (1.0, "0.0")
 
 
 def test_check_feasible_mismatched_horizons():

@@ -151,7 +151,7 @@ def test_single_packet_deadline_binds():
     sol = solve_n_packet(one_packet(16.0, 4.0))
     assert sol.schedule.segments == ((0.0, 4.0, 3.0),)
     assert sol.total_data == pytest.approx(4.0, abs=1e-9)
-    assert sol.transmit_energy == pytest.approx(12.0, abs=1e-12)
+    assert sol.schedule.total_energy == pytest.approx(12.0, abs=1e-12)
     assert sol.leaked_energy == pytest.approx(4.0, abs=1e-12)
 
 
@@ -223,7 +223,7 @@ def test_counterexample_blocks():
     assert sol.schedule.segments[1][2] == 0.0
     assert sol.schedule.segments[2] == (3.0, 4.0, 3.5)
     assert sol.total_data == pytest.approx(2.423558166935361, abs=1e-12)
-    assert sol.transmit_energy + sol.leaked_energy == pytest.approx(8.0, abs=1e-9)
+    assert sol.schedule.total_energy + sol.leaked_energy == pytest.approx(8.0, abs=1e-9)
 
 
 @st.composite
@@ -303,7 +303,7 @@ def test_unbounded_all_blocks_at_p_star():
         sol = solve_n_packet(problem)
         p_opt = p_star(problem.rate, problem.epsilon)
         assert all(p == p_opt for p in sol.block_powers)
-        assert sol.transmit_energy + sol.leaked_energy == pytest.approx(
+        assert sol.schedule.total_energy + sol.leaked_energy == pytest.approx(
             problem.total_energy, rel=1e-12
         )
 
@@ -333,7 +333,7 @@ def _walk_outputs(solution):
         solution.block_powers,
         solution.block_boundaries,
         solution.total_data,
-        solution.transmit_energy,
+        solution.schedule.total_energy,
         solution.leaked_energy,
     )
 

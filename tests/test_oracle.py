@@ -387,7 +387,7 @@ def test_random_schedule_feasible_and_deterministic():
 def test_random_schedule_spends_everything():
     harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 3.0)], 4.0)
     for seed in range(20):
-        sched = random_feasible_schedule(harvested, seed=seed)
+        sched = random_feasible_schedule(harvested, zero_curve(4.0), seed=seed)
         assert sched.total_energy == pytest.approx(5.0, rel=1e-9)
         assert check_feasible(sched, zero_curve(4.0), harvested).feasible
 
@@ -396,11 +396,10 @@ def test_random_schedules_never_beat_the_string():
     corridors = [dying_battery_scenario([2.0, 2.0], [1.0, 4.0])]
     corridors += [build() for build in RIVAL_CORRIDORS.values()]
     for harvested, minimum in corridors:
-        floor = zero_curve(harvested.horizon) if minimum is None else minimum
-        best = throughput(taut_string(harvested, floor).schedule, RATE1)
+        best = throughput(taut_string(harvested, minimum).schedule, RATE1)
         for seed in range(200):
             sched = random_feasible_schedule(harvested, minimum, seed=seed)
-            assert check_feasible(sched, floor, harvested).feasible
+            assert check_feasible(sched, minimum, harvested).feasible
             assert throughput(sched, RATE1) <= best + 1e-9
 
 
@@ -411,7 +410,7 @@ def test_random_schedule_rejects_infeasible_pair():
     for _ in range(3):
         with pytest.raises(InfeasibleError):
             random_feasible_schedule(harvested, minimum, seed=0)
-        random_feasible_schedule(harvested, seed=0)
+        random_feasible_schedule(harvested, zero_curve(4.0), seed=0)
 
 
 def _train() -> CumulativeCurve:
@@ -438,9 +437,10 @@ RIVAL_CORRIDORS = {
         _train(),
         min_energy_from_battery(_train(), BatterySchedule.constant(3.5, 21.0)),
     ),
+    # pinned with no floor, which drew what the zero floor draws
     "packets-no-floor": lambda: (
         from_packet_arrivals([(0.0, 2.0), (1.0, 3.0), (2.5, 0.5), (4.0, 1.25)], 6.0),
-        None,
+        zero_curve(6.0),
     ),
     # the quadrature the stream was pinned on: a wrapper does not take the
     # closed-form branch that solar_harvest_rate itself takes
@@ -491,7 +491,7 @@ def test_rival_draw_on_a_breakpoint():
     harvested = from_packet_arrivals(
         [(0.0, 2.0), (4.450721935564376, 3.0), (4.5, 1.0)], 6.0
     )
-    assert random_feasible_schedule(harvested, seed=5).segments == (
+    assert random_feasible_schedule(harvested, zero_curve(6.0), seed=5).segments == (
         (0.0, 3.7374101693382116, 0.5043333437196331),
         (3.7374101693382116, 4.450721935564376, 0.1193894592131181),
         (4.450721935564376, 4.5, 56.71056992524322),
@@ -514,14 +514,17 @@ def test_rivals_of_alternating_corridors_match_fresh_calls():
     for pair, fresh in ((a, fresh_a), (b, fresh_b), (a, fresh_a)):
         assert _rivals(*pair, seeds=range(8)) == fresh
     # the same harvest under another floor is another corridor
-    assert _rivals(a[0], None, seeds=range(8)) != fresh_a
+    assert _rivals(a[0], zero_curve(a[0].horizon), seeds=range(8)) != fresh_a
 
 
 def test_rivals_without_a_floor_match_the_zero_floor():
+    # sha256 of the segments of seeds 0-63 drawn with no floor, when the
+    # floor was optional; the zero floor draws the same, call after call
     harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 3.0), (2.5, 0.5)], 5.0)
-    zero = zero_curve(5.0)
-    assert _rivals(harvested, None) == _rivals(harvested, zero)
-    assert _rivals(harvested, zero) == _rivals(harvested, None)
+    digest = "54bfcebbaea0324eed817ecc6140a599fbc6fa4b773e0596b510d137d04ddbe1"
+    for _ in range(2):
+        rivals = _rivals(harvested, zero_curve(5.0))
+        assert hashlib.sha256("".join(map(repr, rivals)).encode()).hexdigest() == digest
 
 
 def test_random_schedule_keeps_no_curve_alive():
@@ -554,19 +557,18 @@ def _rival_bounds(name):
     """For each of 200 rivals in the named corridor: the rival on the gate
     pieces, its dual bound, and the bound from the closed-form conjugate."""
     harvested, minimum = RIVAL_CORRIDORS[name]()
-    floor = zero_curve(harvested.horizon) if minimum is None else minimum
-    gates, _ = corridor_gates(harvested, floor)
-    best = throughput(taut_string(harvested, floor).schedule, RATE1)
+    gates, _ = corridor_gates(harvested, minimum)
+    best = throughput(taut_string(harvested, minimum).schedule, RATE1)
     for seed in range(200):
         rival = random_feasible_schedule(harvested, minimum, seed=seed)
         moved = _on_gate_pieces(rival, gates)
         powers = [p for _, _, p in moved.segments]
         yield (
             harvested,
-            floor,
+            minimum,
             best,
             moved,
-            dual_bound(moved, harvested, floor, RATE1),
+            dual_bound(moved, harvested, minimum, RATE1),
             reference_dual_bound(gates, powers, RATE1, awgn_conjugate),
         )
 
@@ -597,11 +599,10 @@ def test_dual_bound_of_raw_rivals_bounds_the_optimum_and_the_rival(name):
     # rivals change power off the gates; their own breakpoints carry the
     # multipliers, and weak duality holds at any prices and any times
     harvested, minimum = RIVAL_CORRIDORS[name]()
-    floor = zero_curve(harvested.horizon) if minimum is None else minimum
-    best = throughput(taut_string(harvested, floor).schedule, RATE1)
+    best = throughput(taut_string(harvested, minimum).schedule, RATE1)
     for seed in range(200):
         rival = random_feasible_schedule(harvested, minimum, seed=seed)
-        bound = dual_bound(rival, harvested, floor, RATE1)
+        bound = dual_bound(rival, harvested, minimum, RATE1)
         assert bound >= best * (1.0 - 1e-12), seed
         assert bound >= throughput(rival, RATE1), seed
 
