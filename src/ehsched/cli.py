@@ -26,7 +26,10 @@ exceeds ``n1``, and capacities, ``epsilon`` and the weights are non-negative;
 the weights are not both zero, ``epsilon`` is positive under an unbounded
 deadline, and a bounded leakage deadline comes after the last packet.
 ``samples`` are harvest-rate values at uniform times from 0 to the deadline,
-linearly interpolated in between.
+linearly interpolated in between.  The harvest and the ``dying`` amounts add
+up to a finite energy, a bounded leakage deadline leaves every block a finite
+power, and the data priced at ``noise`` or ``n1`` is finite: a subnormal
+noise can divide a power to infinity.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
 additionally checks that the schedule is feasible and that its data is within
@@ -49,6 +52,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .broadcast import BroadcastProblem, solve_broadcast
 from .curves import (
     BatterySchedule,
@@ -65,7 +70,7 @@ from .curves import (
 )
 from .leakage import (
     LeakageProblem,
-    _upfront_data,
+    compare_ST_NT,
     drain_bound,
     simulate,
     solve_n_packet,
@@ -288,6 +293,24 @@ def _timed(items, where: str, key: str, deadline: float | None) -> list[tuple]:
     return pairs
 
 
+def _finite_total(energies, where: str) -> None:
+    """Refuse energies whose running total overflows, summed left to right
+    as :func:`from_packet_arrivals` sums them."""
+    total = 0.0
+    for e in energies:
+        total += e
+    if not math.isfinite(total):
+        raise ValueError(f'"{where}" add up to a non-finite energy {total}')
+
+
+def _priced(data: float, field: str) -> float:
+    """``data`` when it is finite; a noise so small that the rate divides a
+    power by it to infinity is refused by the name of its ``field``."""
+    if not math.isfinite(data):
+        raise ValueError(f'"{field}" is too small: the data it prices is {data}')
+    return data
+
+
 def _deadline(scenario: dict) -> float | None:
     """The scenario's deadline, or ``None`` for "unbounded" (leakage only)."""
     deadline = scenario.get("deadline")
@@ -324,6 +347,7 @@ def _build_harvest(
     if "packets" in spec:
         packets = _timed(spec["packets"], "harvest.packets", "e", deadline)
         _positive(map(itemgetter(1), packets), "harvest.packets[{}].e")
+        _finite_total(map(itemgetter(1), packets), "harvest.packets")
         return from_packet_arrivals(packets, deadline)
     if "samples" in spec:
         samples = _numbers(spec["samples"], "harvest.samples")
@@ -338,7 +362,9 @@ def _build_harvest(
             total += 0.5 * (samples[k - 1] + samples[k]) * width
             bps.append((deadline * k / cells, total, total))
         if not math.isfinite(total):
-            raise ValueError(f"the harvest rate integrates to a non-finite {total}")
+            raise ValueError(
+                f'"harvest.samples": the harvest rate integrates to a non-finite {total}'
+            )
         bps[-1] = (deadline, total, total)
         return CumulativeCurve(tuple(bps), deadline)
     if "named" in spec:
@@ -387,6 +413,7 @@ def _build_minimum(
             raise ValueError('"dying" needs equal-length "b" and "t" lists')
         _positive(amounts, "battery.dying.b[{}]")
         _increasing(times, "battery.dying.t[{}]", deadline)
+        _finite_total(amounts, "battery.dying.b")
         return from_packet_arrivals(list(zip(times, amounts)), deadline)
     raise ValueError(f'"battery" has no known kind, got {sorted(spec)!r}')
 
@@ -459,7 +486,8 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> dict:
         solution = solve_broadcast(
             BroadcastProblem(n1, n2, mu1, mu2, harvested=harvested, minimum=minimum)
         )
-        string, rate, total_data = solution.string, solution.rate, solution.weighted_sum
+        string, rate = solution.string, solution.rate
+        total_data = _priced(solution.weighted_sum, "broadcast.n1")
         fields = {
             "user1_schedule": solution.user1_schedule,
             "user2_schedule": solution.user2_schedule,
@@ -470,7 +498,10 @@ def _solve_corridor(scenario: dict, resolution: int, verify: bool) -> dict:
     else:
         rate = _build_rate(scenario.get("rate"))
         string = taut_string(harvested, minimum)
-        total_data, fields = throughput(string.schedule, rate), {}
+        # an overflow of the rate is refused by name, not warned of
+        with np.errstate(over="ignore"):
+            total_data = _priced(throughput(string.schedule, rate), "rate.noise")
+        fields = {}
     uppers = [c.time for c in string.contacts if c.kind == "upper"]
     departure = max(uppers) if uppers else None
     schedule = string.schedule
@@ -511,6 +542,7 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
     deadline = _deadline(scenario)
     packets = _timed(harvest["packets"], "harvest.packets", "e", deadline)
     _positive(map(itemgetter(1), packets), "harvest.packets[{}].e")
+    _finite_total(map(itemgetter(1), packets), "harvest.packets")
     if not packets:
         raise ValueError('"harvest.packets" must hold a packet in leakage mode')
     if packets[0][0] != 0.0:
@@ -528,18 +560,29 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
         deadline=deadline,
         rate=_build_rate(scenario.get("rate")),
     )
-    solution = solve_n_packet(problem)
+    try:
+        # an overflow of the rate is refused by name, not warned of
+        with np.errstate(over="ignore"):
+            solution = solve_n_packet(problem)
+            # after the solve, only the upfront problem is new
+            comparison = compare_ST_NT(problem) if deadline is not None else None
+    except ValueError as exc:
+        # the block powers never fall from one block to the next, so one
+        # that is not finite is the last block's, which ends at the deadline
+        if "has a power that is not finite" not in str(exc):
+            raise
+        raise ValueError(f'"deadline" {deadline!r} is too soon: {exc}') from None
+    _priced(solution.total_data, "rate.noise")
     trace = simulate(solution.schedule, problem)
     fields = {
         "block_powers": solution.block_powers,
         "block_boundaries": solution.block_boundaries,
         "infeasible_at": trace.infeasible_at,
     }
-    if problem.deadline is not None:
-        # d_nt is this solution's data: only the upfront problem is new
+    if comparison is not None:
         fields["comparison"] = {
-            "d_nt": solution.total_data,
-            "d_st": _upfront_data(problem),
+            "d_nt": comparison.d_nt,
+            "d_st": _priced(comparison.d_st, "rate.noise"),
             # the sufficient condition is the case of one block
             "sufficient_condition": len(solution.block_boundaries) == 2,
         }

@@ -563,13 +563,51 @@ def _largest_excess(a: PiecewiseCurve, b: PiecewiseCurve) -> tuple[float, float 
     """The largest excess of ``b`` over ``a`` at the left and right limits of
     :func:`_merged_limits`, and the first time it is reached (the left limit
     first, and ``a``'s time where both curves share one); ``(0.0, None)``
-    when ``b`` never exceeds ``a``."""
+    when ``b`` never exceeds ``a``.
+
+    The walk is :func:`_merged_limits`' own, written out so that a time
+    costs no tuple: where one curve has no breakpoint, its value is the
+    same interpolation, and its two limits are that one value.
+    """
+    inf = math.inf
+    end = ((inf, 0.0, 0.0),)
+    abps = a.breakpoints + end
+    bbps = b.breakpoints + end
+    ta, al, ar = abps[0]
+    tb, bl, br = bbps[0]
+    ta0 = tb0 = va0 = vb0 = 0.0
+    i = j = 1
     most, at = 0.0, None
-    for t, al, ar, bl, br in _merged_limits(a, b):
-        if bl - al > most:
-            most, at = bl - al, t
-        if br - ar > most:
-            most, at = br - ar, t
+    while ta < inf:
+        if ta < tb:
+            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
+            if v - al > most:
+                most, at = v - al, ta
+            if v - ar > most:
+                most, at = v - ar, ta
+            ta0, va0 = ta, ar
+            ta, al, ar = abps[i]
+            i += 1
+        elif tb < ta:
+            v = va0 + (al - va0) * (tb - ta0) / (ta - ta0)
+            if bl - v > most:
+                most, at = bl - v, tb
+            if br - v > most:
+                most, at = br - v, tb
+            tb0, vb0 = tb, br
+            tb, bl, br = bbps[j]
+            j += 1
+        else:
+            if bl - al > most:
+                most, at = bl - al, ta
+            if br - ar > most:
+                most, at = br - ar, ta
+            ta0, va0 = ta, ar
+            tb0, vb0 = tb, br
+            ta, al, ar = abps[i]
+            tb, bl, br = bbps[j]
+            i += 1
+            j += 1
     return most, at
 
 

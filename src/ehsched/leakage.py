@@ -54,7 +54,10 @@ UNBOUNDED = None
 
 @dataclass(frozen=True)
 class LeakageProblem:
-    """Energy packets, a leak rate, a deadline (or UNBOUNDED), and a rate."""
+    """Energy packets, a leak rate, a deadline (or UNBOUNDED), and a rate.
+
+    Frozen, so its total energy and its :func:`solve_n_packet` solution are
+    each computed once, on first use."""
 
     packets: tuple[tuple[float, float], ...]
     epsilon: float
@@ -106,6 +109,11 @@ class LeakageProblem:
     @cached_property
     def total_energy(self) -> float:
         return sum(e for _, e in self.packets)
+
+    @cached_property
+    def _solution(self) -> LeakageSolution:
+        # a refusal raises out of the property and is not cached
+        return _solve_n_packet(self)
 
 
 @dataclass(frozen=True)
@@ -274,8 +282,16 @@ def solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
     gaps appear only where the battery has emptied before the next arrival),
     and the battery is empty at each block boundary.  Raises ``ValueError``
     when a block's power is not finite (its energy over its length
-    overflows).
+    overflows), on every call.
+
+    A problem is solved once: later calls on the same problem object return
+    the same solution object.
     """
+    return problem._solution
+
+
+def _solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
+    """The solve behind :func:`solve_n_packet`, run once per problem."""
     p_opt = p_star(problem.rate, problem.epsilon)
     eps = problem.epsilon
     packets = problem.packets
@@ -480,17 +496,14 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
 
 def compare_ST_NT(problem: LeakageProblem) -> ThroughputComparison:
     """Data achievable with the given arrival times versus with the same
-    total energy all available at t=0 (which is never worse)."""
+    total energy all available at t=0 (which is never worse).  ``d_nt`` is
+    the problem's own solution, so after :func:`solve_n_packet` only the
+    one-packet upfront problem is solved."""
     if problem.deadline is None:
         raise ValueError("the comparison is defined for bounded deadlines")
     d_nt = solve_n_packet(problem).total_data
-    return ThroughputComparison(d_nt=d_nt, d_st=_upfront_data(problem))
-
-
-def _upfront_data(problem: LeakageProblem) -> float:
-    """Best data with the problem's total energy all available at t=0."""
     upfront = replace(problem, packets=((0.0, problem.total_energy),))
-    return solve_n_packet(upfront).total_data
+    return ThroughputComparison(d_nt=d_nt, d_st=solve_n_packet(upfront).total_data)
 
 
 def drain_bound(problem: LeakageProblem) -> float:

@@ -37,7 +37,7 @@ from ehsched import (
     solar_harvest_rate,
     zero_curve,
 )
-from ehsched.curves import corridor_gates
+from ehsched.curves import _merged_limits, corridor_gates
 from ehsched.leakage import _decompose_blocks
 
 RATE1 = awgn_rate(1.0)
@@ -134,7 +134,8 @@ def chord_certificate(
 # (curves._merged_limits), and check_feasible reads the spent curve against
 # each envelope in its own walk; these are the earlier versions, which
 # evaluate every curve one point at a time at the merged breakpoints of all
-# of them.  They must agree with the library exactly.
+# of them, and the walk of check_feasible that read the merged walk's
+# tuples.  They must agree with the library exactly.
 
 
 def pointwise_min_energy_from_battery(
@@ -206,6 +207,19 @@ def pointwise_corridor_gates(
         gates.append((t, min(lo, hi, end_value), hi))
     gates.append((T, end_value, end_value))
     return gates, end_value
+
+
+def reference_largest_excess(a: PiecewiseCurve, b: PiecewiseCurve) -> tuple[float, float | None]:
+    """The largest excess of ``b`` over ``a`` and the first time it is
+    reached, read from the ``(t, a(t^-), a(t), b(t^-), b(t))`` tuples of
+    ``curves._merged_limits``, left limit first."""
+    most, at = 0.0, None
+    for t, al, ar, bl, br in _merged_limits(a, b):
+        if bl - al > most:
+            most, at = bl - al, t
+        if br - ar > most:
+            most, at = br - ar, t
+    return most, at
 
 
 def pointwise_check_feasible(

@@ -616,6 +616,26 @@ _BROADCAST = {
         ({**_P2P, "rate": {"type": "awgn", "noise": 0}}, '"rate.noise"'),
         ({**_BROADCAST, "broadcast": {"n1": 3, "n2": 1, "mu1": 1, "mu2": 2}}, '"broadcast.n2"'),
         ({**_BROADCAST, "broadcast": {"n1": 1, "n2": 3, "mu1": -1, "mu2": 2}}, '"broadcast.mu1"'),
+        # a noise so small that the rate divides a power by it to infinity;
+        # the smallest normal float is no bound: 4 over 2.3e-308 is finite
+        (
+            {**_P2P, "harvest": {"packets": [{"t": 0, "e": 4}]}, "rate": {"type": "awgn", "noise": 5e-324}},
+            '"rate.noise"',
+        ),
+        (
+            {**_BROADCAST, "broadcast": {"n1": 5e-324, "n2": 3, "mu1": 1, "mu2": 2}},
+            '"broadcast.n1"',
+        ),
+        # totals and powers that overflow
+        ({**_P2P, "harvest": {"samples": [1e308, 1e308]}}, '"harvest.samples"'),
+        (
+            {**_P2P, "harvest": {"packets": [{"t": 0, "e": 1e308}, {"t": 1, "e": 1e308}]}},
+            '"harvest.packets"',
+        ),
+        (
+            {**_LEAKY, "deadline": 1e-300, "harvest": {"packets": [{"t": 0, "e": 1e300}]}},
+            '"deadline"',
+        ),
     ],
     ids=[
         "late-schedule",
@@ -633,10 +653,17 @@ _BROADCAST = {
         "zero-noise",
         "noise-order",
         "negative-weight",
+        "subnormal-noise",
+        "subnormal-broadcast-noise",
+        "overflowing-samples",
+        "overflowing-packets",
+        "overflowing-block-power",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_refusals_name_their_field(tmp_path, capsys, payload, field):
-    # each was refused by the library, in a message that named no field
+    # each was refused by the library, or by the report writer, in a message
+    # that named no field; none warns on the way
     assert run(tmp_path, "verify", write_scenario(tmp_path, payload)) == 1
     assert field in capsys.readouterr().err
 

@@ -17,11 +17,13 @@ from conftest import (
     pointwise_corridor_gates,
     pointwise_min_energy_from_battery,
     random_corridor,
+    reference_largest_excess,
     solar_harvested_energy,
 )
 from ehsched import (
     DEFAULT_TOL,
     BatterySchedule,
+    BroadcastProblem,
     CumulativeCurve,
     InfeasibleError,
     PiecewiseCurve,
@@ -34,6 +36,7 @@ from ehsched import (
     min_energy_from_battery,
     random_feasible_schedule,
     solar_harvest_rate,
+    solve_broadcast,
     taut_string,
     zero_curve,
 )
@@ -507,6 +510,21 @@ def test_shortfall_detected():
     floor = from_packet_arrivals([(-0.0, 1.0)], 4.0)
     report = check_feasible(PowerSchedule.constant(0.5, 4.0), floor, harvested)
     assert (report.max_shortfall, repr(report.shortfall_time)) == (1.0, "0.0")
+    _assert_walk_matches(PowerSchedule.constant(0.5, 4.0), floor, harvested)
+
+
+def test_excess_read_at_both_limits_of_a_step_within_the_slack():
+    # a curve may step down by less than its slack; where the other curve
+    # has no breakpoint, the walk reads the excess at both limits of the step
+    line = PowerSchedule.constant(1.0, 2.0)
+    harvested = CumulativeCurve(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0 - 1e-10), (2.0, 2.0, 2.0)), 2.0)
+    report = check_feasible(line, zero_curve(2.0), harvested)
+    assert (report.max_overdraw, report.overdraw_time) == (1.0 - (1.0 - 1e-10), 1.0)
+    floor = CumulativeCurve(((0.0, 0.0, 0.0), (1.0, 1.0 + 1e-10, 1.0), (2.0, 1.0, 1.0)), 2.0)
+    report = check_feasible(line, floor, from_packet_arrivals([(0.0, 4.0)], 2.0))
+    assert (report.max_shortfall, report.shortfall_time) == ((1.0 + 1e-10) - 1.0, 1.0)
+    _assert_walk_matches(line, zero_curve(2.0), harvested)
+    _assert_walk_matches(line, floor, from_packet_arrivals([(0.0, 4.0)], 2.0))
 
 
 def test_check_feasible_mismatched_horizons():
@@ -652,6 +670,16 @@ def _assert_corridor_matches(harvested, minimum, schedules=()):
         assert check_feasible(schedule, minimum, harvested) == (
             pointwise_check_feasible(schedule, minimum, harvested)
         )
+        _assert_walk_matches(schedule, minimum, harvested)
+
+
+def _assert_walk_matches(schedule, minimum, harvested):
+    """``check_feasible`` gives the report, to the sign of a zero, that it
+    gave when its walk read the tuples of ``_merged_limits``."""
+    report = repr(check_feasible(schedule, minimum, harvested))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ehsched.curves._largest_excess", reference_largest_excess)
+        assert report == repr(check_feasible(schedule, minimum, harvested))
 
 
 def _scaled_powers(schedule: PowerSchedule, factor) -> PowerSchedule:
@@ -746,6 +774,64 @@ def test_sampled_helpers_match_references_on_capped_trains():
             rival = random_feasible_schedule(harvested, floor, seed=n)
             schedules = [string, rival, *_near_schedules(rng, string, rival)]
             _assert_corridor_matches(harvested, minimum, schedules)
+
+
+def test_feasibility_walk_matches_reference_on_random_corridors():
+    rng = random.Random(9)
+    for seed in range(1500):
+        harvested, minimum = random_corridor(seed)
+        T = harvested.horizon
+        string = taut_string(harvested, minimum).schedule
+        end = harvested.eval_left(T)
+        for schedule in (
+            string,
+            _scaled_powers(string, lambda: rng.uniform(0.97, 1.03)),
+            PowerSchedule.constant(2.0 * end / T, 0.5 * T),
+        ):
+            _assert_walk_matches(schedule, minimum, harvested)
+
+
+#: The benchmark's corridor-ladder sizes: 256 to 4096 in steps of 2^(1/4).
+LADDER = tuple(round(256 * 2 ** (k / 4)) for k in range(17))
+
+
+def _ladder_train(rng: random.Random, n: int) -> CumulativeCurve:
+    t, packets = 0.0, []
+    for _ in range(n):
+        packets.append((t, rng.uniform(0.3, 3.0)))
+        t += rng.uniform(0.3, 2.0)
+    return from_packet_arrivals(packets, t + rng.uniform(0.5, 2.0))
+
+
+def test_feasibility_walk_matches_reference_on_ladders():
+    # the ladder's five corridor families, each with its solver's schedule
+    # and that schedule's powers scaled off the corridor
+    rng = random.Random(10)
+    for n in LADDER:
+        train = _ladder_train(rng, n)
+        T = train.horizon
+        capped = min_energy_from_battery(
+            train, BatterySchedule.constant(max(r - l for _, l, r in train.breakpoints) + 0.5, T)
+        )
+        broadcast = _ladder_train(rng, n)
+        total = solve_broadcast(BroadcastProblem(1.0, 3.0, 1.0, 2.0, broadcast))
+        deaths = [0.0]
+        for _ in range(n):
+            deaths.append(deaths[-1] + rng.uniform(0.5, 2.0))
+        amounts = [rng.uniform(0.5, 3.0) for _ in range(n)]
+        solar = integrate_rate(solar_harvest_rate, 18.0, n)
+        for harvested, minimum, schedule in (
+            (train, zero_curve(T), taut_string(train).schedule),
+            (train, capped, taut_string(train, capped).schedule),
+            (*dying_battery_scenario(amounts, deaths[1:]), None),
+            (broadcast, zero_curve(broadcast.horizon), total.total_schedule),
+            (solar, zero_curve(18.0), taut_string(solar).schedule),
+        ):
+            if schedule is None:
+                schedule = taut_string(harvested, minimum).schedule
+            _assert_walk_matches(schedule, minimum, harvested)
+            scaled = _scaled_powers(schedule, lambda: rng.uniform(0.97, 1.03))
+            _assert_walk_matches(scaled, minimum, harvested)
 
 
 def _random_stairs_and_ramps(rng: random.Random, times, scale: float, at_zero: float):

@@ -617,10 +617,51 @@ def test_upfront_energy_never_sends_less(problem):
 
 
 def test_overflowing_block_power_is_refused():
-    # 1e300 over 1e-10 overflows the block's average power
+    # 1e300 over 1e-10 overflows the block's average power, on every call:
+    # a refusal is not cached
     problem = LeakageProblem(((0.0, 1e300),), 0.5, 1e-10, RATE1)
-    with pytest.raises(ValueError, match=r"block 0 .* power that is not finite: inf"):
-        solve_n_packet(problem)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"block 0 .* power that is not finite: inf"):
+            solve_n_packet(problem)
+
+
+# --------------------------------------------------------------------------
+# one solve per problem
+
+
+def _count_solves(monkeypatch) -> list:
+    """The problems the solve body runs on, from now on."""
+    solved = []
+    solve = leakage._solve_n_packet
+    monkeypatch.setattr(leakage, "_solve_n_packet", lambda p: solved.append(p) or solve(p))
+    return solved
+
+
+def test_a_problem_is_solved_once(monkeypatch):
+    solved = _count_solves(monkeypatch)
+    problem = leaky_train(50)
+    solution = solve_n_packet(problem)
+    assert solve_n_packet(problem) is solution
+    assert solved == [problem]
+    # a replaced problem, even an equal one, is another object, solved
+    # afresh to equal bits
+    again = replace(problem)
+    assert again == problem and solve_n_packet(again) is not solution
+    assert solve_n_packet(again) == solution
+    assert len(solved) == 2
+
+
+def test_comparison_after_a_solve_solves_only_the_upfront_problem(monkeypatch):
+    solved = _count_solves(monkeypatch)
+    problem = leaky_train(50)
+    solution = solve_n_packet(problem)
+    cmp = compare_ST_NT(problem)
+    assert cmp.d_nt == solution.total_data
+    assert len(solved) == 2 and solved[0] is problem
+    assert solved[1].packets == ((0.0, problem.total_energy),)
+    # the upfront problem comes from replace, so each comparison solves it
+    assert compare_ST_NT(problem) == cmp
+    assert len(solved) == 3
 
 
 @pytest.mark.parametrize(
