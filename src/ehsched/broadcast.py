@@ -155,22 +155,25 @@ def solve_broadcast(problem: BroadcastProblem) -> BroadcastSolution:
     effective = composite_rate(*weights)
     string = taut_string(problem.harvested, problem.minimum)
 
-    user1_segments = []
-    user2_segments = []
+    schedule = string.schedule
+    starts, ends = schedule.starts, schedule.ends
+    user1_powers = []
+    user2_powers = []
     data1 = 0.0
     data2 = 0.0
-    for t0, t1, power in string.schedule.segments:
+    for t0, t1, power in zip(starts, ends, schedule.powers):
         p1, p2 = split_power(power, threshold)
-        user1_segments.append((t0, t1, p1))
-        user2_segments.append((t0, t1, p2))
+        user1_powers.append(p1)
+        user2_powers.append(p2)
         dt = t1 - t0
         data1 += dt * 0.5 * math.log2(1.0 + p1 / problem.noise1)
         data2 += dt * 0.5 * math.log2(1.0 + p2 / (p1 + problem.noise2))
     return BroadcastSolution(
-        total_schedule=string.schedule,
-        # split from a validated schedule, so only the powers need a check
-        user1_schedule=PowerSchedule._derived(tuple(user1_segments)),
-        user2_schedule=PowerSchedule._derived(tuple(user2_segments)),
+        total_schedule=schedule,
+        # split from a validated schedule, on its times: only the powers
+        # need a check
+        user1_schedule=PowerSchedule._derived(starts, ends, tuple(user1_powers)),
+        user2_schedule=PowerSchedule._derived(starts, ends, tuple(user2_powers)),
         user1_data=data1,
         user2_data=data2,
         weighted_sum=problem.mu1 * data1 + problem.mu2 * data2,

@@ -29,7 +29,8 @@ deadline, and a bounded leakage deadline comes after the last packet.
 linearly interpolated in between.  The harvest and the ``dying`` amounts add
 up to a finite energy, a bounded leakage deadline leaves every block a finite
 power, and the data priced at ``noise`` or ``n1`` is finite: a subnormal
-noise can divide a power to infinity.
+noise can divide a power to infinity.  ``epsilon`` leaves the best transmit
+power ``p_star`` at or below 1e30, the bracket of its search.
 
 ``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
 additionally checks that the schedule is feasible and that its data is within
@@ -569,9 +570,16 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
     except ValueError as exc:
         # the block powers never fall from one block to the next, so one
         # that is not finite is the last block's, which ends at the deadline
-        if "has a power that is not finite" not in str(exc):
-            raise
-        raise ValueError(f'"deadline" {deadline!r} is too soon: {exc}') from None
+        if "has a power that is not finite" in str(exc):
+            raise ValueError(f'"deadline" {deadline!r} is too soon: {exc}') from None
+        # the AWGN rate is strictly concave, so p_star's search fails only
+        # where the leak drives the best power past its bracket
+        if "no efficiency maximum below 1e30" in str(exc):
+            raise ValueError(
+                f'"epsilon" {epsilon!r} is too large for the rate: its best '
+                "transmit power p_star lies above 1e30, where the search for it stops"
+            ) from None
+        raise
     _priced(solution.total_data, "rate.noise")
     trace = simulate(solution.schedule, problem)
     fields = {
@@ -645,13 +653,14 @@ class _Table(tuple):
 
 def _schema_object(o) -> dict:
     """A report's library object as the object ``REPORT_SCHEMA`` names, its
-    rows read straight from the object's tuples."""
+    rows read straight from the object's columns."""
     if isinstance(o, PowerSchedule):
-        segments = chain.from_iterable(map(itemgetter(2, 1, 0), o.segments))
+        segments = chain.from_iterable(zip(o.powers, o.ends, o.starts))
         rows = _Table((("power", "t_end", "t_start"), segments))
         return {"segments": rows, "end_time": o.end_time, "total_energy": o.total_energy}
     if isinstance(o, PiecewiseCurve):
-        rows = _Table((("t", "v_left", "v_right"), chain.from_iterable(o.breakpoints)))
+        values = chain.from_iterable(zip(o.times, o.left, o.right))
+        rows = _Table((("t", "v_left", "v_right"), values))
         return {"horizon": o.horizon, "breakpoints": rows}
     return {"time": o.time, "value": o.value, "kind": o.kind}
 
@@ -744,17 +753,14 @@ def _json_text(obj) -> str:
 
 def _csv_text(report: dict) -> str:
     schedules = [
-        report[key].segments
-        for key in ("schedule", "user1_schedule", "user2_schedule")
-        if key in report
+        report[key] for key in ("schedule", "user1_schedule", "user2_schedule") if key in report
     ]
     header = ("t_start", "t_end", "power", "power_user1", "power_user2")
     lines = [",".join(header[: 2 + len(schedules)])]
     # "%.12g" formats a float as f"{v:.12g}" does; other schedules add powers
     template = ",".join(["%.12g"] * (2 + len(schedules)))
-    rows = schedules[0]
-    if len(schedules) > 1:
-        rows = [(*seg, *[s[2] for s in rest]) for seg, *rest in zip(*schedules)]
+    first = schedules[0]
+    rows = zip(first.starts, first.ends, *(s.powers for s in schedules))
     lines += map(template.__mod__, rows)
     return "\n".join(lines) + "\n"
 
@@ -769,7 +775,7 @@ def _svg_path(curve: PiecewiseCurve, horizon: float, vmax: float) -> str:
     left, bottom = _SVG_MARGIN, _SVG_HEIGHT - _SVG_MARGIN
     xspan, yspan = _SVG_WIDTH - 2 * _SVG_MARGIN, _SVG_HEIGHT - 2 * _SVG_MARGIN
     coords = []
-    for t, vl, vr in curve.breakpoints:
+    for t, vl, vr in zip(curve.times, curve.left, curve.right):
         x = left + (t / horizon) * xspan
         coords += (x, bottom - (vl / vmax) * yspan)
         if vr != vl:
@@ -781,8 +787,7 @@ def _svg_text(report: dict) -> str:
     width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN
     curves = report["curves"]
     horizon = max(c.horizon for c in curves.values())
-    bps = [c.breakpoints for c in curves.values()]
-    vmax = max(1e-9, *(max(map(itemgetter(col), b)) for b in bps for col in (1, 2)))
+    vmax = max(1e-9, *(max(col) for c in curves.values() for col in (c.left, c.right)))
 
     def to_xy(t: float, v: float) -> tuple[float, float]:
         x = margin + (t / horizon) * (width - 2 * margin)

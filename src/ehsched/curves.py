@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -48,51 +46,93 @@ class InfeasibleError(ValueError):
     """No feasible spending curve exists for the given constraints."""
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """The rows of an object's three float columns, as a tuple of 3-tuples,
+    built on first read and kept in the object's ``__dict__``, where later
+    reads find them first.  ``functools.cached_property`` does the same
+    under a lock, which took 0.7 of the 1.1 µs of a first read of a
+    two-breakpoint curve (Python 3.11)."""
+
+    def __init__(self, *columns: str) -> None:
+        self.columns = columns
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        fields = obj.__dict__
+        a, b, c = self.columns
+        # through a list, which tuple() copies at once: from the iterator
+        # it grows the tuple in steps, about a fifth slower
+        rows = fields[self.name] = tuple([*zip(fields[a], fields[b], fields[c])])
+        return rows
+
+
+@dataclass(frozen=True, init=False)
 class PiecewiseCurve:
     """A piecewise-linear function on [0, horizon] with upward/downward jumps.
 
-    ``breakpoints`` is an ordered tuple of ``(t, v_left, v_right)``.  Between
-    breakpoints the curve interpolates linearly from one breakpoint's
-    ``v_right`` to the next one's ``v_left``.
+    The curve is kept as three float columns of one length: ``times``, which
+    strictly increase from 0 to the horizon, and the values ``left`` (the
+    left limit ``v(t^-)``) and ``right`` (``v(t)``) at each of them.  Between
+    breakpoints the curve interpolates linearly from one breakpoint's right
+    value to the next one's left value.  The constructor takes the rows
+    ``breakpoints``, an ordered sequence of ``(t, v_left, v_right)``, and
+    checks them; the ``breakpoints`` attribute gives those rows back as
+    float tuples, built from the columns on first read and kept.
     """
 
-    breakpoints: tuple[tuple[float, float, float], ...]
+    times: tuple[float, ...]
+    left: tuple[float, ...]
+    right: tuple[float, ...]
     horizon: float
 
-    def __post_init__(self) -> None:
-        bps = tuple(
-            (float(t), float(vl), float(vr)) for t, vl, vr in self.breakpoints
-        )
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "horizon", float(self.horizon))
+    #: the rows ``(t, v_left, v_right)``
+    breakpoints = _Rows("times", "left", "right")
+
+    def __init__(self, breakpoints, horizon: float) -> None:
+        bps = tuple((float(t), float(vl), float(vr)) for t, vl, vr in breakpoints)
+        horizon = float(horizon)
+        times, left, right = zip(*bps) if bps else ((), (), ())
+        # frozen: the fields go into the instance dict, past __setattr__
+        self.__dict__.update(times=times, left=left, right=right, horizon=horizon)
+        self._check()
+
+    def _check(self) -> None:
+        """The constructor's checks, on the columns."""
+        times = self.times
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if len(bps) < 2:
+        if len(times) < 2:
             raise ValueError("a curve needs breakpoints at 0 and at the horizon")
-        if bps[0][0] != 0.0:
-            raise ValueError(f"first breakpoint must be at t=0, got t={bps[0][0]}")
-        if bps[-1][0] != self.horizon:
+        if times[0] != 0.0:
+            raise ValueError(f"first breakpoint must be at t=0, got t={times[0]}")
+        if times[-1] != self.horizon:
             raise ValueError(
                 f"last breakpoint must be at the horizon {self.horizon}, "
-                f"got t={bps[-1][0]}"
+                f"got t={times[-1]}"
             )
-        for (t0, _, _), (t1, _, _) in zip(bps, bps[1:]):
+        for t0, t1 in zip(times, times[1:]):
             if not t1 > t0:
                 raise ValueError(f"breakpoint times must strictly increase at t={t1}")
 
     @classmethod
-    def _trusted(cls, breakpoints, horizon: float):
-        """A curve from float breakpoints the library derived from curves or
+    def _trusted(cls, times, left, right, horizon: float):
+        """A curve from float columns the library derived from curves or
         schedules it has already validated, set without checking them again."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "breakpoints", breakpoints)
-        object.__setattr__(curve, "horizon", horizon)
+        curve.__dict__.update(times=times, left=left, right=right, horizon=horizon)
         return curve
 
-    @cached_property
-    def times(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(0), self.breakpoints))
+    @classmethod
+    def _checked(cls, times, left, right, horizon: float):
+        """A curve from float columns, with the constructor's checks and
+        messages."""
+        curve = cls._trusted(times, left, right, horizon)
+        curve._check()
+        return curve
 
     def eval(self, t: float) -> float:
         """Value at ``t`` (the right limit at a jump)."""
@@ -107,12 +147,13 @@ class PiecewiseCurve:
         if not -tol <= t <= self.horizon + tol:
             raise ValueError(f"t={t} outside the curve domain [0, {self.horizon}]")
         t = min(max(t, 0.0), self.horizon)
-        i = bisect_right(self.times, t) - 1
-        t0, vl0, v0 = self.breakpoints[i]
+        times = self.times
+        i = bisect_right(times, t) - 1
+        t0 = times[i]
         if t == t0:
-            return vl0 if left else v0
-        t1, v1, _ = self.breakpoints[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+            return self.left[i] if left else self.right[i]
+        v0 = self.right[i]
+        return v0 + (self.left[i + 1] - v0) * (t - t0) / (times[i + 1] - t0)
 
 
 def _merged_limits(a: PiecewiseCurve, b: PiecewiseCurve):
@@ -123,59 +164,53 @@ def _merged_limits(a: PiecewiseCurve, b: PiecewiseCurve):
     :meth:`PiecewiseCurve.eval`, so the values are bit-identical to
     ``eval_left`` and ``eval``, without their domain check, clamp and
     bisection.  At a time both curves share, ``t`` is ``a``'s (the one
-    ``merge_times`` keeps of 0.0 and -0.0).
+    ``merge_times`` keeps of 0.0 and -0.0).  The loop runs over ``a``'s
+    columns and reads ``b``'s by index as it passes them, with a sentinel
+    after the horizon: cheaper to set up than a second ``zip`` on the short
+    corridors most checks see, and as fast on long ones.
     """
-    inf = math.inf
-    # sentinels after the horizon, where both walks end together
-    end = ((inf, 0.0, 0.0),)
-    abps = a.breakpoints + end
-    bbps = b.breakpoints + end
-    ta, al, ar = abps[0]
-    tb, bl, br = bbps[0]
+    bts, bls, brs = b.times + (math.inf,), b.left + (0.0,), b.right + (0.0,)
+    j = 0
+    tb, bl, br = bts[0], bls[0], brs[0]
     # both curves start at t=0, so the first step sets the pieces' starts
     ta0 = tb0 = va0 = vb0 = 0.0
-    i = j = 1
-    while ta < inf:
-        if ta < tb:
-            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
-            yield ta, al, ar, v, v
-            ta0, va0 = ta, ar
-            ta, al, ar = abps[i]
-            i += 1
-        elif tb < ta:
+    for ta, al, ar in zip(a.times, a.left, a.right):
+        while tb < ta:
             v = va0 + (al - va0) * (tb - ta0) / (ta - ta0)
             yield tb, v, v, bl, br
             tb0, vb0 = tb, br
-            tb, bl, br = bbps[j]
             j += 1
+            tb, bl, br = bts[j], bls[j], brs[j]
+        if ta < tb:
+            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
+            yield ta, al, ar, v, v
         else:
             yield ta, al, ar, bl, br
-            ta0, va0 = ta, ar
             tb0, vb0 = tb, br
-            ta, al, ar = abps[i]
-            tb, bl, br = bbps[j]
-            i += 1
             j += 1
+            tb, bl, br = bts[j], bls[j], brs[j]
+        ta0, va0 = ta, ar
 
 
 class CumulativeCurve(PiecewiseCurve):
     """A non-decreasing, non-negative :class:`PiecewiseCurve` with upward jumps
     and finite values."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        end = self.breakpoints[-1][2]
+    def _check(self) -> None:
+        super()._check()
+        times, left, right = self.times, self.left, self.right
+        end = right[-1]
         if not math.isfinite(end):
             raise ValueError(f"cumulative curve ends at a non-finite value {end}")
         slack = DEFAULT_TOL * max(1.0, abs(end))
-        for t, vl, vr in self.breakpoints:
+        for t, vl, vr in zip(times, left, right):
             # negated, so that NaN fails it; with a finite end value,
             # non-negative and non-decreasing values are all finite
             if not (vl >= -slack and vr >= -slack):
                 raise ValueError(f"cumulative curve is negative or NaN at t={t}")
             if vl > vr + slack:
                 raise ValueError(f"downward jump at t={t} ({vl} -> {vr})")
-        for (t0, _, v0), (t1, v1, _) in zip(self.breakpoints, self.breakpoints[1:]):
+        for t0, t1, v0, v1 in zip(times, times[1:], right, left[1:]):
             if v1 < v0 - slack:
                 raise ValueError(f"cumulative curve decreases on [{t0}, {t1}]")
 
@@ -189,7 +224,7 @@ class BatterySchedule(PiecewiseCurve):
         if not knots:
             raise ValueError("a battery profile needs knots at 0 and at the horizon")
         super().__init__(tuple((t, c, c) for t, c in knots), knots[-1][0])
-        for t, c, _ in self.breakpoints:
+        for t, c in zip(self.times, self.left):
             if not 0.0 <= c < math.inf:
                 raise ValueError(
                     f"battery capacity must be finite and non-negative at t={t}, got {c}"
@@ -200,15 +235,25 @@ class BatterySchedule(PiecewiseCurve):
         return cls(((0.0, capacity), (float(horizon), capacity)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSchedule:
-    """Piecewise-constant transmit power: contiguous ``(t_start, t_end, power)``."""
+    """Piecewise-constant transmit power, kept as three float columns of one
+    length: the segments' ``starts``, ``ends`` and ``powers``.  The segments
+    are contiguous, from t=0 to a finite end.  The constructor takes the
+    rows ``segments``, a sequence of ``(t_start, t_end, power)``, and checks
+    them; the ``segments`` attribute gives those rows back as float tuples,
+    built from the columns on first read and kept."""
 
-    segments: tuple[tuple[float, float, float], ...]
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
+    powers: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    #: the rows ``(t_start, t_end, power)``
+    segments = _Rows("starts", "ends", "powers")
+
+    def __init__(self, segments) -> None:
         segs = []
-        for t0, t1, p in self.segments:
+        for t0, t1, p in segments:
             t0, t1, p = float(t0), float(t1), float(p)
             if not -DEFAULT_TOL <= p < math.inf:
                 raise ValueError(
@@ -229,28 +274,28 @@ class PowerSchedule:
         for t0, t1, _ in segs:
             if not t1 > t0:
                 raise ValueError(f"empty segment at t={t0}")
-        object.__setattr__(self, "segments", tuple(segs))
+        starts, ends, powers = zip(*segs)
+        self.__dict__.update(starts=starts, ends=ends, powers=powers)
 
     @classmethod
-    def _trusted(cls, segments):
-        """A schedule from contiguous float segments the library derived
-        itself, from t=0 to a finite end at finite non-negative powers, set
-        without checking them again."""
+    def _trusted(cls, starts, ends, powers):
+        """A schedule from float columns the library derived itself:
+        contiguous segments from t=0 to a finite end at finite non-negative
+        powers, set without checking them again."""
         schedule = object.__new__(cls)
-        object.__setattr__(schedule, "segments", segments)
+        schedule.__dict__.update(starts=starts, ends=ends, powers=powers)
         return schedule
 
     @classmethod
-    def _derived(cls, segments):
-        """A schedule from contiguous float segments the library derived
-        itself, from t=0 to a finite end, with only the powers checked, in
-        one pass: where one is negative, infinite or NaN, the validating
+    def _derived(cls, starts, ends, powers):
+        """A schedule from float columns the library derived itself,
+        contiguous from t=0 to a finite end, with only the powers checked,
+        in one pass: where one is negative, infinite or NaN, the validating
         constructor clamps it or raises."""
-        powers = [p for _, _, p in segments]
         # a NaN or an infinite power makes the sum fail the test
         if min(powers) >= 0.0 and sum(powers) < math.inf:
-            return cls._trusted(segments)
-        return cls(segments)
+            return cls._trusted(starts, ends, powers)
+        return cls(zip(starts, ends, powers))
 
     @classmethod
     def constant(cls, power: float, duration: float) -> "PowerSchedule":
@@ -258,32 +303,35 @@ class PowerSchedule:
 
     @property
     def end_time(self) -> float:
-        return self.segments[-1][1]
+        return self.ends[-1]
 
     @property
     def total_energy(self) -> float:
-        return sum((t1 - t0) * p for t0, t1, p in self.segments)
+        return sum((t1 - t0) * p for t0, t1, p in zip(self.starts, self.ends, self.powers))
 
     def energy_curve(self, horizon: float | None = None) -> CumulativeCurve:
         """The continuous cumulative-energy curve induced by the schedule."""
-        horizon = self.end_time if horizon is None else float(horizon)
-        if not horizon >= self.end_time:
+        end = self.ends[-1]
+        horizon = end if horizon is None else float(horizon)
+        if not horizon >= end:
             raise ValueError(
-                f"horizon {horizon} shorter than the schedule, which ends at "
-                f"{self.end_time}"
+                f"horizon {horizon} shorter than the schedule, which ends at {end}"
             )
         if horizon == math.inf:
             raise ValueError(f"horizon must be finite, got {horizon}")
-        bps = [(0.0, 0.0, 0.0)]
+        values = [0.0]
         total = 0.0
-        for t0, t1, p in self.segments:
+        for t0, t1, p in zip(self.starts, self.ends, self.powers):
             total += (t1 - t0) * p
-            bps.append((t1, total, total))
+            values.append(total)
         if not math.isfinite(total):
             raise ValueError(f"the schedule spends a non-finite energy {total}")
-        if horizon > self.end_time:
-            bps.append((horizon, total, total))
-        return CumulativeCurve._trusted(tuple(bps), horizon)
+        times = (0.0,) + self.ends
+        if horizon > end:
+            times += (horizon,)
+            values.append(total)
+        values = tuple(values)
+        return CumulativeCurve._trusted(times, values, values, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -303,27 +351,39 @@ def from_packet_arrivals(
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
     packets = tuple(packets)
-    bps: list[tuple[float, float, float]] = []
+    # the staircase in columns: each packet's time, and the running total
+    # before and after it
+    times: list[float] = []
+    left: list[float] = []
+    right: list[float] = []
     total = 0.0
-    last = -math.inf
+    inf = math.inf
+    last = -inf
     for t, e in packets:
         t, e = float(t), float(e)
-        if not (last < t <= horizon and 0.0 <= t and 0.0 < e < math.inf):
+        if not (last < t <= horizon and 0.0 <= t and 0.0 < e < inf):
             _refuse_packets(packets, horizon)
-        bps.append((t, total, total + e))
+        times.append(t)
+        left.append(total)
         total += e
+        right.append(total)
         last = t
-    if not bps or bps[0][0] > 0.0:
-        bps.insert(0, (0.0, 0.0, 0.0))
-    if bps[-1][0] < horizon:
-        bps.append((horizon, total, total))
+    if not times or times[0] > 0.0:
+        times.insert(0, 0.0)
+        left.insert(0, 0.0)
+        right.insert(0, 0.0)
+    if times[-1] < horizon:
+        times.append(horizon)
+        left.append(total)
+        right.append(total)
+    times, left, right = tuple(times), tuple(left), tuple(right)
     if not (horizon > 0.0 and math.isfinite(total)):
         # the two checks the packets above do not cover, with the
         # constructor's messages
-        return CumulativeCurve(tuple(bps), horizon)
+        return CumulativeCurve._checked(times, left, right, horizon)
     # float times strictly increasing from 0 to the horizon, and a running
     # sum of positive energies that ends finite
-    return CumulativeCurve._trusted(tuple(bps), horizon)
+    return CumulativeCurve._trusted(times, left, right, horizon)
 
 
 def _refuse_packets(packets: tuple, horizon: float) -> None:
@@ -343,7 +403,9 @@ def _refuse_packets(packets: tuple, horizon: float) -> None:
 
 
 def zero_curve(horizon: float) -> CumulativeCurve:
-    return CumulativeCurve(((0.0, 0.0, 0.0), (float(horizon), 0.0, 0.0)), horizon)
+    horizon = float(horizon)
+    zeros = (0.0, 0.0)
+    return CumulativeCurve._checked((0.0, horizon), zeros, zeros, horizon)
 
 
 def integrate_rate(
@@ -369,7 +431,7 @@ def integrate_rate(
     subsamples = 32
     n = resolution * subsamples
     width = horizon / n
-    bps = [(0.0, 0.0, 0.0)]
+    times, values = [0.0], [0.0]
     total = cell = prev_v = 0.0
     for k in range(n + 1):
         t = horizon * k / n if k else 0.0
@@ -383,13 +445,15 @@ def integrate_rate(
             if k % subsamples == 0:
                 total += cell
                 cell = 0.0
-                bps.append((horizon * (k // subsamples) / resolution, total, total))
+                times.append(horizon * (k // subsamples) / resolution)
+                values.append(total)
         prev_v = v
     if not math.isfinite(total):
         raise ValueError(f"the harvest rate integrates to a non-finite {total}")
     # horizon * resolution / resolution can round away from the horizon
-    bps[-1] = (horizon, total, total)
-    return CumulativeCurve(tuple(bps), horizon)
+    times[-1], values[-1] = horizon, total
+    values = tuple(values)
+    return CumulativeCurve._checked(tuple(times), values, values, horizon)
 
 
 def min_energy_from_battery(
@@ -412,10 +476,11 @@ def min_energy_from_battery(
     a, h_left, h_right, _, capacity = next(walk)
     # the running maximum starts at >= 0, so comparing it with the unclamped
     # deficit is the same as comparing it with the clamped one
-    cur = max(h_left - capacity, 0.0)
+    left = max(h_left - capacity, 0.0)
     ua = h_right - capacity
-    bps = [(0.0, cur, max(cur, ua))]
-    cur = bps[0][2]
+    cur = max(left, ua)
+    # the floor in columns: time, left and right value
+    ts, ls, rs = [0.0], [left], [cur]
     for c, h_left, h_right, _, capacity in walk:
         uc = h_left - capacity
         if uc > cur:
@@ -423,16 +488,21 @@ def min_energy_from_battery(
                 # the deficit overtakes the running max inside the piece
                 tc = a + (c - a) * (cur - ua) / (uc - ua)
                 if a < tc < c:
-                    bps.append((tc, cur, cur))
+                    ts.append(tc)
+                    ls.append(cur)
+                    rs.append(cur)
             left = uc
         else:
             left = cur
         a, ua = c, h_right - capacity
-        cur = max(left, ua)
-        bps.append((c, left, cur))
+        # max(left, ua), in one comparison
+        cur = ua if ua > left else left
+        ts.append(c)
+        ls.append(left)
+        rs.append(cur)
     # a running maximum of differences of two validated curves: non-negative,
     # non-decreasing and finite
-    return CumulativeCurve._trusted(tuple(bps), harvested.horizon)
+    return CumulativeCurve._trusted(tuple(ts), tuple(ls), tuple(rs), harvested.horizon)
 
 
 def dying_battery_scenario(
@@ -525,7 +595,7 @@ def _corridor_walk(harvested: CumulativeCurve, minimum: CumulativeCurve):
             f"the floor forces {floor0:g} energy to be spent "
             "instantaneously at t=0"
         )
-    return walk, harvested.breakpoints[-1][1]
+    return walk, harvested.left[-1]
 
 
 def _refuse_pinch(t: float, hi: float, h_post: float, m_pre: float, lo: float) -> None:
@@ -569,45 +639,36 @@ def _largest_excess(a: PiecewiseCurve, b: PiecewiseCurve) -> tuple[float, float 
     costs no tuple: where one curve has no breakpoint, its value is the
     same interpolation, and its two limits are that one value.
     """
-    inf = math.inf
-    end = ((inf, 0.0, 0.0),)
-    abps = a.breakpoints + end
-    bbps = b.breakpoints + end
-    ta, al, ar = abps[0]
-    tb, bl, br = bbps[0]
+    bts, bls, brs = b.times + (math.inf,), b.left + (0.0,), b.right + (0.0,)
+    j = 0
+    tb, bl, br = bts[0], bls[0], brs[0]
     ta0 = tb0 = va0 = vb0 = 0.0
-    i = j = 1
     most, at = 0.0, None
-    while ta < inf:
-        if ta < tb:
-            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
-            if v - al > most:
-                most, at = v - al, ta
-            if v - ar > most:
-                most, at = v - ar, ta
-            ta0, va0 = ta, ar
-            ta, al, ar = abps[i]
-            i += 1
-        elif tb < ta:
+    for ta, al, ar in zip(a.times, a.left, a.right):
+        while tb < ta:
             v = va0 + (al - va0) * (tb - ta0) / (ta - ta0)
             if bl - v > most:
                 most, at = bl - v, tb
             if br - v > most:
                 most, at = br - v, tb
             tb0, vb0 = tb, br
-            tb, bl, br = bbps[j]
             j += 1
+            tb, bl, br = bts[j], bls[j], brs[j]
+        if ta < tb:
+            v = vb0 + (bl - vb0) * (ta - tb0) / (tb - tb0)
+            if v - al > most:
+                most, at = v - al, ta
+            if v - ar > most:
+                most, at = v - ar, ta
         else:
             if bl - al > most:
                 most, at = bl - al, ta
             if br - ar > most:
                 most, at = br - ar, ta
-            ta0, va0 = ta, ar
             tb0, vb0 = tb, br
-            ta, al, ar = abps[i]
-            tb, bl, br = bbps[j]
-            i += 1
             j += 1
+            tb, bl, br = bts[j], bls[j], brs[j]
+        ta0, va0 = ta, ar
     return most, at
 
 
@@ -663,7 +724,7 @@ def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
     with the constructor's messages: a horizon that is not positive, and grid
     times that do not strictly increase (a horizon too small for the grid).
     """
-    bps = [(0.0, 0.0, 0.0)]
+    times, values = [0.0], [0.0]
     last = 0.0
     increasing = True
     for k in range(1, resolution + 1):
@@ -679,7 +740,9 @@ def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
         else:
             s = t - 6.0
             e = (5.0 / 108.0) * s * s * (18.0 - s)
-        bps.append((t, e, e))
+        times.append(t)
+        values.append(e)
+    times, values = tuple(times), tuple(values)
     if not (increasing and horizon > 0.0):
-        return CumulativeCurve(tuple(bps), horizon)
-    return CumulativeCurve._trusted(tuple(bps), horizon)
+        return CumulativeCurve._checked(times, values, values, horizon)
+    return CumulativeCurve._trusted(times, values, values, horizon)

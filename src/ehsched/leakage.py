@@ -142,7 +142,10 @@ class LeakageTrace:
     ``t`` is ``usable(t) - transmitted(t)``.  ``infeasible_at`` is the first
     time the schedule demanded power from an empty battery (None if never);
     from that point on the excess demand is ignored so the trace stays
-    well-defined.
+    well-defined.  The three curves share one ``times`` column, and
+    ``transmitted`` and ``leaked`` each hold one tuple as both their
+    ``left`` and ``right`` columns (they are continuous); none builds its
+    ``breakpoints`` rows until they are read.
     """
 
     transmitted: CumulativeCurve
@@ -345,7 +348,8 @@ def _solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
                 powers.append(power)
             cur = end_t
         boundaries.append(end_t)
-    segments = tuple(zip(starts, starts[1:] + [cur], powers))
+    starts, powers = tuple(starts), tuple(powers)
+    ends = starts[1:] + (cur,)
 
     for k, (first, last, power, _, _) in enumerate(blocks):
         # a block power is at least p_star >= 0; an average that overflows
@@ -355,14 +359,16 @@ def _solve_n_packet(problem: LeakageProblem) -> LeakageSolution:
                 f"leakage block {k} (packets {first} to {last}) has a power "
                 f"that is not finite: {power!r}"
             )
-    if segments and math.isfinite(cur):
+    if starts and math.isfinite(cur):
         # contiguous from the first arrival at t=0, each piece non-empty, at
         # the finite block powers or idle
-        schedule = PowerSchedule._trusted(segments)
+        schedule = PowerSchedule._trusted(starts, ends, powers)
     else:
         # the constructor refuses an empty or endless schedule
-        schedule = PowerSchedule(segments)
-    transmit_duration = sum(t1 - t0 for t0, t1, p in schedule.segments if p > 0.0)
+        schedule = PowerSchedule(zip(starts, ends, powers))
+    transmit_duration = sum(
+        t1 - t0 for t0, t1, p in zip(schedule.starts, schedule.ends, schedule.powers) if p > 0.0
+    )
     return LeakageSolution(
         schedule=schedule,
         block_powers=tuple(block_powers),
@@ -385,8 +391,8 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     and leakage runs exactly while the battery holds charge.  Demand from an
     empty battery is recorded (first time only) and ignored rather than
     raised, so every schedule yields a complete trace.  The points are kept
-    in columns, one list per quantity, that are zipped into the three
-    curves.  With no deadline the trace ends when the charge left has
+    in columns, one list per quantity, that become the three curves' columns
+    with no row tuple.  With no deadline the trace ends when the charge left has
     leaked out; a ``ValueError`` is raised when that time overflows the
     float range (a leak such as ``epsilon=5e-324`` under an idle schedule).
     """
@@ -395,8 +401,8 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
     total = problem.total_energy
     tol = 1e-15 * max(1.0, total)
 
-    segments = schedule.segments
-    end = schedule.end_time
+    ends, powers = schedule.ends, schedule.powers
+    end = ends[-1]
     if problem.deadline is not None:
         horizon = max(problem.deadline, end)
     else:
@@ -404,7 +410,8 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
         horizon = max(end, packets[-1][0])
     if horizon > end:
         # silent after the schedule ends
-        segments += ((end, horizon, 0.0),)
+        ends += (horizon,)
+        powers += (0.0,)
     # the next arrival after t=0, from the packets and a sentinel after them
     arrivals = packets + ((math.inf, 0.0),)
     i = 1
@@ -412,16 +419,16 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
 
     cur = 0.0
     charge = harvested = packets[0][1]
-    # the points in columns: t, transmitted, leaked, and harvested after an
-    # arrival at t
-    ts, txs, lks, hs = [0.0], [0.0], [0.0], [harvested]
+    # the points in columns: t, transmitted, leaked, and the usable energy
+    # (harvested less leaked) before and after an arrival at t
+    ts, txs, lks, u_pre, u_post = [0.0], [0.0], [0.0], [0.0], [harvested]
     tx = 0.0
     lk = 0.0
     infeasible_at: float | None = None
 
     # the events are the segment ends and, inside each segment, the arrivals
     # before its end; every arrival comes by the horizon, the last end
-    for _, seg_end, power in segments:
+    for seg_end, power in zip(ends, powers):
         rate_out = power + eps
         while True:
             nxt = t_arrival if t_arrival < seg_end else seg_end
@@ -437,22 +444,27 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
                     ts.append(stop)
                     txs.append(tx)
                     lks.append(lk)
-                    hs.append(harvested)
+                    usable = harvested - lk
+                    u_pre.append(usable)
+                    u_post.append(usable)
                 cur = stop
             if cur < nxt:
                 if power > 1e-9 and nxt - cur > 1e-9 and infeasible_at is None:
                     infeasible_at = cur
                 charge = 0.0
                 cur = nxt
+            usable = harvested - lk
+            u_pre.append(usable)
             if nxt == t_arrival:
                 charge += energy
                 harvested += energy
                 i += 1
                 t_arrival, energy = arrivals[i]
+                usable = harvested - lk
+            u_post.append(usable)
             ts.append(nxt)
             txs.append(tx)
             lks.append(lk)
-            hs.append(harvested)
             if nxt == seg_end:
                 break
     if problem.deadline is None and charge > tol and eps > 0.0:
@@ -468,24 +480,16 @@ def simulate(schedule: PowerSchedule, problem: LeakageProblem) -> LeakageTrace:
             ts.append(horizon)
             txs.append(tx)
             lks.append(lk)
-            hs.append(harvested)
+            usable = harvested - lk
+            u_pre.append(usable)
+            u_post.append(usable)
 
     # the event loop only adds non-negative amounts and records strictly
     # increasing times from 0 to the horizon, so these curves need no checks
-    transmitted = CumulativeCurve._trusted(tuple(zip(ts, txs, txs)), horizon)
-    leaked = CumulativeCurve._trusted(tuple(zip(ts, lks, lks)), horizon)
-    # the harvest before an arrival is the one after the point before it
-    h_before = [0.0] + hs[:-1]
-    usable = PiecewiseCurve._trusted(
-        tuple(
-            zip(
-                ts,
-                [h - v for h, v in zip(h_before, lks)],
-                [h - v for h, v in zip(hs, lks)],
-            )
-        ),
-        horizon,
-    )
+    ts, txs, lks = tuple(ts), tuple(txs), tuple(lks)
+    transmitted = CumulativeCurve._trusted(ts, txs, txs, horizon)
+    leaked = CumulativeCurve._trusted(ts, lks, lks, horizon)
+    usable = PiecewiseCurve._trusted(ts, tuple(u_pre), tuple(u_post), horizon)
     return LeakageTrace(
         transmitted=transmitted,
         leaked=leaked,

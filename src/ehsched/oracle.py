@@ -262,10 +262,10 @@ def _inside(curve: PiecewiseCurve, t: float) -> float:
     """``curve.eval(t)`` at a time strictly inside one of its pieces, by the
     same interpolation, without ``eval``'s domain check and clamp: with
     ``eval`` here, certify-sweep ``op_ref_p50`` was about 8% slower."""
-    i = bisect_right(curve.times, t) - 1
-    t0, _, v0 = curve.breakpoints[i]
-    t1, v1, _ = curve.breakpoints[i + 1]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    times = curve.times
+    i = bisect_right(times, t) - 1
+    t0, v0 = times[i], curve.right[i]
+    return v0 + (curve.left[i + 1] - v0) * (t - t0) / (times[i + 1] - t0)
 
 
 def random_feasible_schedule(
@@ -299,7 +299,7 @@ def random_feasible_schedule(
         floor = end_value if end_value < floor else floor
         knots.insert(i, (t, floor, _inside(harvested, t)))
     # each comparison picks the value min or max would, ties included
-    segments = []
+    times, powers = [0.0], []
     t0 = v0 = 0.0
     for t1, floor, ceiling in knots:
         if end_value < ceiling:
@@ -308,9 +308,11 @@ def random_feasible_schedule(
         hi = lo if lo > ceiling else ceiling
         # uniform(lo, hi) to the bit
         v1 = lo + (hi - lo) * draw()
-        segments.append((t0, t1, (v1 - v0) / (t1 - t0)))
+        times.append(t1)
+        powers.append((v1 - v0) / (t1 - t0))
         t0, v0 = t1, v1
     # the gate times and the distinct random times that are none of them
     # strictly increase from 0 to the horizon: only the powers need checking
-    segments.append((t0, horizon, (end_value - v0) / (horizon - t0)))
-    return PowerSchedule._derived(tuple(segments))
+    times.append(horizon)
+    powers.append((end_value - v0) / (horizon - t0))
+    return PowerSchedule._derived(tuple(times[:-1]), tuple(times[1:]), tuple(powers))

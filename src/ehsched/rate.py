@@ -65,6 +65,5 @@ def throughput(schedule: PowerSchedule, rate: RateFunction) -> float:
     loop gives the same bits as one call per power), and the sum runs left
     to right.
     """
-    segments = schedule.segments
-    rates = np.asarray(rate(np.array([p for _, _, p in segments])), dtype=float)
-    return sum((t1 - t0) * r for (t0, t1, _), r in zip(segments, rates.tolist()))
+    rates = np.asarray(rate(np.array(schedule.powers)), dtype=float).tolist()
+    return sum((t1 - t0) * r for t0, t1, r in zip(schedule.starts, schedule.ends, rates))

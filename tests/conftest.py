@@ -468,7 +468,7 @@ def reference_usable(
         cum += e
     if horizon > bps[-1][0]:
         bps.append((horizon, cum, cum))
-    harvested = CumulativeCurve._trusted(tuple(bps), horizon)
+    harvested = CumulativeCurve._trusted(*zip(*bps), horizon)
     return tuple(
         (
             t,
@@ -542,11 +542,11 @@ def reference_simulate(schedule: PowerSchedule, problem: LeakageProblem) -> Leak
         record(horizon)
 
     transmitted = CumulativeCurve._trusted(
-        tuple((t, v, v) for t, v, _, _, _ in points), horizon
+        *zip(*((t, v, v) for t, v, _, _, _ in points)), horizon
     )
-    leaked = CumulativeCurve._trusted(tuple((t, v, v) for t, _, v, _, _ in points), horizon)
+    leaked = CumulativeCurve._trusted(*zip(*((t, v, v) for t, _, v, _, _ in points)), horizon)
     usable = PiecewiseCurve._trusted(
-        tuple((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points), horizon
+        *zip(*((t, h0 - v, h1 - v) for t, _, v, h0, h1 in points)), horizon
     )
     return LeakageTrace(transmitted, leaked, usable, infeasible_at)
 
@@ -655,19 +655,29 @@ def reference_dp_leakage_throughput(problem: LeakageProblem, grid: GridSpec) -> 
 
 
 def assert_rebuilds(curve) -> None:
-    """A curve the library built without checks holds only floats and equals
-    its rebuild through the validating constructor."""
+    """A curve the library built without checks holds three float tuples of
+    one length and equals its rebuild through the validating constructor
+    from its rows, with the same hash."""
     assert type(curve.horizon) is float
+    columns = (curve.times, curve.left, curve.right)
+    assert all(type(c) is tuple and len(c) == len(curve.times) for c in columns)
+    assert all(type(x) is float for c in columns for x in c)
     assert all(type(x) is float for bp in curve.breakpoints for x in bp)
-    assert type(curve)(curve.breakpoints, curve.horizon) == curve
+    rebuilt = type(curve)(curve.breakpoints, curve.horizon)
+    assert rebuilt == curve and hash(rebuilt) == hash(curve)
 
 
 def assert_schedule_rebuilds(schedule: PowerSchedule) -> None:
-    """A schedule the library built without checks holds only floats and
-    equals its rebuild through the validating constructor."""
+    """A schedule the library built without checks holds three float tuples
+    of one length and equals its rebuild through the validating constructor
+    from its rows, with the same hash."""
+    columns = (schedule.starts, schedule.ends, schedule.powers)
+    assert all(type(c) is tuple and len(c) == len(schedule.starts) for c in columns)
+    assert all(type(x) is float for c in columns for x in c)
     assert type(schedule.segments) is tuple
     assert all(type(x) is float for seg in schedule.segments for x in seg)
-    assert PowerSchedule(schedule.segments) == schedule
+    rebuilt = PowerSchedule(schedule.segments)
+    assert rebuilt == schedule and hash(rebuilt) == hash(schedule)
 
 
 def narrow_gate_train(n: int) -> tuple[list[tuple[float, float]], float]:

@@ -636,6 +636,9 @@ _BROADCAST = {
             {**_LEAKY, "deadline": 1e-300, "harvest": {"packets": [{"t": 0, "e": 1e300}]}},
             '"deadline"',
         ),
+        # a leak so large that the best power lies beyond p_star's bracket
+        # (the bounded case: test_huge_epsilon_is_refused_by_its_bracket)
+        ({**_LEAKY, "deadline": "unbounded", "epsilon": 1e33}, '"epsilon"'),
     ],
     ids=[
         "late-schedule",
@@ -658,6 +661,7 @@ _BROADCAST = {
         "overflowing-samples",
         "overflowing-packets",
         "overflowing-block-power",
+        "huge-epsilon-unbounded",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -666,6 +670,19 @@ def test_refusals_name_their_field(tmp_path, capsys, payload, field):
     # that named no field; none warns on the way
     assert run(tmp_path, "verify", write_scenario(tmp_path, payload)) == 1
     assert field in capsys.readouterr().err
+
+
+def test_huge_epsilon_is_refused_by_its_bracket(tmp_path, capsys):
+    # p_star's doubling search stops at 1e30: a leak of 1e31 puts the best
+    # power below it and verifies, 1e33 puts it above and is refused by name
+    scenario = {**_LEAKY, "deadline": 4, "harvest": {"packets": [{"t": 0, "e": 1}]}}
+    assert run(tmp_path, "verify", write_scenario(tmp_path, {**scenario, "epsilon": 1e31})) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "verify", write_scenario(tmp_path, {**scenario, "epsilon": 1e33})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: "epsilon" 1e+33 is too large')
+    assert "above 1e30" in err
+    assert "concave" not in err
 
 
 @pytest.mark.parametrize(
@@ -1128,15 +1145,18 @@ NUMBERS = (
     | st.floats(-1e9, 1e9)
     | st.integers(-5, 5)
 )
+def _columns(rows) -> tuple[tuple, tuple, tuple]:
+    """Rows of three values as three columns (three empty ones for none)."""
+    return tuple(zip(*rows)) or ((), (), ())
+
+
 LIBRARY_OBJECTS = (
     st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=5).map(
-        lambda segments: PowerSchedule._trusted(tuple(segments))
+        lambda segments: PowerSchedule._trusted(*_columns(segments))
     )
     | st.builds(
-        PiecewiseCurve._trusted,
-        st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=5).map(
-            tuple
-        ),
+        lambda rows, horizon: PiecewiseCurve._trusted(*_columns(rows), horizon),
+        st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=5),
         NUMBERS,
     )
     | st.builds(Contact, NUMBERS, NUMBERS, TEXT)
@@ -1183,7 +1203,7 @@ def test_csv_template_matches_per_value_format(schedules):
     keys = ("schedule", "user1_schedule", "user2_schedule")
     report = {
         key: PowerSchedule._trusted(
-            tuple((d["t_start"], d["t_end"], d["power"]) for d in s)
+            *_columns((d["t_start"], d["t_end"], d["power"]) for d in s)
         )
         for key, s in zip(keys, schedules)
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    RATE1,
     assert_rebuilds,
     assert_schedule_rebuilds,
+    leaky_train,
     narrow_gate_train,
     pointwise_check_feasible,
     pointwise_corridor_gates,
@@ -28,16 +31,23 @@ from ehsched import (
     InfeasibleError,
     PiecewiseCurve,
     PowerSchedule,
+    LeakageProblem,
     check_feasible,
+    compare_ST_NT,
+    dual_bound,
     dying_battery_scenario,
     from_packet_arrivals,
     integrate_rate,
     merge_times,
     min_energy_from_battery,
+    optimality_certificate,
     random_feasible_schedule,
+    simulate,
     solar_harvest_rate,
     solve_broadcast,
+    solve_n_packet,
     taut_string,
+    throughput,
     zero_curve,
 )
 from ehsched.curves import corridor_gates
@@ -636,6 +646,147 @@ def test_trusted_curves_equal_their_validating_rebuild():
             if capacity > 3.0:  # above every packet, so the corridor is open
                 assert_schedule_rebuilds(taut_string(harvested, minimum).schedule)
         assert_rebuilds(min_energy_from_battery(harvested, _random_battery(rng, t, 3.0)))
+
+
+def test_every_builder_rebuilds_from_its_rows():
+    packets, T = narrow_gate_train(64)
+    harvested = from_packet_arrivals(packets, T)
+    minimum = min_energy_from_battery(harvested, BatterySchedule.constant(3.5, T))
+    string = taut_string(harvested, minimum)
+    broadcast = solve_broadcast(BroadcastProblem(1.0, 3.0, 1.0, 2.0, harvested))
+    problem = leaky_train(64)
+    leakage = solve_n_packet(problem)
+    trace = simulate(leakage.schedule, problem)
+    schedules = [
+        string.schedule,
+        broadcast.total_schedule,
+        broadcast.user1_schedule,
+        broadcast.user2_schedule,
+        leakage.schedule,
+        random_feasible_schedule(harvested, minimum, seed=1),
+    ]
+    curves = [
+        harvested,
+        minimum,
+        zero_curve(T),
+        *dying_battery_scenario([1.0, 2.5, 0.5], [1.0, 3.0, 3.5]),
+        integrate_rate(solar_harvest_rate, 18.0, 64),
+        integrate_rate(lambda t: 1.0 + math.sin(t), 5.0, 8),
+        trace.transmitted,
+        trace.leaked,
+        trace.usable,
+        *(s.energy_curve(s.end_time + 1.0) for s in schedules),
+    ]
+    for curve in curves:
+        assert_rebuilds(curve)
+    for schedule in schedules:
+        assert_schedule_rebuilds(schedule)
+
+
+def test_rows_are_built_from_the_columns_once():
+    curve = CumulativeCurve(((0, 0, 1), (2, 3, 3), (5, 4, 4)), 5)
+    assert curve.times == (0.0, 2.0, 5.0)
+    assert (curve.left, curve.right) == ((0.0, 3.0, 4.0), (1.0, 3.0, 4.0))
+    assert "breakpoints" not in vars(curve)
+    rows = curve.breakpoints
+    assert rows == ((0.0, 0.0, 1.0), (2.0, 3.0, 3.0), (5.0, 4.0, 4.0))
+    assert curve.breakpoints is rows
+    schedule = PowerSchedule(((0, 1, 2), (1, 3, 0.5)))
+    assert (schedule.starts, schedule.ends, schedule.powers) == ((0.0, 1.0), (1.0, 3.0), (2.0, 0.5))
+    assert "segments" not in vars(schedule)
+    assert schedule.segments == ((0.0, 1.0, 2.0), (1.0, 3.0, 0.5))
+    assert schedule.segments is schedule.segments
+
+
+def _built_no_rows(*objects) -> bool:
+    """Whether none of the curves and schedules has built its rows."""
+    return not any({"breakpoints", "segments"} & vars(o).keys() for o in objects)
+
+
+def test_solves_replays_and_checks_build_no_rows(monkeypatch):
+    spent = []
+    energy_curve = PowerSchedule.energy_curve
+
+    def recorded(schedule, horizon=None):
+        spent.append(energy_curve(schedule, horizon))
+        return spent[-1]
+
+    monkeypatch.setattr(PowerSchedule, "energy_curve", recorded)
+    packets, T = narrow_gate_train(300)
+    harvested = from_packet_arrivals(packets, T)
+    # a capped train takes the corridor walk, a zero floor the NumPy pre-pass
+    for minimum in (
+        min_energy_from_battery(harvested, BatterySchedule.constant(3.5, T)),
+        zero_curve(T),
+    ):
+        solution = taut_string(harvested, minimum)
+        schedule = solution.schedule
+        assert check_feasible(schedule, minimum, harvested).feasible
+        assert optimality_certificate(solution, minimum, harvested).ok
+        throughput(schedule, RATE1)
+        dual_bound(schedule, harvested, minimum, RATE1)
+        rival = random_feasible_schedule(harvested, minimum, seed=3)
+        check_feasible(rival, minimum, harvested)
+        assert _built_no_rows(harvested, minimum, schedule, rival, *spent)
+    broadcast = solve_broadcast(BroadcastProblem(1.0, 3.0, 1.0, 2.0, harvested))
+    assert _built_no_rows(
+        broadcast.total_schedule, broadcast.user1_schedule, broadcast.user2_schedule
+    )
+    for problem in (leaky_train(300), LeakageProblem(((0.0, 2.0), (1.0, 1.0)), 0.5, None, RATE1)):
+        solution = solve_n_packet(problem)
+        trace = simulate(solution.schedule, problem)
+        if problem.deadline is not None:
+            compare_ST_NT(problem)
+        assert trace.infeasible_at is None
+        assert _built_no_rows(solution.schedule, trace.transmitted, trace.leaked, trace.usable)
+    assert spent and _built_no_rows(*spent)
+
+
+def _rows_digest() -> str:
+    """sha256 of the ``float.hex`` of the rows of packet trains (with and
+    without a battery) and solar days, of their taut strings' schedules and
+    spending curves and of a random feasible schedule each, and of the
+    replays of the trains' strings under a leak.  No rate is read and no
+    recorded value goes through ``sum`` (whose rounding changed in Python
+    3.12), so the bits are the same on every platform."""
+    tables = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        t, packets = 0.0, []
+        for _ in range(rng.choice((1, 3, 12, 40, 300))):
+            packets.append((t, rng.uniform(0.2, 3.0)))
+            t += rng.uniform(0.1, 1.5)
+        T = t + rng.uniform(0.2, 1.0)
+        harvested = from_packet_arrivals(packets, T)
+        if seed % 3:
+            minimum = min_energy_from_battery(harvested, BatterySchedule.constant(3.2, T))
+        else:
+            minimum = zero_curve(T)
+        corridors = [(harvested, minimum)]
+        if seed % 10 == 0:
+            day = integrate_rate(solar_harvest_rate, 18.0, 64 * (1 + seed // 10))
+            corridors.append((day, zero_curve(18.0)))
+        for h, m in corridors:
+            schedule = taut_string(h, m).schedule
+            rival = random_feasible_schedule(h, m, seed=seed)
+            spent = schedule.energy_curve(h.horizon + 1.0)
+            tables += [h.breakpoints, m.breakpoints, schedule.segments, rival.segments]
+            tables.append(spent.breakpoints)
+        deadline = None if seed % 4 == 0 else T + 1.0
+        problem = LeakageProblem(tuple(packets), 0.05 + seed / 100, deadline, RATE1)
+        trace = simulate(taut_string(harvested).schedule, problem)
+        tables += [c.breakpoints for c in (trace.transmitted, trace.leaked, trace.usable)]
+    text = ";".join(x.hex() for table in tables for row in table for x in row)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: the digest of :func:`_rows_digest` when curves and schedules kept their
+#: rows as tuples of tuples
+ROWS_DIGEST = "eb7d025c39ebf490480baf4894ae56f7f584e6ba2cc34e4a7c8116263e82abd5"
+
+
+def test_rows_keep_their_bits():
+    assert _rows_digest() == ROWS_DIGEST
 
 
 @pytest.mark.parametrize(
