@@ -32,11 +32,11 @@ power, and the data priced at ``noise`` or ``n1`` is finite: a subnormal
 noise can divide a power to infinity.  ``epsilon`` leaves the best transmit
 power ``p_star`` at or below 1e30, the bracket of its search.
 
-``solve`` writes a JSON report (plus CSV schedule and SVG plot), ``verify``
-additionally checks that the schedule is feasible and that its data is within
-a one-sided relative gap of a dual bound above it, and ``demo`` runs one of
-the built-in scenarios.  Exit status: 0 success, 1 invalid input/arguments or
-a failed verification, 2 infeasible instance.  A closed standard output drops
+``solve`` writes a JSON report (plus CSV schedule and SVG plot); ``verify``
+also checks that the schedule is feasible and its data within a one-sided
+relative gap of a dual bound above it.  Each takes one scenario: a JSON file,
+else a demo's name.  Exit status: 0 success, 1 invalid input/arguments or a
+failed verification, 2 infeasible instance.  A closed standard output drops
 the summary lines but changes neither the files written nor the status.
 """
 
@@ -370,7 +370,7 @@ def _build_harvest(
         return CumulativeCurve(tuple(bps), deadline)
     if "named" in spec:
         if spec["named"] != "solar":
-            raise ValueError(f'unknown named harvest {spec["named"]!r}')
+            raise ValueError(f'"harvest.named" must be "solar", got {spec["named"]!r}')
         # a deadline from sunrise to midnight, on 64 or more pieces
         if not 6.0 <= deadline <= 24.0:
             raise ValueError(f'solar needs a "deadline" in [6, 24], got {deadline}')
@@ -537,7 +537,7 @@ def _solve_leakage(scenario: dict, verify: bool) -> dict:
     if not (isinstance(harvest, dict) and "packets" in harvest):
         raise ValueError('leakage mode needs {"harvest": {"packets": ...}}')
     if scenario.get("battery") not in (None, "none"):
-        raise ValueError("leakage mode does not support battery constraints")
+        raise ValueError('"battery" must be "none" in leakage mode')
     if "epsilon" not in scenario:
         raise ValueError('leakage mode needs an "epsilon" field')
     deadline = _deadline(scenario)
@@ -895,16 +895,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_scenario(tokens: list[str]) -> tuple[dict, str]:
-    """Resolve a scenario argument: a JSON file path, a demo name, or the
-    pair ``demo <name>``."""
-    if tokens and tokens[0] == "demo":
-        if len(tokens) != 2:
-            raise ValueError("expected: demo <name>")
-        tokens = tokens[1:]
-    if len(tokens) != 1:
-        raise ValueError("expected exactly one scenario file or demo name")
-    token = tokens[0]
+def _load_scenario(token: str) -> tuple[dict, str]:
+    """Resolve the scenario argument: a JSON file path, else a demo name."""
     path = Path(token)
     if path.is_file():
         return json.loads(path.read_text()), path.stem
@@ -916,21 +908,6 @@ def _load_scenario(tokens: list[str]) -> tuple[dict, str]:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument(
-        "--format",
-        default="json,csv,svg",
-        help="comma-separated outputs: json,csv,svg (default: all)",
-    )
-    parser.add_argument(
-        "--resolution",
-        type=int,
-        default=1024,
-        help="grid cells for the named solar harvest, at least 64 (default: 1024)",
-    )
-
-
 @cache
 def _parser() -> _Parser:
     """The argument parser, built once: building it costs ten times a parse."""
@@ -939,30 +916,32 @@ def _parser() -> _Parser:
         description="Throughput-optimal energy-harvesting transmit schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve a scenario file (or demo name)")
-    p_solve.add_argument("scenario", nargs="+")
-    _add_common(p_solve)
-
-    p_verify = sub.add_parser(
-        "verify", help="solve and check the answer against a dual bound"
-    )
-    p_verify.add_argument("scenario", nargs="+")
-    _add_common(p_verify)
-
-    p_demo = sub.add_parser("demo", help="run a built-in example scenario")
-    p_demo.add_argument("name", choices=sorted(DEMO_SCENARIOS))
-    _add_common(p_demo)
+    demos = ", ".join(sorted(DEMO_SCENARIOS))
+    for command, summary in (
+        ("solve", "solve a scenario"),
+        ("verify", "solve and check the answer against a dual bound"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("scenario", help=f"a JSON scenario file, or a demo: {demos}")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
+        p.add_argument(
+            "--format",
+            default="json,csv,svg",
+            help="comma-separated outputs: json,csv,svg (default: all)",
+        )
+        p.add_argument(
+            "--resolution",
+            type=int,
+            default=1024,
+            help="grid cells for the named solar harvest, at least 64 (default: 1024)",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "demo":
-            scenario, stem = DEMO_SCENARIOS[args.name], args.name
-        else:
-            scenario, stem = _load_scenario(args.scenario)
+        scenario, stem = _load_scenario(args.scenario)
         # a repeated format is written and reported once
         formats = [f for f in dict.fromkeys(map(str.strip, args.format.split(","))) if f]
         if not formats:

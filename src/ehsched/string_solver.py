@@ -126,15 +126,15 @@ def _funnel(walk, T: float, end_value: float) -> tuple[list, list, list]:
             if len(upper) == 1:
                 o0, o1 = lower.popleft()
                 kinds.append("lower")
+                # every chain point lies past the apex, except a ceiling
+                # point at the apex's own gate (a bend test that was NaN)
+                if upper[0][0] <= o0:
+                    upper.popleft()
             else:
                 o0, o1 = upper.popleft()
                 kinds.append("upper")
             times.append(o0)
             values.append(o1)
-            while upper and upper[0][0] <= o0:
-                upper.popleft()
-            while lower and lower[0][0] <= o0:
-                lower.popleft()
             if not (upper and lower):
                 return
             a0, a1 = upper[0]

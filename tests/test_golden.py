@@ -8,12 +8,14 @@ scenario files) before the leakage replay was rewritten, and (for the two
 a report, CSV or SVG byte shows up here.  The three ``verify`` reports were
 taken again when ``verify`` moved from the grid DP and random rivals to the
 dual bound for point-to-point and broadcast: only their ``verification``
-blocks changed.  The three ``demo solar`` files were taken again when the
+blocks changed.  The three ``solve solar`` files were taken again when the
 solar harvest curve moved from the trapezoid rule to its exact integral.  The
 ``verify leakage-counterexample`` report was taken again when the leakage
 check moved from the two-grid DP to the carry DP, and again when it moved
 from the carry DP to the drain-rate dual bound: both times only its
-``verification`` block changed.
+``verification`` block changed.  The four ``solve`` keys of the demos were
+``("demo", name)`` until the ``demo`` command went: ``solve name`` writes
+the same bytes, and their digests did not change.
 """
 
 from __future__ import annotations
@@ -73,22 +75,22 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    ("demo", "broadcast"): (
+    ("solve", "broadcast"): (
         "366fab11b019a87bc89d8d1a9c2345785f245a5c32f6b5d774b618eacc54730f",
         "7e63da2f95eee7b68ab9f51ac7f2bcbcdf2befa79823c56a3ea278500ff1a895",
         "b1937c47bf279c993f22c91d466111a0f5303fb5edf581583c0499c6ba643fbc",
     ),
-    ("demo", "dying-battery"): (
+    ("solve", "dying-battery"): (
         "8e919a438ea32d24caf551c107893d5d6ef813be6951e2429c24ff9008115873",
         "818b51d8ffc30fa7e9b15815c7f1c4017462c40d22972618fdf22aed9788c531",
         "cdf67734ea8dde6ba6563c841b3dc45c3a6ed133a25e023029fcefaf22a6b88b",
     ),
-    ("demo", "leakage-counterexample"): (
+    ("solve", "leakage-counterexample"): (
         "7126d3f75c62e6c17f263d5f453d8475c4490582f8c9e79c85e15961517c2d49",
         "48be58016fba3d24886cffe3d8d511d000ee9c927b343db8de174d0f3b928cc7",
         "fa6ef8d879a4a939367f1c254a7c7ee1aaa0e0a556f194a885117b1b3cb6e5be",
     ),
-    ("demo", "solar"): (
+    ("solve", "solar"): (
         "3f7de4e53302235ef3d06d6886496b96f8195e335544056846b3d3112d9d787e",
         "14d64afe9902a542d360ada2cf34ad9d51f155aa244fec0b978bf1335869f0d4",
         "516fb075ac226d2c286302db990baa50a4d7e8a3820264176149d69e25aef351",

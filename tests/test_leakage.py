@@ -92,6 +92,12 @@ def test_p_star_zero_leak_is_zero():
     assert p_star(RATE1, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, -5e-324, math.nan, math.inf])
+def test_p_star_refuses_a_negative_or_non_finite_leak(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+        p_star(RATE1, epsilon)
+
+
 def test_p_star_unit_leak_closed_form():
     # r'(p)(p+1) = r(p) with the unit-noise law reduces to ln(1+p) = 1
     assert p_star(RATE1, 1.0) == pytest.approx(E - 1.0, abs=1e-9)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -664,6 +665,55 @@ def test_certificate_rejects_path_off_its_schedule():
     report = optimality_certificate(bad, zero_curve(4.0), harvested)
     assert not report.ok
     assert report.failures[0] == "segment [0, 4] spends 4 but the path rises 3"
+
+
+_TWO_PACKETS = from_packet_arrivals([(0.0, 1.0), (2.0, 3.0)], 4.0)
+_TWO_PACKET_STRING = taut_string(_TWO_PACKETS)  # vertices (0, 0), (2, 1), (4, 4)
+
+
+@pytest.mark.parametrize(
+    "changes, failures",
+    [
+        ({"vertices": ((0.0, 0.0),)}, ("the path needs at least two vertices",)),
+        (
+            {"vertices": ((0.0, 0.5), (2.0, 1.0), (4.0, 4.0))},
+            (
+                "the path starts at (0.0, 0.5), not at (0, 0)",
+                "segment [0, 2] spends 1 but the path rises 0.5",
+            ),
+        ),
+        (
+            {"vertices": ((0.0, 0.0), (2.0, 1.0))},
+            (
+                "the path has 2 vertices for 2 schedule segments",
+                "the path ends at (2, 1), not at (T, H(T^-)) = (4, 4)",
+            ),
+        ),
+        (
+            {"vertices": ((0.0, 0.0), (1.5, 1.0), (4.0, 4.0))},
+            (
+                "segment [0, 2] does not join the vertices at t=0 and t=1.5",
+                "segment [2, 4] does not join the vertices at t=1.5 and t=4",
+            ),
+        ),
+        (
+            {
+                "schedule": PowerSchedule(((0.0, 2.0, 0.5), (2.0, 5.0, 1.0))),
+                "vertices": ((0.0, 0.0), (2.0, 1.0), (5.0, 4.0)),
+            },
+            (
+                "the schedule runs to t=5, past the horizon 4",
+                "the path ends at (5, 4), not at (T, H(T^-)) = (4, 4)",
+            ),
+        ),
+    ],
+    ids=["one-vertex", "wrong-start", "count-mismatch", "unjoined-segment", "past-horizon"],
+)
+def test_certificate_names_a_malformed_path(changes, failures):
+    bad = replace(_TWO_PACKET_STRING, **changes)
+    report = optimality_certificate(bad, zero_curve(4.0), _TWO_PACKETS)
+    assert not report.ok
+    assert report.failures == failures
 
 
 def test_certificate_bends_are_the_contacts():
