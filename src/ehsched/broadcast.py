@@ -38,6 +38,10 @@ __all__ = [
 
 
 def _check_weights(mu1: float, mu2: float, noise1: float, noise2: float) -> None:
+    named = (("mu1", mu1), ("mu2", mu2), ("noise1", noise1), ("noise2", noise2))
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (noise2 > noise1 > 0.0):
         raise ValueError(
             f"noise powers must satisfy noise2 > noise1 > 0, got "

@@ -331,7 +331,7 @@ def _build_rate(spec: dict | None) -> RateFunction:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError('"rate" must be an object with a "type" field')
     if spec["type"] != "awgn":
-        raise ValueError(f'unknown rate type {spec["type"]!r} (supported: "awgn")')
+        raise ValueError(f'"rate.type" must be "awgn", got {spec["type"]!r}')
     noise = _number(spec.get("noise", 1.0), "rate.noise")
     _positive([noise], "rate.noise")
     return awgn_rate(noise)
@@ -624,9 +624,7 @@ def _solve_scenario(scenario: dict, resolution: int, verify: bool) -> dict:
         return _solve_corridor(scenario, resolution, verify)
     if mode == "leakage":
         return _solve_leakage(scenario, verify)
-    raise ValueError(
-        f'unknown mode {mode!r} (expected "p2p", "broadcast", or "leakage")'
-    )
+    raise ValueError(f'"mode" must be "p2p", "broadcast" or "leakage", got {mode!r}')
 
 
 # --------------------------------------------------------------------------

@@ -555,7 +555,18 @@ def corridor_gates(
     pinches shut.  The list excludes t=0 (a path is pinned at the origin)
     and ends with the pinned endpoint gate ``(T, H(T^-), H(T^-))``.  Both
     curves are read in one merged walk of their breakpoints.
+
+    The gates of an open corridor are kept in ``harvested``'s ``__dict__``
+    beside the floor object they were built for, as :class:`_Rows` keeps
+    rows; a later call with that same floor returns a new list of them, so
+    the caller may change it.  A call with another floor builds and keeps
+    its own.  A dominance sweep prices dozens of random rivals and a grid
+    DP against one corridor, and the rebuild was about a sixth of the cost
+    of each small-corridor rival.
     """
+    kept = harvested.__dict__.get("_gates")
+    if kept is not None and kept[0] is minimum:
+        return list(kept[1]), kept[2]
     walk, end_value = _corridor_walk(harvested, minimum)
     T = harvested.horizon
     tol = DEFAULT_TOL
@@ -572,6 +583,7 @@ def corridor_gates(
             lo = end_value
         gates.append((t, lo, hi))
     gates.append((T, end_value, end_value))
+    harvested.__dict__["_gates"] = (minimum, tuple(gates), end_value)
     return gates, end_value
 
 

@@ -36,8 +36,8 @@ class RateFunction:
 def awgn_rate(noise: float = 1.0) -> RateFunction:
     """Gaussian-channel rate: r(p) = 0.5 * log2(1 + p / noise)."""
     noise = float(noise)
-    if noise <= 0:
-        raise ValueError(f"noise power must be positive, got {noise}")
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise power must be positive and finite, got {noise}")
 
     # A non-negative float takes the same operations in the same order
     # without the array: Python's float arithmetic rounds as NumPy's does,

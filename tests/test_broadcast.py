@@ -63,6 +63,17 @@ def test_threshold_validation():
         power_threshold(-1.0, 2.0, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu1", "mu2", "noise1", "noise2"])
+def test_non_finite_parameters_are_refused_by_name(name, value):
+    # a NaN weight made weighted_sum NaN, an infinite one made it inf, and an
+    # infinite noise2 passed the noise order
+    harvested = from_packet_arrivals([(0.0, 2.0), (1.0, 1.0)], 3.0)
+    params = {"noise1": 1.0, "noise2": 3.0, "mu1": 1.0, "mu2": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        BroadcastProblem(harvested=harvested, **params)
+
+
 # --------------------------------------------------------------------------
 # composite_rate
 

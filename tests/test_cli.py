@@ -499,9 +499,9 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     # each payload, and a fragment of the message that names the bad field
     bad = [
         (p2p, '"harvest" must be'),  # no harvest
-        ({"mode": "mystery", "deadline": 4.0, "harvest": {"packets": []}}, "mode"),
+        ({"mode": "mystery", "deadline": 4.0, "harvest": {"packets": []}}, '"mode"'),
         ({**p2p, "deadline": "unbounded", "harvest": {"packets": []}}, "deadline"),
-        ({**p2p, "harvest": packet, "rate": {"type": "exotic"}}, "rate"),
+        ({**p2p, "harvest": packet, "rate": {"type": "exotic"}}, '"rate.type"'),
         ({"mode": "leakage", "deadline": 4.0, "harvest": packet}, "epsilon"),
         (
             {**p2p, "harvest": {"samples": [1.0, math.nan, 2.0]}},

@@ -50,6 +50,7 @@ from ehsched import (
     throughput,
     zero_curve,
 )
+from ehsched import curves
 from ehsched.curves import corridor_gates
 
 
@@ -740,6 +741,104 @@ def test_solves_replays_and_checks_build_no_rows(monkeypatch):
         assert trace.infeasible_at is None
         assert _built_no_rows(solution.schedule, trace.transmitted, trace.leaked, trace.usable)
     assert spent and _built_no_rows(*spent)
+
+
+# --------------------------------------------------------------------------
+# the gates corridor_gates keeps on the harvest curve
+
+
+def _gate_hex(result) -> tuple:
+    """``corridor_gates``' result as the ``float.hex`` of every value."""
+    gates, end_value = result
+    return tuple(tuple(v.hex() for v in gate) for gate in gates), end_value.hex()
+
+
+def _capped_corridor(n: int = 60):
+    packets, T = narrow_gate_train(n)
+    harvested = from_packet_arrivals(packets, T)
+    return harvested, min_energy_from_battery(harvested, BatterySchedule.constant(3.5, T))
+
+
+def _counted_walks(monkeypatch) -> list:
+    """The corridors ``corridor_gates`` walks from here on, one per build."""
+    walks = []
+    walk = curves._corridor_walk
+    monkeypatch.setattr(
+        curves, "_corridor_walk", lambda h, m: walks.append((h, m)) or walk(h, m)
+    )
+    return walks
+
+
+def test_kept_gates_equal_a_fresh_build(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    harvested, minimum = _capped_corridor()
+    first = _gate_hex(corridor_gates(harvested, minimum))
+    assert [_gate_hex(corridor_gates(harvested, minimum)) for _ in range(3)] == [first] * 3
+    # built once, and equal to the gates of new curves with the same columns
+    assert len(walks) == 1
+    assert _gate_hex(corridor_gates(*_capped_corridor())) == first
+    assert _gate_hex(pointwise_corridor_gates(harvested, minimum)) == first
+
+
+def test_a_changed_gate_list_leaves_the_kept_gates_intact():
+    harvested, minimum = _capped_corridor()
+    fresh = corridor_gates(harvested, minimum)
+    gates, _ = corridor_gates(harvested, minimum)
+    # the changes the rival draw makes to its list, and more
+    gates.pop()
+    gates.insert(3, (0.5, 0.0, 0.0))
+    gates[0] = (1.0, 2.0, 3.0)
+    del gates[10:]
+    assert corridor_gates(harvested, minimum) == fresh
+    assert corridor_gates(harvested, minimum)[0] is not corridor_gates(harvested, minimum)[0]
+
+
+def test_an_equal_floor_object_builds_its_own_gates(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    harvested, minimum = _capped_corridor()
+    twin = CumulativeCurve(minimum.breakpoints, minimum.horizon)
+    assert twin == minimum and twin is not minimum
+    gates = corridor_gates(harvested, minimum)
+    assert corridor_gates(harvested, twin) == gates
+    assert corridor_gates(harvested, twin) == gates
+    assert [m is twin for _, m in walks] == [False, True]
+
+
+def test_alternating_corridors_give_their_own_gates():
+    harvested, capped = _capped_corridor()
+    floor = zero_curve(harvested.horizon)
+    bank = dying_battery_scenario([1.0, 2.0, 0.5], [1.0, 2.5, 4.0])
+    corridors = [(harvested, capped), (harvested, floor), bank]
+    expected = [_gate_hex(pointwise_corridor_gates(h, m)) for h, m in corridors]
+    for _ in range(3):
+        for (h, m), gates in zip(corridors, expected):
+            assert _gate_hex(corridor_gates(h, m)) == gates
+            assert _gate_hex(corridor_gates(h, m)) == gates
+
+
+def test_a_shut_corridor_is_refused_on_every_call(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    harvested = from_packet_arrivals([(0.0, 1.0), (2.0, 1.0)], 4.0)
+    shut = from_packet_arrivals([(1.0, 1.5)], 4.0)
+    for _ in range(3):
+        with pytest.raises(InfeasibleError, match="floor exceeds ceiling at t=1.0"):
+            corridor_gates(harvested, shut)
+    assert len(walks) == 3 and "_gates" not in vars(harvested)
+    # an open corridor on the same harvest is kept, and a shut one after it
+    # is still refused, without replacing it
+    gates, end_value = corridor_gates(harvested, zero_curve(4.0))
+    with pytest.raises(InfeasibleError):
+        corridor_gates(harvested, shut)
+    assert vars(harvested)["_gates"][1:] == (tuple(gates), end_value)
+
+
+def test_kept_gates_leave_equality_hash_and_repr_alone():
+    harvested, minimum = _capped_corridor()
+    plain, _ = _capped_corridor()
+    corridor_gates(harvested, minimum)
+    assert "_gates" in vars(harvested) and "_gates" not in vars(plain)
+    assert harvested == plain and hash(harvested) == hash(plain)
+    assert repr(harvested) == repr(plain)
 
 
 def _rows_digest() -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -20,10 +21,9 @@ def test_awgn_values():
 
 
 def test_awgn_rejects_bad_noise():
-    with pytest.raises(ValueError):
-        awgn_rate(0.0)
-    with pytest.raises(ValueError):
-        awgn_rate(-1.0)
+    for noise in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise"):
+            awgn_rate(noise)
 
 
 def test_awgn_vectorized():
