@@ -16,9 +16,12 @@ Curves are right-continuous: ``eval(t)`` returns the post-jump value and
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "InfeasibleError",
@@ -719,6 +722,7 @@ def solar_harvest_rate(t: float) -> float:
     return 5.0 - (5.0 / 36.0) * (t - 12.0) ** 2
 
 
+@np.errstate(over="ignore")  # past the float range t and s give inf, as in Python floats
 def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
     """The exact integral of :func:`solar_harvest_rate` at the grid times of
     :func:`integrate_rate`.
@@ -728,6 +732,11 @@ def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
     ``5s - (5/108)((s - 6)^3 + 216)``, factored so that no two large terms
     cancel near sunrise.  It rises from 0 to 40 at sunset (``s = 12``).
 
+    The times ``horizon * k / resolution`` (the last is the horizon) and the
+    cubic are NumPy arrays of the scalar operations in their order, so the
+    bits are a scalar loop's.  They stay on the curve, read-only, as its
+    ``_arrays`` (times, left, right).
+
     The values need no check: each is 0, 40 or the cubic at ``0 < s < 12``,
     a product of positive factors, so they are finite and non-negative, and
     the cubic rises on the whole day, so where rounding lowers one value
@@ -735,26 +744,20 @@ def _solar_harvest_curve(horizon: float, resolution: int) -> CumulativeCurve:
     curve's tolerance.  Only the two checks these inputs can fail are made,
     with the constructor's messages: a horizon that is not positive, and grid
     times that do not strictly increase (a horizon too small for the grid).
+    A resolution that is not an integer is refused as ``range`` refuses it.
     """
-    times, values = [0.0], [0.0]
-    last = 0.0
-    increasing = True
-    for k in range(1, resolution + 1):
-        # horizon * resolution / resolution can round away from the horizon
-        t = horizon * k / resolution if k < resolution else horizon
-        if not t > last:
-            increasing = False
-        last = t
-        if t <= 6.0:
-            e = 0.0
-        elif t >= 18.0:
-            e = 40.0
-        else:
-            s = t - 6.0
-            e = (5.0 / 108.0) * s * s * (18.0 - s)
-        times.append(t)
-        values.append(e)
-    times, values = tuple(times), tuple(values)
-    if not (increasing and horizon > 0.0):
+    n = operator.index(resolution)
+    t = horizon * np.arange(n + 1) / n
+    # horizon * resolution / resolution can round away from the horizon
+    t[-1] = horizon
+    s = t - 6.0
+    e = (5.0 / 108.0) * s * s * (18.0 - s)
+    e[t <= 6.0] = 0.0
+    e[t >= 18.0] = 40.0
+    times, values = tuple(t.tolist()), tuple(e.tolist())
+    if not (horizon > 0.0 and (t[1:] > t[:-1]).all()):
         return CumulativeCurve._checked(times, values, values, horizon)
-    return CumulativeCurve._trusted(times, values, values, horizon)
+    curve = CumulativeCurve._trusted(times, values, values, horizon)
+    t.flags.writeable = e.flags.writeable = False
+    curve.__dict__["_arrays"] = (t, e, e)
+    return curve

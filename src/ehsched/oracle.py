@@ -15,7 +15,8 @@ undercuts it, or cannot come within grid error of it, is wrong.
 Both evaluate each step in blocks of rows over the reachable levels only:
 a level no path can reach holds ``-inf`` and adds nothing to a maximum, so
 the values are those of the full level-by-level matrix, to the bit, at a
-fraction of the cells and in blocks of at most 256 kB.
+fraction of the cells, in blocks of at most 256 kB and the 128 kB of
+buffers NumPy adds beside each: a step peaks near 384 kB.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ __all__ = [
 ]
 
 
-#: cells in the largest temporary a DP builds (256 kB of floats): each step
-#: evaluates its rows in blocks of about this many cells
+#: cells in the largest array a DP builds (256 kB of floats, with 128 kB of
+#: NumPy buffers beside it): each step evaluates its rows in such blocks
 _BLOCK_CELLS = 32768
 
 

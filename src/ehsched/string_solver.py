@@ -15,6 +15,14 @@ tests the bend condition inline, calls ``settle`` only when a bend is due,
 and keeps the path's vertices in three columns (time, value, kind) until
 the end.
 
+The sweep opens with a phase that moves only the ceiling chain.  While
+every gate lies before ``T`` with a floor of ±0.0 and a ceiling and end
+value of at least 0 (so the clamps keep the floor), the apex stays at
+(0, 0), the floor chain is the last gate's point alone (the floor pop's
+cross product is ``dt * ±0 - ±0 * dt = ±0 >= 0``), and neither bend test
+can fire: each is a ±0 product less a non-negative one, or ``-inf`` where
+that one overflows.  The first other gate goes to the full loop.
+
 The power rises only on the ceiling and falls only on the floor, so a gate
 whose ceiling point lies above the chord of its neighbours' ceiling points
 and whose floor point lies below the chord of their floor points holds no
@@ -35,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -105,13 +114,37 @@ def taut_string(
 
 def _funnel(walk, T: float, end_value: float) -> tuple[list, list, list]:
     """The taut string's vertices, as time, value and contact-kind columns,
-    from the gates of a corridor walk past t=0 ending at ``T``."""
+    from an iterator over the gates of a corridor walk past t=0 ending at
+    ``T``."""
     tol = DEFAULT_TOL
     o0 = o1 = 0.0  # the apex, the last vertex of the path
     # the vertices in columns: time, value and the kind of contact
     times, values, kinds = [0.0], [0.0], ["start"]
     upper: deque[tuple[float, float]] = deque()  # ceiling chain, slopes increasing
     lower: deque[tuple[float, float]] = deque()  # floor chain, slopes decreasing
+
+    # the opening phase of the module docstring: while the floor is zero,
+    # only the ceiling chain moves
+    for gate in walk:
+        t, hi, h_post, m_pre, lo = gate
+        if m_pre > hi + tol or lo > h_post + tol or lo > hi + tol:
+            _refuse_pinch(t, hi, h_post, m_pre, lo)
+        if t == T or lo != 0.0 or not (hi >= 0.0 and end_value >= 0.0):
+            # the loop below takes this gate again, from its start
+            walk = chain((gate,), walk)
+            break
+        while upper:
+            p0, p1 = upper[-2] if len(upper) > 1 else (0.0, 0.0)
+            a0, a1 = upper[-1]
+            if (a0 - p0) * (hi - p1) - (a1 - p1) * (t - p0) <= 0:
+                upper.pop()
+            else:
+                break
+        upper.append((t, hi))
+        f0, f1 = t, lo
+    if upper:
+        # the floor chain the loop would hold: the last gate's floor point
+        lower.append((f0, f1))
 
     def settle() -> None:
         # The tightest floor direction exceeds the tightest ceiling direction,
@@ -206,15 +239,17 @@ PRUNE_MIN_BREAKPOINTS = 256
 PRUNE_MIN_DROPS = 32
 
 
-def _columns(curve: CumulativeCurve) -> list[np.ndarray]:
-    """A curve's columns as NumPy arrays: t, v(t^-) and v(t).  ``fromiter``
-    with the length takes about half the time of ``np.array``, which
-    first reads the whole tuple to find a dtype."""
+def _columns(curve: CumulativeCurve) -> tuple[np.ndarray, ...]:
+    """A curve's columns as NumPy arrays: t, v(t^-) and v(t), those its builder
+    kept or else ``fromiter`` with the length, about half the time of
+    ``np.array``, which first reads the whole tuple to find a dtype."""
     n = len(curve.times)
-    return [np.fromiter(c, float, n) for c in (curve.times, curve.left, curve.right)]
+    return curve.__dict__.get("_arrays") or tuple(
+        np.fromiter(c, float, n) for c in (curve.times, curve.left, curve.right)
+    )
 
 
-def _limits(columns: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _limits(columns: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(v(t^-), v(t))`` at the ``n`` gate times of :func:`_binding_gates`:
     a curve's own limits past t=0, or, on the flat curve, ``v + 0.0`` (the
     walk's interpolation, which reads -0.0 as 0.0) before its limits at T."""
@@ -287,9 +322,9 @@ def _binding_gates(
         _refuse_pinch(*(float(c[k]) for c in (t, hi, h_post, m_pre, lo)))
     lo = np.where(hi < lo, hi, lo)
     lo = np.where(end_value < lo, end_value, lo)
-    # the path is pinned at (T, H(T^-)), and starts at (0, 0)
-    hi[-1] = lo[-1] = end_value
+    # the path starts at (0, 0), and is pinned at (T, H(T^-)) in new arrays
     t, hi, lo = (np.concatenate(((0.0,), c)) for c in (t, hi, lo))
+    hi[-1] = lo[-1] = end_value
     scale = max(float(np.abs(hi).max()), float(np.abs(lo).max()))
     margin = 2.0**-40 * scale
     passes = 4.0 * float(t[-1]) * scale < math.inf

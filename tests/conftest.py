@@ -821,6 +821,27 @@ def solar_harvested_energy(t: float) -> float:
     return 5.0 * (t - 6.0) - (5.0 / 108.0) * ((t - 12.0) ** 3 + 216.0)
 
 
+def reference_solar_columns(horizon: float, resolution: int) -> tuple[tuple, tuple]:
+    """The times and values of ``integrate_rate(solar_harvest_rate, horizon,
+    resolution)``, one scalar at a time: the grid ``horizon * k /
+    resolution`` (the last at the horizon) and the factored cubic
+    ``(5/108) s s (18 - s)`` at ``s = t - 6``, clamped to 0 before sunrise
+    and 40 after sunset."""
+    times, values = [0.0], [0.0]
+    for k in range(1, resolution + 1):
+        t = horizon * k / resolution if k < resolution else horizon
+        if t <= 6.0:
+            e = 0.0
+        elif t >= 18.0:
+            e = 40.0
+        else:
+            s = t - 6.0
+            e = (5.0 / 108.0) * s * s * (18.0 - s)
+        times.append(t)
+        values.append(e)
+    return tuple(times), tuple(values)
+
+
 def grid_argmax_f(
     rate: RateFunction,
     epsilon: float,

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from conftest import (
     pointwise_min_energy_from_battery,
     random_corridor,
     reference_largest_excess,
+    reference_solar_columns,
     solar_harvested_energy,
 )
 from ehsched import (
@@ -310,6 +312,76 @@ def test_exact_solar_harvest_is_the_limit_of_the_quadrature():
     # the trapezoid rule's own O(h^2) error at 32 x 1024 sub-intervals
     assert 0.0 < max(gaps) <= 1e-7
     assert exact.eval(18.0) == 40.0
+
+
+@pytest.mark.parametrize("horizon", [18.0, 24.0, 17.3, 6.0])
+def test_solar_columns_are_the_scalar_cubic(horizon):
+    # 6.0 is the all-dark day: every value is 0
+    for resolution in (1, 2, 63, 64, 1000, 1024, 4096, 8192):
+        curve = integrate_rate(solar_harvest_rate, horizon, resolution)
+        times, values = reference_solar_columns(horizon, resolution)
+        expected = [[x.hex() for x in c] for c in (times, values, values)]
+        assert [[x.hex() for x in c] for c in (curve.times, curve.left, curve.right)] == expected
+        kept = vars(curve)["_arrays"]
+        assert [[x.hex() for x in c.tolist()] for c in kept] == expected
+
+
+@pytest.mark.parametrize(
+    "horizon, resolution, error, message",
+    [
+        # 5e-324 * 1 / 2 rounds to 0.0: a horizon too small for the grid
+        (5e-324, 2, ValueError, "breakpoint times must strictly increase at t=0.0"),
+        (1e308, 8192, ValueError, "breakpoint times must strictly increase at t=inf"),
+        (0.0, 4, ValueError, "horizon must be positive and finite, got 0.0"),
+        (18.0, 0, ValueError, "resolution must be at least 1, got 0"),
+        (18.0, -3, ValueError, "resolution must be at least 1, got -3"),
+        (18.0, 2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        (18.0, 3.0, TypeError, "'float' object cannot be interpreted as an integer"),
+        (
+            18.0,
+            np.float64(4.0),
+            TypeError,
+            "'numpy.float64' object cannot be interpreted as an integer",
+        ),
+    ],
+)
+def test_solar_curve_refusals_keep_their_type_and_text(horizon, resolution, error, message):
+    with pytest.raises(error) as refused:
+        integrate_rate(solar_harvest_rate, horizon, resolution)
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+def _column_hex(curve) -> list:
+    return [[x.hex() for x in c] for c in (curve.times, curve.left, curve.right)] + [
+        [x.hex() for x in c.tolist()] for c in vars(curve)["_arrays"]
+    ]
+
+
+def test_solar_columns_are_left_as_built():
+    day = integrate_rate(solar_harvest_rate, 18.0, 4096)
+    before = _column_hex(day)
+    floor = zero_curve(18.0)
+    solution = taut_string(day, floor)
+    assert check_feasible(solution.schedule, floor, day).feasible
+    assert optimality_certificate(solution, floor, day).ok
+    assert _column_hex(day) == before
+
+
+def test_kept_solar_arrays_are_read_only():
+    kept = vars(integrate_rate(solar_harvest_rate, 18.0, 64))["_arrays"]
+    for column in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            column[-1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            column += 1.0
+
+
+def test_kept_solar_arrays_leave_equality_hash_and_repr_alone():
+    day = integrate_rate(solar_harvest_rate, 18.0, 64)
+    plain = CumulativeCurve(day.breakpoints, 18.0)
+    assert "_arrays" in vars(day) and "_arrays" not in vars(plain)
+    assert day == plain and hash(day) == hash(plain)
+    assert repr(day) == repr(plain)
 
 
 def test_integrate_rate_single_cell():

@@ -15,7 +15,9 @@ check moved from the two-grid DP to the carry DP, and again when it moved
 from the carry DP to the drain-rate dual bound: both times only its
 ``verification`` block changed.  The four ``solve`` keys of the demos were
 ``("demo", name)`` until the ``demo`` command went: ``solve name`` writes
-the same bytes, and their digests did not change.
+the same bytes, and their digests did not change.  The ``solve solar`` files
+at 4096 and 8192 pieces were taken before the solar curve's scalar loop
+became NumPy arrays.
 """
 
 from __future__ import annotations
@@ -140,8 +142,34 @@ def test_golden_outputs(tmp_path, command, name):
         scenario = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(SCENARIOS[name]))
     assert main([command, scenario, "--out", str(tmp_path)]) == 0
-    digests = tuple(
-        hashlib.sha256((tmp_path / f"{name}.{suffix}").read_bytes()).hexdigest()
+    assert _digests(tmp_path, name) == GOLDEN[command, name]
+
+
+def _digests(out, name: str) -> tuple[str, ...]:
+    """sha256 of the report, CSV and SVG the CLI wrote for ``name``."""
+    return tuple(
+        hashlib.sha256((out / f"{name}.{suffix}").read_bytes()).hexdigest()
         for suffix in ("report.json", "schedule.csv", "plot.svg")
     )
-    assert digests == GOLDEN[command, name]
+
+
+#: ``solve solar --resolution N``: the report, CSV and SVG digests
+SOLAR_RESOLUTIONS = {
+    4096: (
+        "6753156b5bb73493e66453f387d4535ded72e55b68cd605e43e850c4bcb15c95",
+        "68ef9c4d7a3a22620b7cadc7057a26b187c9f56f9164ea60bc99fd6c21b9bc80",
+        "434fa73b98e509d07fc7dc0a6aff4576f34b66e0f476390ae667bb7268c5d318",
+    ),
+    8192: (
+        "a03f980d06238bb09426d5428336b69a2c5062ff7a4214d014204a13ba54858c",
+        "09933afe059cb67a4443a9f5ad7cb7031e168708419fa7ab6f57ff201a5bf850",
+        "66bef7e0fbd2c3edff7595f50666f72a16f455299544ef2bae21c3cb1c5b4b66",
+    ),
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(SOLAR_RESOLUTIONS))
+def test_golden_solar_resolutions(tmp_path, resolution):
+    argv = ["solve", "solar", "--resolution", str(resolution), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert _digests(tmp_path, "solar") == SOLAR_RESOLUTIONS[resolution]

@@ -337,6 +337,42 @@ TWO_SIDED_CORRIDORS = {
 }
 
 
+def _capped_after(m: int) -> tuple[CumulativeCurve, CumulativeCurve]:
+    """A capped train whose floor is zero at its first ``m`` gates: the
+    battery holds the packet at t=0 and the ``m`` after it, and overflows
+    at the next."""
+    packets = [(float(k), 2.0 - k % 3 / 2) for k in range(120)]
+    capacity = sum(e for _, e in packets[: m + 1]) + packets[m + 1][1] / 2
+    harvested = from_packet_arrivals(packets, 120.0)
+    return harvested, min_energy_from_battery(harvested, BatterySchedule.constant(capacity, 120.0))
+
+
+def _dipping_ceiling() -> tuple[CumulativeCurve, CumulativeCurve]:
+    # the ceiling is 0 until it dips to -5e-10 at t=50, within the curves'
+    # tolerance, so the zero floor clamps to a negative ceiling there
+    rows = [(float(k), 0.0, 0.0) for k in range(50)] + [(50.0, -5e-10, -5e-10)]
+    total = -5e-10
+    for k in range(51, 400):
+        rows.append((float(k), total, total + 1.0 + k % 3))
+        total += 1.0 + k % 3
+    rows.append((400.0, total, total))
+    return CumulativeCurve(rows, 400.0), zero_curve(400.0)
+
+
+def _dipping_ceiling_over_negative_zero() -> tuple[CumulativeCurve, CumulativeCurve]:
+    # the same ceiling over a floor of -0.0 at t=49: the string bends there,
+    # at the floor point the opening phase kept, sign included
+    rows = [(0.0, 0.0, 0.0), (49.0, -0.0, -0.0), (400.0, -0.0, -0.0)]
+    return _dipping_ceiling()[0], CumulativeCurve(rows, 400.0)
+
+
+def _end_below_zero() -> tuple[CumulativeCurve, CumulativeCurve]:
+    # the ceiling creeps up and ends at -5e-10, within the curves'
+    # tolerance, so every floor point clamps to that end value
+    rows = [(float(k), k * 1e-12, k * 1e-12) for k in range(400)]
+    return CumulativeCurve(rows + [(400.0, -5e-10, -5e-10)], 400.0), zero_curve(400.0)
+
+
 def _long_corridor(seed: int) -> tuple[CumulativeCurve, CumulativeCurve]:
     """A one-sided corridor of up to 700 pieces: a train under a zero floor
     or a dying bank under a constant ceiling, with whole or random numbers
@@ -384,6 +420,8 @@ def _long_corridor(seed: int) -> tuple[CumulativeCurve, CumulativeCurve]:
 @example(ADVERSARIAL_CORRIDORS["huge scales"]())
 @example(ADVERSARIAL_CORRIDORS["tiny scales"]())
 @example(ADVERSARIAL_CORRIDORS["solar day"]())
+@example(_dipping_ceiling())
+@example(_end_below_zero())
 def test_binding_gates_keep_the_string(corridor):
     """On corridors with one flat envelope, the funnel on the gates
     _binding_gates keeps bends at the points of the reference funnel on
@@ -409,6 +447,43 @@ def test_binding_gates_keep_the_string(corridor):
         if t not in kept_times:
             v = float(np.interp(t, times, values))
             assert lo - slack <= v <= hi + slack, (t, lo, v, hi)
+
+
+#: Corridors whose funnel leaves its opening phase, where the floor is zero,
+#: before the end gate, and the gates that phase takes (None: all but the
+#: end gate).
+OPENING_CORRIDORS = {
+    "capped, overflowing at the first gate": (lambda: _capped_after(0), 0),
+    "capped, overflowing after 1 gate": (lambda: _capped_after(1), 1),
+    "capped, overflowing after 50 gates": (lambda: _capped_after(50), 50),
+    "ceiling dipping below zero": (_dipping_ceiling, 49),
+    "ceiling dipping below a -0.0 floor": (_dipping_ceiling_over_negative_zero, 49),
+    "end value below zero": (_end_below_zero, 0),
+    **{
+        name: (ADVERSARIAL_CORRIDORS[name], None)
+        for name in ("-0.0 floor", "huge scales", "tiny scales", "solar day")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPENING_CORRIDORS))
+def test_opening_phase_hands_over_to_the_same_funnel(name):
+    """The funnel, on the walk and on the gates _binding_gates keeps, bends
+    at the points of the reference funnel, which has no opening phase."""
+    build, opening = OPENING_CORRIDORS[name]
+    harvested, minimum = build()
+    gates, end_value = corridor_gates(harvested, minimum)
+    T = harvested.horizon
+    first = next(k for k, (t, lo, hi) in enumerate(gates) if t == T or lo != 0.0 or not hi >= 0.0)
+    assert first == (len(gates) - 1 if opening is None else opening)
+    _, contacts = reference_taut_string(harvested, minimum)
+    walks = [_corridor_walk(harvested, minimum)[0]]
+    if _one_flat((harvested, minimum)):
+        walks.append(_binding_gates(harvested, minimum, end_value))
+    for walk in walks:
+        # the contacts hold the vertices
+        times, values, kinds = _funnel(walk, T, end_value)
+        assert _bits(zip(times, values, kinds)) == _bits(contacts)
 
 
 @pytest.mark.parametrize("name", sorted(TWO_SIDED_CORRIDORS))
