@@ -924,8 +924,8 @@ def _parser() -> _Parser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument(
             "--format",
-            default="json,csv,svg",
-            help="comma-separated outputs: json,csv,svg (default: all)",
+            default=",".join(_EMITTERS),
+            help=f"comma-separated outputs: {','.join(_EMITTERS)} (default: all)",
         )
         p.add_argument(
             "--resolution",
@@ -942,13 +942,12 @@ def main(argv: list[str] | None = None) -> int:
         scenario, stem = _load_scenario(args.scenario)
         # a repeated format is written and reported once
         formats = [f for f in dict.fromkeys(map(str.strip, args.format.split(","))) if f]
+        choices = f"(choose from {', '.join(_EMITTERS)})"
         if not formats:
-            raise ValueError("--format names no format (choose from json, csv, svg)")
+            raise ValueError(f"--format names no format {choices}")
         for fmt in formats:
             if fmt not in _EMITTERS:
-                raise ValueError(
-                    f"unknown format {fmt!r} (choose from json, csv, svg)"
-                )
+                raise ValueError(f"unknown format {fmt!r} {choices}")
         report = _solve_scenario(scenario, args.resolution, args.command == "verify")
         written = _emit(report, stem, Path(args.out), formats)
     except InfeasibleError as exc:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "DEFAULT_TOL",
     "InfeasibleError",
     "PiecewiseCurve",
     "CumulativeCurve",
@@ -36,7 +37,6 @@ __all__ = [
     "min_energy_from_battery",
     "dying_battery_scenario",
     "merge_times",
-    "corridor_gates",
     "check_feasible",
     "solar_harvest_rate",
 ]

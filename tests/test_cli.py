@@ -488,6 +488,19 @@ def test_infeasible_scenario_exits_2(tmp_path):
     assert run(tmp_path, "solve", write_scenario(tmp_path, scenario)) == 2
 
 
+def test_later_pinch_exits_2_and_names_its_time(tmp_path, capsys):
+    # the dying battery's floor rises at t=1 and pinches the ceiling at
+    # t=1.5, so the funnel refuses it past its opening phase
+    scenario = {
+        "mode": "p2p",
+        "deadline": 4,
+        "harvest": {"packets": [{"t": 0, "e": 1}, {"t": 2, "e": 5}]},
+        "battery": {"dying": {"b": [0.5, 2], "t": [1, 1.5]}},
+    }
+    assert run(tmp_path, "verify", write_scenario(tmp_path, scenario)) == 2
+    assert capsys.readouterr().err == "infeasible: floor exceeds ceiling at t=1.5\n"
+
+
 def test_validation_failures_exit_1(tmp_path, capsys):
     packet = {"packets": [{"t": 0.0, "e": 1.0}]}
     late_first = {"packets": [{"t": 2.0, "e": 1.0}, {"t": 1.0, "e": 1.0}]}
@@ -1050,6 +1063,46 @@ def test_empty_format_list_exits_1(tmp_path, capsys, formats):
     assert main(["solve", "dying-battery", "--format", formats, "--out", str(out)]) == 1
     assert "names no format" in capsys.readouterr().err
     assert not out.exists()
+
+
+SOLVE_HELP = """\
+usage: ehsched solve [-h] [--out OUT] [--format FORMAT]
+                     [--resolution RESOLUTION]
+                     scenario
+
+positional arguments:
+  scenario              a JSON scenario file, or a demo: broadcast, dying-
+                        battery, leakage-counterexample, solar
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory (default: .)
+  --format FORMAT       comma-separated outputs: json,csv,svg (default: all)
+  --resolution RESOLUTION
+                        grid cells for the named solar harvest, at least 64
+                        (default: 1024)
+"""
+
+
+def test_format_help_and_refusals_list_the_emitters(tmp_path, capsys, monkeypatch):
+    # the default, the help and both refusals are built from _EMITTERS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(["solve", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == SOLVE_HELP
+    for formats, message in (
+        (",", "--format names no format (choose from json, csv, svg)"),
+        ("xml", "unknown format 'xml' (choose from json, csv, svg)"),
+    ):
+        assert run(tmp_path, "solve", "dying-battery", "--format", formats) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(tmp_path, "solve", "dying-battery") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dying-battery.plot.svg",
+        "dying-battery.report.json",
+        "dying-battery.schedule.csv",
+    ]
 
 
 # --------------------------------------------------------------------------

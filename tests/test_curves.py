@@ -61,16 +61,23 @@ from ehsched.curves import corridor_gates
 
 
 def test_curve_rejects_bad_breakpoints():
-    with pytest.raises(ValueError):
-        CumulativeCurve(((0.0, 0.0, 0.0),), 1.0)  # missing horizon breakpoint
-    with pytest.raises(ValueError):
-        CumulativeCurve(((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), 1.0)  # starts late
-    with pytest.raises(ValueError):
-        CumulativeCurve(((0.0, 0.0, 2.0), (1.0, 1.0, 1.0)), 1.0)  # decreases
-    with pytest.raises(ValueError):
-        CumulativeCurve(((0.0, 1.0, 0.5), (1.0, 1.0, 1.0)), 1.0)  # downward jump
-    with pytest.raises(ValueError):
-        CumulativeCurve(((0.0, -1.0, 0.0), (1.0, 1.0, 1.0)), 1.0)  # negative
+    cases = [
+        (((0.0, 0.0, 0.0),), 1.0, "a curve needs breakpoints at 0 and at the horizon"),
+        (((0.5, 0.0, 0.0), (1.0, 1.0, 1.0)), 1.0, "first breakpoint must be at t=0, got t=0.5"),
+        (((0.0, 0.0, 2.0), (1.0, 1.0, 1.0)), 1.0, "cumulative curve decreases on [0.0, 1.0]"),
+        (((0.0, 1.0, 0.5), (1.0, 1.0, 1.0)), 1.0, "downward jump at t=0.0 (1.0 -> 0.5)"),
+        (((0.0, -1.0, 0.0), (1.0, 1.0, 1.0)), 1.0, "cumulative curve is negative or NaN at t=0.0"),
+        (
+            ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            2.0,
+            "last breakpoint must be at the horizon 2.0, got t=1.0",
+        ),
+    ]
+    for breakpoints, horizon, message in cases:
+        with pytest.raises(ValueError) as error:
+            CumulativeCurve(breakpoints, horizon)
+        assert type(error.value) is ValueError
+        assert str(error.value) == message
 
 
 def test_eval_jump_semantics():
@@ -519,12 +526,18 @@ def test_uniform_dying_staircase():
 
 
 def test_dying_battery_errors():
-    with pytest.raises(ValueError):
-        dying_battery_scenario([], [])
-    with pytest.raises(ValueError):
-        dying_battery_scenario([1.0, 1.0], [2.0, 1.0])
-    with pytest.raises(ValueError):
-        dying_battery_scenario([-1.0], [1.0])
+    cases = [
+        ([], [], "at least one battery is required"),
+        ([1.0, 1.0], [2.0, 1.0], "death times must strictly increase"),
+        ([-1.0], [1.0], "battery charge must be positive, got -1.0"),
+        ([1.0, 1.0], [1.0], "amounts and times must have equal length"),
+        ([1.0], [0.0], "death times must be positive"),
+    ]
+    for amounts, times, message in cases:
+        with pytest.raises(ValueError) as error:
+            dying_battery_scenario(amounts, times)
+        assert type(error.value) is ValueError
+        assert str(error.value) == message
 
 
 # --------------------------------------------------------------------------

@@ -118,6 +118,17 @@ def test_dp_rejects_too_many_pieces():
         dp_throughput(harvested, zero_curve(5.0), RATE1, GridSpec(2, 200, 16.0))
 
 
+def test_dp_rejects_an_empty_quantized_corridor():
+    # floor 0.31 and ceiling 0.39 at t=1 hold no multiple of the 0.1 level
+    harvested = from_packet_arrivals([(0.0, 0.39), (1.5, 0.61)], 2.0)
+    minimum = from_packet_arrivals([(1.0, 0.31)], 2.0)
+    with pytest.raises(GridInfeasibleError) as error:
+        dp_throughput(harvested, minimum, RATE1, GridSpec(400, 11, 16.0))
+    assert str(error.value) == (
+        "quantized corridor is empty at t=1 (floor 0.31, ceiling 0.39, level size 0.1)"
+    )
+
+
 def test_dp_instant_forced_spend_infeasible():
     harvested = from_packet_arrivals([(0.0, 4.0)], 4.0)
     minimum = from_packet_arrivals([(0.0, 1.0)], 4.0)

@@ -164,6 +164,13 @@ def test_instant_forced_spend_raises():
             "floor 2 at t=2.0 exceeds the energy 1 available before the jump there",
         ),
         (
+            # the floor rises at t=1 and pinches at t=1.5: the refusal comes
+            # from the funnel's main loop, past its opening phase
+            from_packet_arrivals([(0.0, 1.0), (2.0, 5.0)], 4.0),
+            from_packet_arrivals([(1.0, 0.5), (1.5, 2.0)], 4.0),
+            "floor exceeds ceiling at t=1.5",
+        ),
+        (
             from_packet_arrivals([(0.0, 1.0)], 4.0),
             zero_curve(5.0),
             "horizon mismatch: 5.0 != 4.0",
